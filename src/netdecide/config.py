@@ -10,11 +10,34 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# value check for each field, keyed by the field's annotation
+_TYPE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "float": _is_real,
+    "tuple[float, float]": lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+                                      and all(_is_real(x) for x in v)),
+    "tuple[int, ...]": lambda v: (isinstance(v, (tuple, list))
+                                  and all(_is_int(x) for x in v)),
+}
 
 
 @dataclass
@@ -23,7 +46,7 @@ class ExperimentConfig:
     n_agents: int = 80
     n_models: int = 3
     dim: int = 2
-    model_range: tuple = (-1.0, 1.0)
+    model_range: tuple[float, float] = (-1.0, 1.0)
     max_degree: int = 7
     radius: float = 0.22
     alpha: float = 0.04
@@ -34,12 +57,12 @@ class ExperimentConfig:
     t_hold: int = 50
     n_trials: int = 100
     seed: int = 0
-    sigma_v2_range: tuple = (1e-3, 1e-2)
-    reg_power_range: tuple = (0.8, 1.2)
+    sigma_v2_range: tuple[float, float] = (1e-3, 1e-2)
+    reg_power_range: tuple[float, float] = (0.8, 1.2)
     equilibrium_break: bool = True
     early_stop: bool = True
     target_agent: int | None = None
-    reassign_at: tuple = ()
+    reassign_at: tuple[int, ...] = ()
     comm_radius: float = 11.0
     start_extent: float = 25.0
     max_speed: float = 1.0
@@ -47,7 +70,7 @@ class ExperimentConfig:
     align_gain: float = 0.3
     repulse_gain: float = 0.1
     repulse_radius: float = 1.0
-    snapshot_iters: tuple = (1, 200, 500, 1000)
+    snapshot_iters: tuple[int, ...] = (1, 200, 500, 1000)
 
     # mode-specific defaults layered on top of the field defaults above;
     # mobile squared-distance thresholds scale with the coordinate range,
@@ -78,6 +101,10 @@ class ExperimentConfig:
         def need(cond, msg):
             if not cond:
                 raise ConfigError(msg)
+        for f in dataclasses.fields(c):
+            value = getattr(c, f.name)
+            need(_TYPE_CHECKS[f.type](value),
+                 f"{f.name} must be {f.type}, got {value!r}")
         need(c.mode in self.MODE_DEFAULTS, f"unknown mode {c.mode!r}")
         need(c.n_agents >= 1, "n_agents must be positive")
         need(1 <= c.n_models <= c.n_agents, "need 1 <= n_models <= n_agents")
@@ -126,7 +153,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("model_range", "sigma_v2_range", "reg_power_range",
                     "reassign_at", "snapshot_iters"):
-            if key in values and values[key] is not None:
+            if isinstance(values.get(key), list):
                 values[key] = tuple(values[key])
         return cls(**values).validate()
 

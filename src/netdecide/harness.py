@@ -12,13 +12,12 @@ bit-identical aggregates, and summaries carry no wall-clock content.
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .decision import run_decision
 from .follow import run_follow
 from .mobility import MotionDriver, MotionParams, rebuild_topology
@@ -175,14 +174,21 @@ class MonteCarloSummary:
 
 
 def _nan_stats(stack):
+    """Per-column mean, 10th and 90th percentile over the trial axis,
+    skipping NaN; the values ``np.nanpercentile`` gives, with NaN and no
+    warning for columns that hold no value."""
     valid = ~np.isnan(stack)
     counts = valid.sum(axis=0)
     sums = np.nansum(np.where(valid, stack, 0.0), axis=0)
     mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        p10 = np.nanpercentile(stack, 10, axis=0)
-        p90 = np.nanpercentile(stack, 90, axis=0)
+    # NaN sorts last, so a column with k values holds them in its first k
+    # rows; columns with equal k share one vectorized percentile call
+    ordered = np.sort(stack, axis=0)
+    p10 = np.full(counts.shape, np.nan)
+    p90 = np.full(counts.shape, np.nan)
+    for k in np.unique(counts[counts > 0]):
+        cols = counts == k
+        p10[cols], p90[cols] = np.percentile(ordered[:k, cols], [10, 90], axis=0)
     return mean, p10, p90, counts
 
 
@@ -229,6 +235,8 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
     ``n_jobs`` > 1 fans trials out to worker processes; results are
     collected in trial order either way, so the aggregate is identical.
     """
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
     config.validate()
     seeds = trial_seeds(config.seed, config.n_trials)
     payloads = [(config, _seed_state(ss), check_invariants, trajectories,

@@ -9,7 +9,8 @@ the ground-truth model it is assigned to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,16 +63,23 @@ def is_connected(adjacency):
 def component_count(close):
     """Number of connected components of a symmetric boolean relation.
 
-    Computed by squaring the reachability matrix to a fixed point; the
-    diagonal must be all True.
+    A frontier sweep: a breadth-first search from the first agent no
+    earlier search reached, repeated until every agent is reached; the
+    number of searches is the count. Each level reads the rows of the
+    frontier, which the symmetry makes equal to its columns.
     """
-    reach = np.asarray(close, dtype=bool)
-    while True:
-        grown = reach | ((reach.astype(np.float64) @ reach.astype(np.float64)) > 0)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    return int(np.unique(reach.argmax(axis=1)).size)
+    close = np.asarray(close, dtype=bool)
+    unreached = np.ones(close.shape[0], dtype=bool)
+    count = 0
+    while unreached.any():
+        root = unreached.argmax()
+        frontier = close[root] & unreached
+        frontier[root] = True
+        while frontier.any():
+            unreached &= ~frontier
+            frontier = close[frontier].any(axis=0) & unreached
+        count += 1
+    return count
 
 
 @dataclass(eq=False)
@@ -89,14 +97,18 @@ class Topology:
 
     adjacency: np.ndarray
     positions: np.ndarray
-    neighbors: list = field(init=False, repr=False)
-    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=bool)
         self.positions = np.asarray(self.positions, dtype=float)
         self.degrees = self.adjacency.sum(axis=0)
-        self.neighbors = [np.flatnonzero(col) for col in self.adjacency.T]
+
+    @cached_property
+    def neighbors(self):
+        """Closed neighborhood of each agent as an index array, built on
+        first use: only the switch stage reads it, and mobile swarms
+        rebuild their topology every round."""
+        return [np.flatnonzero(col) for col in self.adjacency.T]
 
     @property
     def n_agents(self):
@@ -122,6 +134,14 @@ def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     still over the cap, unless cutting it would disconnect the graph and
     ``keep_connected`` is set. Returns True when every closed degree ends
     up <= max_degree.
+
+    With ``keep_connected`` the graph must be connected on entry, and it
+    stays connected after every cut. Cutting link a-b from a connected
+    graph disconnects it exactly when b can no longer be reached from a,
+    because every agent still reaches a or b without the link. So the
+    whole-graph check reduces to a local one: a common neighbor of a and b
+    settles it at once, and otherwise a search from a stops as soon as it
+    reaches b. Both make the keep/cut decision a whole-graph check would.
     """
     deg = adjacency.sum(axis=0)
     if (deg <= max_degree).all():
@@ -130,17 +150,45 @@ def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     present = adjacency[iu, ju]
     ea, eb = iu[present], ju[present]
     order = np.argsort(-sqdist[ea, eb], kind="stable")
-    for t in order:
-        a, b = ea[t], eb[t]
+    deg = deg.tolist()
+    if keep_connected:
+        nbrs = [set(np.flatnonzero(row).tolist()) - {k}
+                for k, row in enumerate(adjacency)]
+    cut_a, cut_b = [], []
+    for a, b in zip(ea[order].tolist(), eb[order].tolist()):
         if deg[a] <= max_degree and deg[b] <= max_degree:
             continue
-        adjacency[a, b] = adjacency[b, a] = False
-        if keep_connected and not is_connected(adjacency):
-            adjacency[a, b] = adjacency[b, a] = True
-            continue
+        if keep_connected:
+            nbrs[a].discard(b)
+            nbrs[b].discard(a)
+            if nbrs[a].isdisjoint(nbrs[b]) and not _reaches(nbrs, a, b):
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+                continue
+        cut_a.append(a)
+        cut_b.append(b)
         deg[a] -= 1
         deg[b] -= 1
-    return bool((deg <= max_degree).all())
+    adjacency[cut_a, cut_b] = False
+    adjacency[cut_b, cut_a] = False
+    return max(deg) <= max_degree
+
+
+def _reaches(nbrs, a, b):
+    """Whether ``b`` can be reached from ``a`` over the neighbor sets, by a
+    breadth-first search that stops as soon as it sees ``b``."""
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        grown = []
+        for v in frontier:
+            if b in nbrs[v]:
+                return True
+            fresh = nbrs[v] - seen
+            seen |= fresh
+            grown.extend(fresh)
+        frontier = grown
+    return False
 
 
 def generate_topology(n_agents, max_degree=7, radius=0.18, seed=None, max_tries=50):

@@ -1,0 +1,28 @@
+"""Experiment configuration: type checks on loaded values."""
+
+import pytest
+
+from netdecide.config import ConfigError, ExperimentConfig
+
+
+@pytest.mark.parametrize("values", [
+    {"n_agents": "80"},
+    {"max_iters": 10.5, "t_hold": 5},
+    {"n_trials": True},
+    {"radius": "0.2"},
+    {"early_stop": 1},
+    {"model_range": [-1.0]},
+    {"reassign_at": [2.5]},
+    {"mode": ["decide"]},
+])
+def test_from_dict_rejects_values_of_the_wrong_type(values):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(values)
+
+
+def test_from_dict_accepts_json_numbers():
+    config = ExperimentConfig.from_dict(
+        {"n_agents": 40, "radius": 1, "model_range": [-2, 2],
+         "reassign_at": [10, 20], "target_agent": None})
+    assert config.model_range == (-2, 2)
+    assert config.reassign_at == (10, 20)

@@ -1,0 +1,64 @@
+"""Monte Carlo harness: aggregation and argument checks."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from netdecide.config import ConfigError
+from netdecide.harness import _nan_stats, _pad_stack, run_monte_carlo
+
+from conftest import tiny_config
+
+
+def nanpercentile_reference(stack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return (np.nanpercentile(stack, 10, axis=0),
+                np.nanpercentile(stack, 90, axis=0))
+
+
+def test_nan_stats_matches_nanpercentile_on_ragged_trials(rng):
+    # trials that stop early are padded with trailing nan
+    lengths = [50, 7, 120, 120, 1, 33]
+    stack = _pad_stack([rng.lognormal(size=(k, 3)) for k in lengths])
+    stack[2, 10, 1] = np.nan  # a gap inside a column
+    _, p10, p90, counts = _nan_stats(stack)
+    want10, want90 = nanpercentile_reference(stack)
+    assert np.array_equal(p10, want10)
+    assert np.array_equal(p90, want90)
+    assert np.array_equal(counts, (~np.isnan(stack)).sum(axis=0))
+
+
+def test_nan_stats_matches_nanpercentile_on_one_dimensional_curves(rng):
+    stack = _pad_stack([rng.normal(size=k) for k in (9, 4, 9, 2)])
+    stack[[0, 2], 3] = np.nan
+    mean, p10, p90, _ = _nan_stats(stack)
+    want10, want90 = nanpercentile_reference(stack)
+    assert np.array_equal(p10, want10)
+    assert np.array_equal(p90, want90)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.allclose(mean, np.nanmean(stack, axis=0))
+
+
+def test_nan_stats_all_nan_columns_are_nan_without_warning():
+    stack = np.full((3, 4, 2), np.nan)
+    stack[:, 0, 0] = [3.0, 1.0, 2.0]
+    stack[1, 2, 1] = 5.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, p10, p90, counts = _nan_stats(stack)
+    empty = counts == 0
+    assert empty.sum() == 6
+    for values in (mean, p10, p90):
+        assert np.isnan(values[empty]).all()
+        assert not np.isnan(values[~empty]).any()
+    assert p10[0, 0] == pytest.approx(1.2) and p90[0, 0] == pytest.approx(2.8)
+    assert p10[2, 1] == p90[2, 1] == 5.0
+
+
+@pytest.mark.parametrize("n_jobs", [0, -1])
+def test_run_monte_carlo_rejects_fewer_than_one_job(n_jobs):
+    with pytest.raises(ConfigError, match="n_jobs"):
+        run_monte_carlo(tiny_config(), n_jobs=n_jobs)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
@@ -94,6 +94,58 @@ def test_connectivity_and_components(rng):
         assert is_connected(adj) == (count == 1)
 
 
+def oracle_component_count(close):
+    """Components of a symmetric relation by a plain-Python graph search."""
+    n = len(close)
+    seen = [False] * n
+    count = 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in range(n):
+                if close[v][w] and not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
+
+
+@st.composite
+def closed_relations(draw):
+    """Symmetric relations with a True diagonal: paths through the agents
+    in a drawn order, cut into blocks, plus a few extra links."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    cut_after = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    close = np.eye(n, dtype=bool)
+    for k, cut in enumerate(cut_after):
+        if not cut:
+            a, b = order[k], order[k + 1]
+            close[a, b] = close[b, a] = True
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    for a, b in extra:
+        close[a, b] = close[b, a] = True
+    return close
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_relations())
+@example(np.eye(1, dtype=bool))
+@example(np.eye(30, dtype=bool))
+@example(path_adjacency(40))
+@example(np.ones((5, 5), dtype=bool))
+def test_component_count_matches_graph_search_oracle(close):
+    want = oracle_component_count(close.tolist())
+    assert component_count(close) == want
+    # self-loops do not join anything: the count holds without them
+    assert component_count(close & ~np.eye(len(close), dtype=bool)) == want
+
+
 def test_topology_validate_rejects_bad_shapes():
     good = Topology(path_adjacency(4), np.zeros((4, 2)))
     good.validate()
@@ -125,6 +177,58 @@ def test_generate_topology_is_seed_deterministic():
     assert np.array_equal(a.adjacency, b.adjacency)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def reference_prune(adjacency, sqdist, max_degree):
+    """The degree prune as first written: a whole-graph connectivity check
+    after every cut. Kept as the reference the local reroute test must
+    reproduce."""
+    deg = adjacency.sum(axis=0)
+    if (deg <= max_degree).all():
+        return True
+    iu, ju = np.triu_indices_from(adjacency, k=1)
+    present = adjacency[iu, ju]
+    ea, eb = iu[present], ju[present]
+    order = np.argsort(-sqdist[ea, eb], kind="stable")
+    for t in order:
+        a, b = ea[t], eb[t]
+        if deg[a] <= max_degree and deg[b] <= max_degree:
+            continue
+        adjacency[a, b] = adjacency[b, a] = False
+        if not is_connected(adjacency):
+            adjacency[a, b] = adjacency[b, a] = True
+            continue
+        deg[a] -= 1
+        deg[b] -= 1
+    return bool((deg <= max_degree).all())
+
+
+def reference_topology(n_agents, max_degree, radius, seed, max_tries=50):
+    """generate_topology's placement loop around :func:`reference_prune`."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        positions = rng.random((n_agents, 2))
+        d2 = squared_distances(positions)
+        adjacency = d2 <= radius * radius
+        np.fill_diagonal(adjacency, True)
+        if not is_connected(adjacency):
+            continue
+        if reference_prune(adjacency, d2, max_degree):
+            return adjacency, positions
+    return None
+
+
+@pytest.mark.parametrize("n_agents, radius", [(20, 0.4), (80, 0.22), (150, 0.18)])
+def test_generate_topology_matches_global_check_prune(n_agents, radius):
+    for seed in range(20):
+        want = reference_topology(n_agents, 7, radius, seed)
+        if want is None:
+            with pytest.raises(TopologyError):
+                generate_topology(n_agents, 7, radius, seed=seed)
+            continue
+        got = generate_topology(n_agents, 7, radius, seed=seed)
+        assert np.array_equal(got.adjacency, want[0])
+        assert np.array_equal(got.positions, want[1])
 
 
 def test_generate_topology_gives_up_when_radius_too_small():
