@@ -8,80 +8,32 @@ they physically gather at.
 """
 
 from .config import ConfigError, ExperimentConfig
-from .decision import (DesiredMatrices, InvariantViolation, run_decision,
-                       update_desired_matrices, update_estimate)
-from .diffusion import (ClusterMatrices, adapt, aggregate,
-                        believed_neighborhoods, combination_weights,
-                        update_cluster_matrices)
-from .follow import AnchorState, run_follow
+from .decision import InvariantViolation, run_decision
+from .follow import run_follow
 from .harness import (MonteCarloSummary, run_monte_carlo, run_single_trial,
-                      run_sweep, summarize, trial_seeds)
-from .labeling import LabelView, build_label_view, column_label
-from .metrics import (captured_source, common_model, evaluate_success,
-                      final_agreement_block, msd_desired, msd_observed)
-from .mobility import MotionDriver, MotionParams, rebuild_topology, step_motion
-from .network import (DataStream, DivergenceError, ModelSet, NoiseProfile,
-                      StreamBundle, Topology, TopologyError, assign_agents,
-                      build_streams, corner_models, draw_noise_profile,
-                      generate_models, generate_topology, network_from_json,
-                      network_to_json, two_clique_topology)
+                      run_sweep, trial_seeds)
+from .network import (DivergenceError, TopologyError, network_from_json,
+                      network_to_json)
 from .records import RunRecord, load_record, save_record
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorState",
-    "ClusterMatrices",
     "ConfigError",
-    "DataStream",
-    "DesiredMatrices",
     "DivergenceError",
     "ExperimentConfig",
     "InvariantViolation",
-    "LabelView",
-    "ModelSet",
     "MonteCarloSummary",
-    "MotionDriver",
-    "MotionParams",
-    "NoiseProfile",
     "RunRecord",
-    "StreamBundle",
-    "Topology",
     "TopologyError",
-    "adapt",
-    "aggregate",
-    "assign_agents",
-    "believed_neighborhoods",
-    "build_label_view",
-    "build_streams",
-    "captured_source",
-    "column_label",
-    "combination_weights",
-    "common_model",
-    "corner_models",
-    "draw_noise_profile",
-    "evaluate_success",
-    "final_agreement_block",
-    "generate_models",
-    "generate_topology",
     "load_record",
-    "msd_desired",
-    "msd_observed",
     "network_from_json",
     "network_to_json",
-    "rebuild_topology",
     "run_decision",
     "run_follow",
     "run_monte_carlo",
     "run_single_trial",
     "run_sweep",
     "save_record",
-    "step_motion",
-    "summarize",
     "trial_seeds",
-    "two_clique_topology",
-    "update_cluster_matrices",
-    "update_desired_matrices",
-    "update_estimate",
-    "__version__",
 ]

@@ -15,13 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import TUPLE_FIELDS, ConfigError, ExperimentConfig
 from .harness import run_monte_carlo, run_sweep
 from .network import TopologyError
 from .records import save_record
-
-_TUPLE_FLAGS = ("model_range", "sigma_v2_range", "reg_power_range",
-                "reassign_at", "snapshot_iters")
 
 
 def _add_common(parser):
@@ -141,7 +138,7 @@ def _overrides(args):
         value = getattr(args, f.name, None)
         if value is None:
             continue
-        out[f.name] = tuple(value) if f.name in _TUPLE_FLAGS else value
+        out[f.name] = tuple(value) if f.name in TUPLE_FIELDS else value
     if getattr(args, "no_equilibrium_break", False):
         out["equilibrium_break"] = False
     if getattr(args, "no_early_stop", False):
@@ -159,7 +156,6 @@ def _build_config(mode, args):
     overrides = _overrides(args)
     if overrides:
         config = config.replace(**overrides)
-    config.validate()
     return config
 
 

@@ -151,8 +151,7 @@ class ExperimentConfig:
         unknown = set(values) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("model_range", "sigma_v2_range", "reg_power_range",
-                    "reassign_at", "snapshot_iters"):
+        for key in TUPLE_FIELDS:
             if isinstance(values.get(key), list):
                 values[key] = tuple(values[key])
         return cls(**values).validate()
@@ -165,3 +164,8 @@ class ExperimentConfig:
     def from_file(cls, path):
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+# fields whose values are tuples; JSON and argparse hand them over as lists
+TUPLE_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig)
+                         if f.type.startswith("tuple"))

@@ -1,12 +1,24 @@
 """Network-wide decision making on top of diffusion adaptation.
 
-Agents label their neighbors' desired models locally, switch their own
-desired estimate when they disagree with the local majority (with a random
-tie-breaker that defuses evenly split standoffs), and then blend neighbor
-aggregates with previous estimates through two complementary weight
-matrices: a "fresh" route for neighbors whose adaptation output is already
-near the agent's desired model, and a "hold" route that keeps diffusing
-previous desired estimates otherwise.
+Every mode runs one synchronous round loop, :func:`run_rounds`: scheduled
+reassignment, adaptation, cluster beliefs, aggregation, the closeness of
+the previous desired estimates and the agreement degrees, the
+desired-estimate stage, the estimate update, metrics, motion (mobile
+swarms) and early stop. The desired-estimate stage is the loop's only
+seam, and one of two policies fills it. Each policy also keeps its own
+desired-deviation curve and record fields.
+
+- :class:`MajoritySwitching` (decision-making and mobile swarms): agents
+  label their neighbors' desired models locally and switch their own
+  desired estimate when they disagree with the local majority, with a
+  random tie-breaker that defuses evenly split standoffs.
+- ``netdecide.follow.AnchorRelay`` (follow-the-target): a relayed copy of
+  the target agent's output replaces local labeling.
+
+Both then blend neighbor aggregates with previous estimates through two
+complementary weight matrices: a "fresh" route for neighbors whose
+adaptation output is already near the agent's desired model, and a "hold"
+route that keeps diffusing previous desired estimates otherwise.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -24,7 +36,8 @@ import numpy as np
 from .diffusion import (ClusterMatrices, adapt, aggregate, believed_neighborhoods,
                         check_divergence, combination_weights, update_cluster_matrices)
 from .labeling import agreement_vector, view_from_closeness
-from .metrics import evaluate_success, final_agreement_block, msd_observed as observed_msd
+from .metrics import (common_model, evaluate_success, final_agreement_block,
+                      msd_observed as observed_msd)
 from .network import (component_count, pairwise_close, random_assignment,
                       squared_distances)
 from .records import RunRecord
@@ -55,15 +68,13 @@ class DesiredMatrices:
     hold: np.ndarray
 
 
-def update_desired_matrices(w_prev, psi, adjacency, threshold, close=None):
+def update_desired_matrices(w_prev, psi, adjacency, threshold, close):
     """Build the split weight matrices for one round.
 
     A neighbor's weight rides the fresh route when its adaptation output
     is within ``threshold`` (squared norm) of the agent's previous desired
     estimate, and the hold route otherwise.
     """
-    if close is None:
-        close = pairwise_close(w_prev, threshold)
     linked = close & adjacency
     weights = combination_weights(linked)
     refresh = squared_distances(psi, w_prev) <= threshold
@@ -152,9 +163,54 @@ def verify_round(*, combination, support, cluster, matrices, close, adjacency,
         raise InvariantViolation("aggregate left the convex hull of its support")
 
 
-def run_decision(config, topology, models, noise, streams, *,
-                 check_invariants=False, motion=None):
-    """Run the full decision-making loop and return its :class:`RunRecord`.
+class MajoritySwitching:
+    """Desired-estimate stage of decision-making and mobile swarms.
+
+    Non-unanimous agents copy their local majority's estimate (see
+    :func:`apply_switching`), counting each switch by case. The desired
+    deviation is tracked against every model and, once the run is over,
+    kept for the model the final agreement stretch sits closest to.
+    """
+
+    mode = "decide"
+    stops_early = True
+
+    def __init__(self, config, n_agents, n_models, rngs):
+        self.beta = config.beta
+        self.equilibrium_break = config.equilibrium_break
+        self.rngs = rngs
+        self.adopt_counts = np.zeros(n_agents, dtype=int)
+        self.random_counts = np.zeros(n_agents, dtype=int)
+        self.deviations = np.zeros((config.max_iters, n_models))
+
+    def desired(self, t, w_prev, psi, close, p, topology):
+        w_prev, changed = apply_switching(
+            w_prev, close, topology, p, self.rngs, self.equilibrium_break,
+            self.adopt_counts, self.random_counts)
+        if changed:
+            close = pairwise_close(w_prev, self.beta)
+        matrices = update_desired_matrices(w_prev, psi, topology.adjacency,
+                                           self.beta, close)
+        return w_prev, close, matrices
+
+    def track(self, t, w, models, assignment):
+        self.deviations[t] = squared_distances(w, models).mean(axis=0)
+
+    def record_fields(self, n_ran, agreed):
+        deviations = self.deviations[:n_ran]
+        msd_desired = np.full(n_ran, np.nan)
+        block = final_agreement_block(agreed)
+        if block is not None:
+            target_model = int(np.argmin(deviations[block]))
+            msd_desired[block:] = deviations[block:, target_model]
+        return dict(msd_desired=msd_desired, source_coverage=None, target_agent=None,
+                    switch_adopt=self.adopt_counts, switch_random=self.random_counts)
+
+
+def run_rounds(config, topology, models, streams, policy, *,
+               check_invariants=False, motion=None):
+    """Run the round loop with ``policy`` as its desired-estimate stage and
+    return the run's :class:`RunRecord`.
 
     ``models`` must carry an assignment. When ``motion`` is given (mobile
     swarms) it is stepped at the end of every round and returns the
@@ -183,11 +239,8 @@ def run_decision(config, topology, models, noise, streams, *,
     w_prev = None
 
     msd_observed = np.full((n_iters, n_models), np.nan)
-    deviations = np.zeros((n_iters, n_models))
     agreed = np.zeros(n_iters, dtype=bool)
     n_desired = np.zeros(n_iters, dtype=int)
-    adopt_counts = np.zeros(n, dtype=int)
-    random_counts = np.zeros(n, dtype=int)
     p = np.zeros(n)
 
     # a settled network cannot unsettle: with every p_k = 1 no switch ever
@@ -195,7 +248,7 @@ def run_decision(config, topology, models, noise, streams, *,
     # model, so once agreement has held t_hold rounds and every estimate
     # sits within the grouping threshold of one model the remaining rounds
     # are inert and may be skipped
-    may_stop = config.early_stop and motion is None
+    may_stop = config.early_stop and motion is None and policy.stops_early
     last_reassign = max(reassign_at, default=0)
     hold = 0
     n_ran = n_iters
@@ -215,7 +268,6 @@ def run_decision(config, topology, models, noise, streams, *,
         cluster = update_cluster_matrices(cluster, psi, phi, adjacency,
                                           config.alpha, config.smoothing)
         support = believed_neighborhoods(cluster.beliefs) & adjacency
-        np.fill_diagonal(support, True)
         combination = combination_weights(support)
         phi = aggregate(combination, psi)
 
@@ -223,25 +275,17 @@ def run_decision(config, topology, models, noise, streams, *,
         p = agreement_vector(close, adjacency, degrees)
         agreed[t] = bool((p == 1.0).all())
         hold = hold + 1 if agreed[t] else 0
-        if agreed[t]:
-            changed = False
-        else:
-            w_prev, changed = apply_switching(
-                w_prev, close, topology, p, streams.decision,
-                config.equilibrium_break, adopt_counts, random_counts)
-        close_after = pairwise_close(w_prev, config.beta) if changed else close
 
-        n_desired[t] = component_count(close_after)
-        matrices = update_desired_matrices(w_prev, psi, adjacency, config.beta,
-                                           close=close_after)
+        w_prev, close, matrices = policy.desired(t, w_prev, psi, close, p, topology)
+        n_desired[t] = component_count(close)
         w = update_estimate(phi, w_prev, matrices)
 
         msd_observed[t] = observed_msd(phi, models.models, assignment)
-        deviations[t] = squared_distances(w, models.models).mean(axis=0)
+        policy.track(t, w, models.models, assignment)
 
         if check_invariants:
             verify_round(combination=combination, support=support,
-                         cluster=cluster, matrices=matrices, close=close_after,
+                         cluster=cluster, matrices=matrices, close=close,
                          adjacency=adjacency, phi=phi, psi=psi)
 
         if motion is not None:
@@ -251,45 +295,39 @@ def run_decision(config, topology, models, noise, streams, *,
         w_prev = w
 
         if (may_stop and hold >= config.t_hold and i >= last_reassign
-                and (squared_distances(w, models.models)
-                     <= config.beta).all(axis=0).any()):
+                and common_model(w, models.models, config.beta) is not None):
             n_ran = i
             break
 
-    msd_observed = msd_observed[:n_ran]
-    deviations = deviations[:n_ran]
-    agreed = agreed[:n_ran]
-    n_desired = n_desired[:n_ran]
-
-    msd_desired = np.full(n_ran, np.nan)
-    block = final_agreement_block(agreed)
-    if block is not None:
-        target_model = int(np.argmin(deviations[block]))
-        msd_desired[block:] = deviations[block:, target_model]
-
     record = RunRecord(
-        mode="mobile" if motion is not None else "decide",
+        mode="mobile" if motion is not None else policy.mode,
         n_iters=n_ran,
-        msd_observed=msd_observed,
-        msd_desired=msd_desired,
-        all_agreed=agreed,
-        n_desired_models=n_desired,
-        source_coverage=None,
+        msd_observed=msd_observed[:n_ran],
+        all_agreed=agreed[:n_ran],
+        n_desired_models=n_desired[:n_ran],
         models=models.models.copy(),
         assignment=assignment,
         final_w=w_prev.copy(),
         final_agreement=p.copy(),
-        switch_adopt=adopt_counts,
-        switch_random=random_counts,
         success=False,
         final_model=None,
-        target_agent=None,
         threshold=config.beta,
         t_hold=config.t_hold,
         trajectory=None if motion is None else motion.trajectory(),
         final_positions=None if motion is None else motion.state.positions.copy(),
         max_speed_observed=None if motion is None else motion.max_observed_speed,
         wall_time=time.perf_counter() - started,
+        **policy.record_fields(n_ran, agreed[:n_ran]),
     )
     record.success, record.final_model = evaluate_success(record)
     return record
+
+
+def run_decision(config, topology, models, streams, *, check_invariants=False,
+                 motion=None):
+    """Run decision-making (mobile swarms when ``motion`` is given) and
+    return its :class:`RunRecord`; see :func:`run_rounds`."""
+    policy = MajoritySwitching(config, topology.n_agents, models.n_models,
+                               streams.decision)
+    return run_rounds(config, topology, models, streams, policy,
+                      check_invariants=check_invariants, motion=motion)

@@ -8,24 +8,31 @@ relay depth d holds the target's output from d-1 rounds ago. The relayed
 anchor replaces local labeling: weights follow the fresh route when a
 neighbor's adaptation output is near one's own anchor.
 
+:class:`AnchorRelay` is the desired-estimate stage that
+``netdecide.decision.run_rounds``, the round loop every mode shares, calls
+in follow runs; majority switching fills the same stage in the other
+modes. The relay also keeps its coverage curve and the deviation of the
+desired estimates from the target's observed model.
+
 Source bookkeeping uses 1-based agent ids with 0 meaning "no source yet".
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (ClusterMatrices, adapt, aggregate, believed_neighborhoods,
-                        check_divergence, combination_weights, update_cluster_matrices)
-from .decision import DesiredMatrices, update_estimate, verify_round, InvariantViolation
-from .labeling import agreement_vector
-from .metrics import evaluate_success, msd_observed as observed_msd
-from .network import (bfs_depths, component_count, pairwise_close,
-                      random_assignment, squared_distances)
-from .records import RunRecord
+from .decision import DesiredMatrices, InvariantViolation, run_rounds
+from .diffusion import combination_weights
+from .network import bfs_depths, squared_distances
+
+# benchmark/spans.py wraps these names in this module; they stay bound
+# here until it wraps them only in netdecide.decision, whose loop calls them
+from .decision import (adapt, aggregate, agreement_vector,  # noqa: F401
+                       believed_neighborhoods, check_divergence, component_count,
+                       evaluate_success, observed_msd, pairwise_close,
+                       update_cluster_matrices, update_estimate)
 
 
 @dataclass(eq=False)
@@ -107,104 +114,57 @@ def follow_matrices(state, psi, adjacency, threshold):
                            hold=weights - fresh)
 
 
-def run_follow(config, topology, models, noise, streams, *, check_invariants=False):
+class AnchorRelay:
+    """Desired-estimate stage of follow runs.
+
+    Each round advances the relay (:func:`spread_anchor`) and weights the
+    estimate update by it (:func:`follow_matrices`); desired estimates are
+    never switched. The desired deviation is measured against the target's
+    current observed model. With ``check_invariants`` each round also
+    checks that the informed agents are exactly the ball of radius i hops
+    around the target.
+    """
+
+    mode = "follow"
+    stops_early = False
+
+    def __init__(self, config, topology, dim, check_invariants):
+        self.beta = config.beta
+        self.target = config.target_agent - 1
+        self.anchor = AnchorState.initial(topology.n_agents, dim)
+        self.coverage = np.zeros(config.max_iters, dtype=int)
+        self.deviations = np.zeros(config.max_iters)
+        self.depths = (bfs_depths(topology.adjacency, self.target)
+                       if check_invariants else None)
+
+    def desired(self, t, w_prev, psi, close, p, topology):
+        adjacency = topology.adjacency
+        self.anchor = spread_anchor(self.anchor, psi, adjacency, self.target)
+        informed = self.anchor.sources > 0
+        self.coverage[t] = int(informed.sum())
+        if self.depths is not None and not np.array_equal(
+                informed, (self.depths >= 0) & (self.depths <= t + 1)):
+            raise InvariantViolation(
+                f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
+        return w_prev, close, follow_matrices(self.anchor, psi, adjacency, self.beta)
+
+    def track(self, t, w, models, assignment):
+        self.deviations[t] = squared_distances(w, models[[assignment[self.target]]]).mean()
+
+    def record_fields(self, n_ran, agreed):
+        n = len(self.anchor.sources)
+        return dict(msd_desired=self.deviations[:n_ran],
+                    source_coverage=self.coverage[:n_ran], target_agent=self.target,
+                    switch_adopt=np.zeros(n, dtype=int),
+                    switch_random=np.zeros(n, dtype=int))
+
+
+def run_follow(config, topology, models, streams, *, check_invariants=False):
     """Run the follow-the-target loop and return its :class:`RunRecord`.
 
     The target agent is ``config.target_agent`` (1-based). Success demands
     network-wide agreement on the target's observed model.
     """
-    started = time.perf_counter()
-    n = topology.n_agents
-    n_models = models.n_models
-    n_iters = config.max_iters
-    target = config.target_agent - 1
-    assignment = models.assignment.copy()
-    observed = models.models[assignment]
-    adjacency = topology.adjacency
-    degrees = topology.degrees
-    bound = 1e3 * max(np.linalg.norm(models.models, axis=1).max(), 1.0)
-    reassign_at = set(config.reassign_at)
-    depths = bfs_depths(adjacency, target)
-
-    psi = np.zeros((n, models.dim))
-    phi = np.zeros((n, models.dim))
-    cluster = ClusterMatrices.initial(n)
-    anchor = AnchorState.initial(n, models.dim)
-    w_prev = None
-
-    msd_observed = np.full((n_iters, n_models), np.nan)
-    msd_desired = np.zeros(n_iters)
-    agreed = np.zeros(n_iters, dtype=bool)
-    n_desired = np.zeros(n_iters, dtype=int)
-    coverage = np.zeros(n_iters, dtype=int)
-    p = np.zeros(n)
-
-    for i in range(1, n_iters + 1):
-        t = i - 1
-        if i in reassign_at:
-            assignment = random_assignment(n, n_models, streams.reassign)
-            observed = models.models[assignment]
-
-        d, u = streams.data.round(i, observed)
-        psi = adapt(psi, u, d, config.step_size)
-        check_divergence(psi, bound)
-        if i == 1:
-            w_prev = psi.copy()
-
-        cluster = update_cluster_matrices(cluster, psi, phi, adjacency,
-                                          config.alpha, config.smoothing)
-        support = believed_neighborhoods(cluster.beliefs) & adjacency
-        np.fill_diagonal(support, True)
-        combination = combination_weights(support)
-        phi = aggregate(combination, psi)
-
-        anchor = spread_anchor(anchor, psi, adjacency, target)
-        coverage[t] = int((anchor.sources > 0).sum())
-
-        close = pairwise_close(w_prev, config.beta)
-        p = agreement_vector(close, adjacency, degrees)
-        agreed[t] = bool((p == 1.0).all())
-        n_desired[t] = component_count(close)
-
-        matrices = follow_matrices(anchor, psi, adjacency, config.beta)
-        w = update_estimate(phi, w_prev, matrices)
-
-        msd_observed[t] = observed_msd(phi, models.models, assignment)
-        msd_desired[t] = squared_distances(w, models.models[[assignment[target]]]).mean()
-
-        if check_invariants:
-            verify_round(combination=combination, support=support,
-                         cluster=cluster, matrices=matrices, close=close,
-                         adjacency=adjacency, phi=phi, psi=psi)
-            ball = np.zeros(n, dtype=bool)
-            ball[(depths >= 0) & (depths <= i)] = True
-            if not np.array_equal(anchor.sources > 0, ball):
-                raise InvariantViolation(
-                    f"informed set at round {i} is not the {i}-hop ball around the target")
-
-        w_prev = w
-
-    record = RunRecord(
-        mode="follow",
-        n_iters=n_iters,
-        msd_observed=msd_observed,
-        msd_desired=msd_desired,
-        all_agreed=agreed,
-        n_desired_models=n_desired,
-        source_coverage=coverage,
-        models=models.models.copy(),
-        assignment=assignment,
-        final_w=w_prev.copy(),
-        final_agreement=p.copy(),
-        switch_adopt=np.zeros(n, dtype=int),
-        switch_random=np.zeros(n, dtype=int),
-        success=False,
-        final_model=None,
-        target_agent=target,
-        threshold=config.beta,
-        t_hold=config.t_hold,
-        trajectory=None,
-        wall_time=time.perf_counter() - started,
-    )
-    record.success, record.final_model = evaluate_success(record)
-    return record
+    policy = AnchorRelay(config, topology, models.dim, check_invariants)
+    return run_rounds(config, topology, models, streams, policy,
+                      check_invariants=check_invariants)

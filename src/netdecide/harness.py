@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .decision import run_decision
 from .follow import run_follow
-from .mobility import MotionDriver, MotionParams, rebuild_topology
+from .mobility import MotionDriver, rebuild_topology
 from .network import (DivergenceError, assign_agents, build_streams,
                       corner_models, draw_noise_profile, generate_models,
                       generate_topology, network_to_json)
@@ -32,15 +33,6 @@ SUMMARY_SCHEMA = "netdecide.summary/1"
 def trial_seeds(master_seed, n_trials):
     """The per-trial seed sequences for a master seed, in trial order."""
     return np.random.SeedSequence(master_seed).spawn(n_trials)
-
-
-def _seed_state(ss):
-    return ss.entropy, tuple(ss.spawn_key)
-
-
-def _restore_seed(state):
-    entropy, spawn_key = state
-    return np.random.SeedSequence(entropy, spawn_key=spawn_key)
 
 
 def run_single_trial(config, trial_seed, *, check_invariants=False,
@@ -78,24 +70,17 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
 
     try:
         if config.mode == "decide":
-            record = run_decision(config, topology, models, noise, streams,
+            record = run_decision(config, topology, models, streams,
                                   check_invariants=check_invariants)
         elif config.mode == "follow":
-            record = run_follow(config, topology, models, noise, streams,
+            record = run_follow(config, topology, models, streams,
                                 check_invariants=check_invariants)
         else:
             driver = MotionDriver(
-                MotionParams(max_speed=config.max_speed,
-                             goal_gain=config.goal_gain,
-                             align_gain=config.align_gain,
-                             repulse_gain=config.repulse_gain,
-                             repulse_radius=config.repulse_radius,
-                             comm_radius=config.comm_radius,
-                             max_degree=config.max_degree),
-                topology.positions, models.models,
+                config, topology.positions, models.models,
                 snapshot_iters=config.snapshot_iters if trajectories else (),
             )
-            record = run_decision(config, topology, models, noise, streams,
+            record = run_decision(config, topology, models, streams,
                                   check_invariants=check_invariants,
                                   motion=driver)
     except DivergenceError:
@@ -105,14 +90,6 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
             target_agent=None if config.target_agent is None else config.target_agent - 1,
         )
     return record, network_doc
-
-
-def _trial_worker(payload):
-    config, seed_state, check_invariants, trajectories, export_network = payload
-    return run_single_trial(config, _restore_seed(seed_state),
-                            check_invariants=check_invariants,
-                            trajectories=trajectories,
-                            export_network=export_network)
 
 
 @dataclass(eq=False)
@@ -239,13 +216,13 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
         raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
     config.validate()
     seeds = trial_seeds(config.seed, config.n_trials)
-    payloads = [(config, _seed_state(ss), check_invariants, trajectories,
-                 export_networks) for ss in seeds]
+    trial = partial(run_single_trial, config, check_invariants=check_invariants,
+                    trajectories=trajectories, export_network=export_networks)
     if n_jobs == 1:
-        outcomes = [_trial_worker(p) for p in payloads]
+        outcomes = [trial(ss) for ss in seeds]
     else:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_trial_worker, payloads, chunksize=1))
+            outcomes = list(pool.map(trial, seeds, chunksize=1))
     records = [r for r, _ in outcomes]
     networks = [doc for _, doc in outcomes] if export_networks else None
     return summarize(config, records, networks=networks, keep_records=keep_records)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import squared_distances
-
 
 def column_label(bits):
     """Binary-to-decimal label of one matrix column, first entry most
@@ -35,8 +33,6 @@ class LabelView:
         Global agent ids in the view, ascending, viewer included.
     matrix : ndarray of bool, shape (n, n)
         Symmetric pairwise match indicators with a True diagonal.
-    labels : ndarray of int
-        Column labels, one per member.
     classes : list of ndarray
         Members grouped by identical columns, ordered by smallest member.
     majority : ndarray
@@ -46,10 +42,8 @@ class LabelView:
         Fraction of the view matching the viewer (viewer's row mean).
     """
 
-    agent: int
     members: np.ndarray
     matrix: np.ndarray
-    labels: np.ndarray
     classes: list
     majority: np.ndarray
     agreement: float
@@ -57,6 +51,11 @@ class LabelView:
     @property
     def model_count(self):
         return len(self.classes)
+
+    @property
+    def labels(self):
+        """Column labels, one per member, computed on read."""
+        return np.array([column_label(col) for col in self.matrix.T])
 
 
 def view_from_closeness(agent, close, members):
@@ -73,41 +72,13 @@ def view_from_closeness(agent, close, members):
     candidates = [c for c in classes if len(c) == best]
     majority = next((c for c in candidates if agent in c), candidates[0])
     row = int(np.searchsorted(members, agent))
-    labels = np.array([column_label(matrix[:, pos]) for pos in range(n)])
     return LabelView(
-        agent=agent,
         members=members,
         matrix=matrix,
-        labels=labels,
         classes=classes,
         majority=majority,
         agreement=float(matrix[row].sum() / n),
     )
-
-
-def build_label_view(agent, w_prev, topology, threshold):
-    """Label view of ``agent`` over its neighborhood.
-
-    Two members match when their previous desired estimates are within
-    ``threshold`` in squared norm.
-    """
-    members = topology.neighbors[agent]
-    pts = np.asarray(w_prev)[members]
-    close = squared_distances(pts) <= threshold
-    close &= close.T
-    return view_from_closeness(agent, _expand(close, members, topology.n_agents), members)
-
-
-def _expand(local_close, members, n):
-    # lift an n_k x n_k block back to global indexing for view_from_closeness
-    full = np.zeros((n, n), dtype=bool)
-    full[np.ix_(members, members)] = local_close
-    return full
-
-
-def agreement_degree(view):
-    """Fraction of the view whose desired model matches the viewer's."""
-    return view.agreement
 
 
 def agreement_vector(close, adjacency, degrees):

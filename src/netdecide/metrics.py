@@ -45,13 +45,6 @@ def msd_observed(phi, models, assignment):
     return out
 
 
-def msd_desired(w, target_model):
-    """Network-wide mean squared deviation of desired estimates from one
-    model vector."""
-    diff = np.asarray(w) - np.asarray(target_model)[None, :]
-    return float((diff * diff).sum(axis=1).mean())
-
-
 def final_agreement_block(all_agreed):
     """Start index of the maximal all-agreed suffix, or None if the run
     does not end in agreement."""
@@ -75,11 +68,7 @@ def common_model(final_w, models, threshold):
 def captured_source(positions, sources, capture_radius=5.0):
     """Index of the one source every agent is physically within
     ``capture_radius`` (plain distance, body lengths) of, or None."""
-    d2 = squared_distances(np.asarray(positions, dtype=float),
-                           np.atleast_2d(sources))
-    within = (d2 <= capture_radius * capture_radius).all(axis=0)
-    hits = np.flatnonzero(within)
-    return int(hits[0]) if hits.size else None
+    return common_model(positions, sources, capture_radius * capture_radius)
 
 
 def evaluate_success(record, t_hold=None, threshold=None):

@@ -29,21 +29,9 @@ class MotionState:
                    velocities=np.zeros_like(positions))
 
 
-@dataclass
-class MotionParams:
-    """Steering gains and geometry, distances in body lengths."""
-
-    max_speed: float = 1.0
-    goal_gain: float = 0.6
-    align_gain: float = 0.3
-    repulse_gain: float = 0.1
-    repulse_radius: float = 1.0
-    comm_radius: float = 22.0
-    max_degree: int = 80
-
-
-def step_motion(state, targets, adjacency, params):
-    """One synchronous motion step.
+def step_motion(state, targets, adjacency, config):
+    """One synchronous motion step, with the steering gains and geometry
+    of an :class:`~netdecide.config.ExperimentConfig`.
 
     The steering blend is goal_gain * (displacement to target, capped at
     unit length) + align_gain * (mean linked-neighbor velocity, self
@@ -67,15 +55,15 @@ def step_motion(state, targets, adjacency, params):
 
     diff = pos[:, None, :] - pos[None, :, :]
     d2 = (diff * diff).sum(axis=2)
-    near = d2 < params.repulse_radius ** 2
+    near = d2 < config.repulse_radius ** 2
     np.fill_diagonal(near, False)
     push = np.where(near[:, :, None], diff / np.maximum(d2, 1e-12)[:, :, None], 0.0)
     repulse = push.sum(axis=1)
 
-    blend = (params.goal_gain * goal + params.align_gain * align
-             + params.repulse_gain * repulse)
+    blend = (config.goal_gain * goal + config.align_gain * align
+             + config.repulse_gain * repulse)
     speed = np.linalg.norm(blend, axis=1)
-    new_vel = blend * (params.max_speed / np.maximum(speed, params.goal_gain))[:, None]
+    new_vel = blend * (config.max_speed / np.maximum(speed, config.goal_gain))[:, None]
     return MotionState(positions=pos + new_vel, velocities=new_vel)
 
 
@@ -90,30 +78,33 @@ def rebuild_topology(positions, comm_radius, max_degree):
 
 
 class MotionDriver:
-    """Steps the swarm inside the decision loop and samples trajectories."""
+    """Steps the swarm inside the decision loop and samples trajectories.
 
-    def __init__(self, params, positions, models, snapshot_iters=(), record_all=False):
-        self.params = params
+    ``config`` supplies the motion law's gains and the communication
+    radius and degree cap of the per-round topology rebuild.
+    """
+
+    def __init__(self, config, positions, models, snapshot_iters=()):
+        self.config = config
         self.state = MotionState.at(positions)
         self.models = np.atleast_2d(models)
         self.snapshot_iters = set(snapshot_iters)
-        self.record_all = record_all
         self.rows = []
         self.max_observed_speed = 0.0
 
     def step(self, iteration, targets, topology):
-        self.state = step_motion(self.state, targets, topology.adjacency, self.params)
+        self.state = step_motion(self.state, targets, topology.adjacency, self.config)
         speed = float(np.linalg.norm(self.state.velocities, axis=1).max(initial=0.0))
         self.max_observed_speed = max(self.max_observed_speed, speed)
-        if speed > self.params.max_speed * (1 + 1e-9):
+        if speed > self.config.max_speed * (1 + 1e-9):
             raise AssertionError(f"speed cap violated at iteration {iteration}: {speed}")
-        if self.record_all or iteration in self.snapshot_iters:
+        if iteration in self.snapshot_iters:
             labels = squared_distances(targets, self.models).argmin(axis=1)
             for k in range(len(targets)):
                 self.rows.append((iteration, k, self.state.positions[k, 0],
                                   self.state.positions[k, 1], labels[k]))
-        return rebuild_topology(self.state.positions, self.params.comm_radius,
-                                self.params.max_degree)
+        return rebuild_topology(self.state.positions, self.config.comm_radius,
+                                self.config.max_degree)
 
     def trajectory(self):
         return np.array(self.rows, dtype=float) if self.rows else None

@@ -286,16 +286,6 @@ class ModelSet:
     def dim(self):
         return self.models.shape[1]
 
-    def observed(self, assignment=None):
-        """Per-agent observed model matrix, one row per agent."""
-        a = self.assignment if assignment is None else assignment
-        if a is None:
-            raise ValueError("no assignment available")
-        return self.models[a]
-
-    def pairwise_separation(self):
-        return squared_distances(self.models)
-
 
 def generate_models(n_models, dim=2, value_range=(-1.0, 1.0), seed=None,
                     min_separation_sq=0.0, max_tries=1000):
@@ -382,27 +372,6 @@ def draw_noise_profile(n_agents, dim, seed=None, sigma_v2_range=(1e-3, 1e-2),
     return NoiseProfile(sigma_v2, reg_power)
 
 
-@dataclass
-class DataSample:
-    """One scalar observation: d = u . w_observed + v."""
-
-    d: float
-    u: np.ndarray
-    v: float
-
-
-def sample_data(agent, models, noise, rng):
-    """Draw one observation for ``agent`` from its assigned model.
-
-    The regressor is zero-mean Gaussian with the agent's diagonal
-    covariance, the noise zero-mean Gaussian with the agent's variance.
-    """
-    u = rng.standard_normal(models.dim) * np.sqrt(noise.reg_power[agent])
-    v = rng.standard_normal() * np.sqrt(noise.sigma_v2[agent])
-    d = float(u @ models.observed()[agent] + v)
-    return DataSample(d=d, u=u, v=float(v))
-
-
 class DataStream:
     """Pre-generated regressor/noise blocks, one independent stream per agent.
 
@@ -422,10 +391,6 @@ class DataStream:
             g = np.random.default_rng(entropy)
             self.u[:, k, :] = g.standard_normal((n_iters, dim)) * np.sqrt(noise.reg_power[k])
             self.v[:, k] = g.standard_normal(n_iters) * np.sqrt(noise.sigma_v2[k])
-
-    @property
-    def n_iters(self):
-        return self.u.shape[0]
 
     def round(self, i, observed):
         """Regressors and observations for 1-based iteration ``i``."""

@@ -100,7 +100,7 @@ class RunRecord:
 
     @classmethod
     def failed(cls, mode, n_iters, models, assignment, threshold, t_hold,
-               target_agent=None, diverged=True, wall_time=0.0):
+               target_agent=None):
         """Stub for a trial that blew up: no curves, counted as a failure."""
         models = np.atleast_2d(models)
         n = len(assignment)
@@ -117,8 +117,7 @@ class RunRecord:
             switch_adopt=np.zeros(n, dtype=int),
             switch_random=np.zeros(n, dtype=int),
             success=False, final_model=None, target_agent=target_agent,
-            threshold=threshold, t_hold=t_hold, diverged=diverged,
-            wall_time=wall_time,
+            threshold=threshold, t_hold=t_hold, diverged=True,
         )
 
 

@@ -17,7 +17,7 @@ def tiny_config(**overrides):
 
 
 def build_world(cfg, seed=0):
-    """Topology, assigned models, noise and streams for one seeded run."""
+    """Topology, assigned models and streams for one seeded run."""
     topo = generate_topology(cfg.n_agents, cfg.max_degree, cfg.radius, seed=seed)
     models = generate_models(cfg.n_models, cfg.dim, cfg.model_range,
                              seed=seed + 1, min_separation_sq=4.0 * cfg.beta)
@@ -26,7 +26,7 @@ def build_world(cfg, seed=0):
                                sigma_v2_range=cfg.sigma_v2_range,
                                reg_power_range=cfg.reg_power_range)
     streams = build_streams(noise, cfg.max_iters, seed + 4)
-    return topo, models, noise, streams
+    return topo, models, streams
 
 
 @pytest.fixture

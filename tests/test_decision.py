@@ -23,7 +23,7 @@ def test_desired_matrices_all_fresh_when_everyone_agrees():
     w_prev = np.tile([0.4, -0.2], (4, 1))
     psi = w_prev + 0.01
     matrices = update_desired_matrices(w_prev, psi, np.ones((4, 4), dtype=bool),
-                                       threshold=0.08)
+                                       0.08, pairwise_close(w_prev, 0.08))
     assert matrices.linked.all()
     assert np.allclose(matrices.hold, 0.0)
     assert np.allclose(matrices.fresh, matrices.weights)
@@ -34,7 +34,7 @@ def test_desired_matrices_route_far_neighbors_to_hold():
     psi = np.zeros((3, 2))
     psi[1] = [10.0, 10.0]
     matrices = update_desired_matrices(w_prev, psi, np.ones((3, 3), dtype=bool),
-                                       threshold=0.08)
+                                       0.08, pairwise_close(w_prev, 0.08))
     # agent 1 still looks linked through w_prev, but its adaptation
     # output rides the hold route in every column
     assert np.allclose(matrices.fresh[1], 0.0)
@@ -50,7 +50,8 @@ def test_desired_matrices_split_properties(rng):
         adjacency = rng.random((n, n)) < 0.6
         adjacency |= adjacency.T
         np.fill_diagonal(adjacency, True)
-        matrices = update_desired_matrices(w_prev, psi, adjacency, threshold=0.5)
+        matrices = update_desired_matrices(w_prev, psi, adjacency, 0.5,
+                                           pairwise_close(w_prev, 0.5))
         assert np.allclose(matrices.fresh + matrices.hold, matrices.weights)
         assert not ((matrices.fresh > 0) & (matrices.hold > 0)).any()
         assert np.allclose(matrices.weights.sum(axis=0), 1.0, atol=1e-12)
@@ -181,7 +182,7 @@ def healthy_round(n=4, seed=0):
     combination = combination_weights(support)
     phi = aggregate(combination, psi)
     close = pairwise_close(w_prev, 0.5)
-    matrices = update_desired_matrices(w_prev, psi, adjacency, 0.5, close=close)
+    matrices = update_desired_matrices(w_prev, psi, adjacency, 0.5, close)
     return dict(combination=combination, support=support, cluster=cluster,
                 matrices=matrices, close=close, adjacency=adjacency,
                 phi=phi, psi=psi)
@@ -210,8 +211,8 @@ def test_verify_round_rejects_corruption(corrupt):
 
 def test_run_decision_smoke_with_invariants():
     cfg = tiny_config(max_iters=250, early_stop=False)
-    topo, models, noise, streams = build_world(cfg, seed=1)
-    record = run_decision(cfg, topo, models, noise, streams,
+    topo, models, streams = build_world(cfg, seed=1)
+    record = run_decision(cfg, topo, models, streams,
                           check_invariants=True)
     assert record.n_iters == 250
     assert record.msd_observed.shape == (250, 2)
@@ -221,8 +222,8 @@ def test_run_decision_smoke_with_invariants():
 
 def test_single_model_network_never_switches():
     cfg = tiny_config(n_models=1, max_iters=400)
-    topo, models, noise, streams = build_world(cfg, seed=5)
-    record = run_decision(cfg, topo, models, noise, streams)
+    topo, models, streams = build_world(cfg, seed=5)
+    record = run_decision(cfg, topo, models, streams)
     assert record.success
     assert record.switch_adopt.sum() == 0
     assert record.switch_random.sum() == 0

@@ -102,8 +102,8 @@ def test_follow_matrices_columns():
 
 def test_run_follow_converges_to_target_model():
     cfg = tiny_config(mode="follow", n_models=2, max_iters=600, target_agent=3)
-    topo, models, noise, streams = build_world(cfg, seed=2)
-    record = run_follow(cfg, topo, models, noise, streams,
+    topo, models, streams = build_world(cfg, seed=2)
+    record = run_follow(cfg, topo, models, streams,
                         check_invariants=True)
     assert record.n_iters == 600
     assert record.mode == "follow"

@@ -37,3 +37,15 @@ def test_summary_digest_is_pinned(mode, n_jobs):
     summary = run_monte_carlo(config, n_jobs=n_jobs)
     text = summary.to_json() + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN))
+def test_invariant_checks_leave_the_summary_unchanged(mode):
+    # follow reassigns mid-run, so the relay's hop-ball check spans a
+    # reassignment
+    overrides, _ = GOLDEN[mode]
+    if mode == "follow":
+        overrides = dict(overrides, reassign_at=(50,))
+    config = ExperimentConfig.for_mode(mode, **overrides)
+    checked = run_monte_carlo(config, check_invariants=True)
+    assert checked.to_json() == run_monte_carlo(config).to_json()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from netdecide.labeling import (agreement_vector, build_label_view,
-                                column_label, view_from_closeness)
-from netdecide.network import Topology
+from netdecide.labeling import agreement_vector, column_label, view_from_closeness
+from netdecide.network import Topology, pairwise_close
 
 
 def block_matrix(blocks, n):
@@ -101,12 +100,13 @@ def test_build_label_view_applies_threshold_gate():
     adj[0, 3] = adj[3, 0] = False
     topo = Topology(adj, np.zeros((4, 2)))
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
-    view = build_label_view(1, w_prev, topo, threshold=0.08)
+    close = pairwise_close(w_prev, 0.08)
+    view = view_from_closeness(1, close, topo.neighbors[1])
     assert np.array_equal(view.members, [0, 1, 2, 3])
     assert [list(c) for c in view.classes] == [[0, 1], [2], [3]]
     assert view.agreement == pytest.approx(0.5)
     # agent 0 sees only members {0, 1, 2}
-    view0 = build_label_view(0, w_prev, topo, threshold=0.08)
+    view0 = view_from_closeness(0, close, topo.neighbors[0])
     assert np.array_equal(view0.members, [0, 1, 2])
     assert view0.agreement == pytest.approx(2 / 3)
 
@@ -126,5 +126,5 @@ def test_agreement_vector_matches_per_view_values():
             close[i, j] = ((w_prev[i] - w_prev[j]) ** 2).sum() <= 0.5
     got = agreement_vector(close, adj, topo.degrees)
     for k in range(n):
-        view = build_label_view(k, w_prev, topo, threshold=0.5)
+        view = view_from_closeness(k, pairwise_close(w_prev, 0.5), topo.neighbors[k])
         assert got[k] == pytest.approx(view.agreement)

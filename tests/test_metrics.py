@@ -5,7 +5,7 @@ import pytest
 
 from netdecide.metrics import (captured_source, common_model,
                                evaluate_success, final_agreement_block,
-                               msd_desired, msd_observed)
+                               msd_observed)
 from netdecide.records import RunRecord
 
 
@@ -61,14 +61,6 @@ def test_msd_observed_empty_cluster_is_nan():
                        np.array([0, 0]))
     assert got[0] == 0.0
     assert np.isnan(got[1])
-
-
-def test_msd_desired_hand_values():
-    target = np.array([1.0, 0.0])
-    w = np.tile(target, (5, 1))
-    assert msd_desired(w, target) == 0.0
-    w = np.array([[1.0, np.sqrt(0.02)], [1.0, 0.0]])
-    assert msd_desired(w, target) == pytest.approx(0.01)
 
 
 def test_final_agreement_block_cases():

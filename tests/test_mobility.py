@@ -6,12 +6,12 @@ import pytest
 from netdecide.config import ExperimentConfig
 from netdecide.harness import run_single_trial, trial_seeds
 from netdecide.metrics import captured_source
-from netdecide.mobility import (MotionDriver, MotionParams, MotionState,
-                                rebuild_topology, step_motion)
+from netdecide.mobility import (MotionDriver, MotionState, rebuild_topology,
+                                step_motion)
 from netdecide.network import is_connected, squared_distances
 
 
-PARAMS = MotionParams()
+PARAMS = ExperimentConfig.for_mode("mobile")
 
 
 def lone_adjacency(n):
@@ -103,7 +103,7 @@ def test_rebuild_topology_tolerates_disconnection():
 def test_motion_driver_samples_requested_snapshots():
     models = np.array([[-50.0, -50.0], [50.0, 50.0]])
     positions = np.array([[-40.0, -40.0], [40.0, 40.0], [0.0, 1.0]])
-    driver = MotionDriver(MotionParams(), positions, models,
+    driver = MotionDriver(PARAMS, positions, models,
                           snapshot_iters=(1, 3))
     targets = np.array([[-50.0, -50.0], [50.0, 50.0], [50.0, 50.0]])
     for i in (1, 2, 3):
@@ -116,8 +116,8 @@ def test_motion_driver_samples_requested_snapshots():
     # labels name the model nearest each agent's current target
     first = rows[rows[:, 0] == 1]
     assert first[:, 4].tolist() == [0.0, 1.0, 1.0]
-    assert driver.max_observed_speed <= MotionParams().max_speed * (1 + 1e-9)
-    empty = MotionDriver(MotionParams(), positions, models)
+    assert driver.max_observed_speed <= PARAMS.max_speed * (1 + 1e-9)
+    empty = MotionDriver(PARAMS, positions, models)
     assert empty.trajectory() is None
 
 

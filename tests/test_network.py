@@ -253,7 +253,7 @@ def test_generate_models_respects_separation_and_range():
                              min_separation_sq=0.32)
         assert ms.models.shape == (3, 2)
         assert (np.abs(ms.models) <= 1.0).all()
-        sep = ms.pairwise_separation()
+        sep = squared_distances(ms.models)
         assert sep[~np.eye(3, dtype=bool)].min() >= 0.32
     with pytest.raises(ValueError):
         generate_models(2, dim=2, value_range=(1.0, -1.0), seed=0)
@@ -281,9 +281,10 @@ def test_assign_agents_attaches_assignment():
     ms = generate_models(3, seed=4, min_separation_sq=0.32)
     assigned = assign_agents(ms, topo, seed=5)
     assert assigned.assignment.shape == (15,)
-    assert assigned.observed().shape == (15, 2)
+    observed = assigned.models[assigned.assignment]
+    assert observed.shape == (15, 2)
     for k in range(15):
-        assert np.array_equal(assigned.observed()[k],
+        assert np.array_equal(observed[k],
                               ms.models[assigned.assignment[k]])
 
 
