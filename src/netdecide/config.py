@@ -1,7 +1,8 @@
 """Experiment configuration: one flat record covering every mode.
 
-Configs load from JSON (the documented key-value schema in the README),
-from CLI flags, or from the per-mode defaults; explicit values win over
+Configs load from JSON (one object whose keys are the field names of
+:class:`ExperimentConfig`, with an optional ``"schema"`` key), from CLI
+flags, or from the per-mode defaults; explicit values win over
 file values, which win over defaults. Agent ids (``target_agent``) are
 1-based here, matching every external artifact.
 """
@@ -145,6 +146,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, values):
+        if not isinstance(values, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
         values = dict(values)
         values.pop("schema", None)
         known = {f.name for f in dataclasses.fields(cls)}
@@ -158,12 +161,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            values = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        return cls.from_dict(values)
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        return cls.from_json(text)
 
 
 # fields whose values are tuples; JSON and argparse hand them over as lists

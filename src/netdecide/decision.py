@@ -16,9 +16,13 @@ desired-deviation curve and record fields.
   the target agent's output replaces local labeling.
 
 Both then blend neighbor aggregates with previous estimates through two
-complementary weight matrices: a "fresh" route for neighbors whose
-adaptation output is already near the agent's desired model, and a "hold"
-route that keeps diffusing previous desired estimates otherwise.
+complementary weight matrices built by :func:`update_desired_matrices`:
+uniform weights over the agent's linked neighbors, split into a "fresh"
+route for neighbors whose adaptation output is already near the agent's
+anchor (its previous desired estimate, or the relayed target output), and
+a "hold" route that keeps diffusing previous desired estimates otherwise.
+The two are all the loop keeps of the split; their sum is the linked
+weights.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -29,11 +33,10 @@ this round are built.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (ClusterMatrices, adapt, aggregate, believed_neighborhoods,
+from .diffusion import (adapt, aggregate, believed_neighborhoods,
                         check_divergence, combination_weights, update_cluster_matrices)
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
@@ -47,46 +50,23 @@ class InvariantViolation(AssertionError):
     """A per-round structural invariant failed."""
 
 
-@dataclass(eq=False)
-class DesiredMatrices:
-    """Weight structure of the desired-estimate update.
+def update_desired_matrices(linked, psi, anchors, threshold):
+    """Split weight matrices ``(fresh, hold)`` for one round.
 
-    linked : ndarray of bool
-        Neighbor pairs currently holding the same desired model
-        (symmetric, True diagonal).
-    weights : ndarray
-        Uniform column-stochastic weights over ``linked``.
-    fresh : ndarray
-        Portion of ``weights`` applied to current neighbor aggregates.
-    hold : ndarray
-        Complementary portion applied to previous desired estimates.
+    The uniform column-stochastic weights over ``linked`` are split by
+    neighbor: a weight rides the fresh route when the neighbor's
+    adaptation output is within ``threshold`` (squared norm) of the
+    agent's anchor, and the hold route otherwise.
     """
-
-    linked: np.ndarray
-    weights: np.ndarray
-    fresh: np.ndarray
-    hold: np.ndarray
-
-
-def update_desired_matrices(w_prev, psi, adjacency, threshold, close):
-    """Build the split weight matrices for one round.
-
-    A neighbor's weight rides the fresh route when its adaptation output
-    is within ``threshold`` (squared norm) of the agent's previous desired
-    estimate, and the hold route otherwise.
-    """
-    linked = close & adjacency
     weights = combination_weights(linked)
-    refresh = squared_distances(psi, w_prev) <= threshold
-    fresh = np.where(refresh, weights, 0.0)
-    return DesiredMatrices(linked=linked, weights=weights, fresh=fresh,
-                           hold=weights - fresh)
+    fresh = np.where(squared_distances(psi, anchors) <= threshold, weights, 0.0)
+    return fresh, weights - fresh
 
 
-def update_estimate(phi, w_prev, matrices):
+def update_estimate(phi, w_prev, fresh, hold):
     """Desired-estimate update: fresh-route aggregates plus hold-route
     previous estimates, columns normalized by construction."""
-    return matrices.fresh.T @ phi + matrices.hold.T @ w_prev
+    return fresh.T @ phi + hold.T @ w_prev
 
 
 def switch_decision(agent, view, rng, equilibrium_break=True):
@@ -97,8 +77,6 @@ def switch_decision(agent, view, rng, equilibrium_break=True):
     defused by copying a uniformly drawn neighbor (majority members more
     likely to be drawn), or ``(None, None)`` to keep the current estimate.
     """
-    if view.agreement == 1.0:
-        return None, None
     if agent not in view.majority:
         return int(view.majority.min()), "majority"
     if equilibrium_break and view.model_count == 2:
@@ -107,9 +85,10 @@ def switch_decision(agent, view, rng, equilibrium_break=True):
     return None, None
 
 
-def apply_switching(w_prev, close, topology, p, rngs, equilibrium_break,
+def apply_switching(w_prev, close, adjacency, p, rngs, equilibrium_break,
                     adopt_counts, random_counts):
-    """Run the switch stage for every non-unanimous agent.
+    """Run the switch stage for every non-unanimous agent (p_k < 1); a
+    unanimous agent's view has one class, so it would keep its estimate.
 
     All decisions read the published pre-switch estimates; the copies are
     applied together, which is the intra-round re-send barrier.
@@ -120,7 +99,7 @@ def apply_switching(w_prev, close, topology, p, rngs, equilibrium_break,
     updated = w_prev.copy()
     changed = False
     for k in pending:
-        view = view_from_closeness(k, close, topology.neighbors[k])
+        view = view_from_closeness(k, close, np.flatnonzero(adjacency[k]))
         source, case = switch_decision(k, view, rngs[k], equilibrium_break)
         if source is None:
             continue
@@ -133,7 +112,7 @@ def apply_switching(w_prev, close, topology, p, rngs, equilibrium_break,
     return updated, changed
 
 
-def verify_round(*, combination, support, cluster, matrices, close, adjacency,
+def verify_round(*, combination, support, smoothed, fresh, hold, close, adjacency,
                  phi, psi, tol=1e-12):
     """Structural checks applied after each round when instrumentation is on."""
     colsum = combination.sum(axis=0)
@@ -143,19 +122,15 @@ def verify_round(*, combination, support, cluster, matrices, close, adjacency,
         raise InvariantViolation("aggregation weight outside believed support")
     if not np.array_equal(close, close.T) or not close.diagonal().all():
         raise InvariantViolation("desired-model closeness must be symmetric with unit diagonal")
-    if not np.array_equal(cluster.beliefs, cluster.smoothed >= 0.5):
-        raise InvariantViolation("beliefs must equal smoothed indicators rounded half-up")
-    if cluster.smoothed.min() < 0.0 or cluster.smoothed.max() > 1.0:
+    if smoothed.min() < 0.0 or smoothed.max() > 1.0:
         raise InvariantViolation("smoothed indicators left [0, 1]")
-    if ((matrices.fresh > 0) & (matrices.hold > 0)).any():
+    if ((fresh > 0) & (hold > 0)).any():
         raise InvariantViolation("fresh and hold supports overlap")
-    total = matrices.fresh + matrices.hold
-    if np.abs(total - matrices.weights).max() > tol:
-        raise InvariantViolation("fresh + hold must reproduce the linked weights")
+    total = fresh + hold
     if np.abs(total.sum(axis=0) - 1.0).max() > tol:
         raise InvariantViolation("split weights are not column-stochastic")
-    if ((matrices.weights > 0) & ~(matrices.linked & adjacency)).any():
-        raise InvariantViolation("desired weights outside the linked support")
+    if ((total > 0) & ~adjacency).any():
+        raise InvariantViolation("desired weights outside the adjacency")
     # aggregates stay in the convex hull of the estimates they combine
     lo = np.where(support[:, :, None], psi[:, None, :], np.inf).min(axis=0)
     hi = np.where(support[:, :, None], psi[:, None, :], -np.inf).max(axis=0)
@@ -183,15 +158,15 @@ class MajoritySwitching:
         self.random_counts = np.zeros(n_agents, dtype=int)
         self.deviations = np.zeros((config.max_iters, n_models))
 
-    def desired(self, t, w_prev, psi, close, p, topology):
+    def desired(self, t, w_prev, psi, close, p, adjacency):
         w_prev, changed = apply_switching(
-            w_prev, close, topology, p, self.rngs, self.equilibrium_break,
+            w_prev, close, adjacency, p, self.rngs, self.equilibrium_break,
             self.adopt_counts, self.random_counts)
         if changed:
             close = pairwise_close(w_prev, self.beta)
-        matrices = update_desired_matrices(w_prev, psi, topology.adjacency,
-                                           self.beta, close)
-        return w_prev, close, matrices
+        fresh, hold = update_desired_matrices(close & adjacency, psi, w_prev,
+                                              self.beta)
+        return w_prev, close, fresh, hold
 
     def track(self, t, w, models, assignment):
         self.deviations[t] = squared_distances(w, models).mean(axis=0)
@@ -235,7 +210,7 @@ def run_rounds(config, topology, models, streams, policy, *,
 
     psi = np.zeros((n, models.dim))
     phi = np.zeros((n, models.dim))
-    cluster = ClusterMatrices.initial(n)
+    smoothed = np.eye(n)
     w_prev = None
 
     msd_observed = np.full((n_iters, n_models), np.nan)
@@ -250,7 +225,7 @@ def run_rounds(config, topology, models, streams, policy, *,
     # are inert and may be skipped
     may_stop = config.early_stop and motion is None and policy.stops_early
     last_reassign = max(reassign_at, default=0)
-    hold = 0
+    streak = 0
     n_ran = n_iters
 
     for i in range(1, n_iters + 1):
@@ -265,27 +240,28 @@ def run_rounds(config, topology, models, streams, policy, *,
         if i == 1:
             w_prev = psi.copy()
 
-        cluster = update_cluster_matrices(cluster, psi, phi, adjacency,
-                                          config.alpha, config.smoothing)
-        support = believed_neighborhoods(cluster.beliefs) & adjacency
+        smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
+                                           config.alpha, config.smoothing)
+        support = believed_neighborhoods(smoothed) & adjacency
         combination = combination_weights(support)
         phi = aggregate(combination, psi)
 
         close = pairwise_close(w_prev, config.beta)
         p = agreement_vector(close, adjacency, degrees)
         agreed[t] = bool((p == 1.0).all())
-        hold = hold + 1 if agreed[t] else 0
+        streak = streak + 1 if agreed[t] else 0
 
-        w_prev, close, matrices = policy.desired(t, w_prev, psi, close, p, topology)
+        w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p,
+                                                    adjacency)
         n_desired[t] = component_count(close)
-        w = update_estimate(phi, w_prev, matrices)
+        w = update_estimate(phi, w_prev, fresh, hold)
 
         msd_observed[t] = observed_msd(phi, models.models, assignment)
         policy.track(t, w, models.models, assignment)
 
         if check_invariants:
             verify_round(combination=combination, support=support,
-                         cluster=cluster, matrices=matrices, close=close,
+                         smoothed=smoothed, fresh=fresh, hold=hold, close=close,
                          adjacency=adjacency, phi=phi, psi=psi)
 
         if motion is not None:
@@ -294,7 +270,7 @@ def run_rounds(config, topology, models, streams, policy, *,
             degrees = topology.degrees
         w_prev = w
 
-        if (may_stop and hold >= config.t_hold and i >= last_reassign
+        if (may_stop and streak >= config.t_hold and i >= last_reassign
                 and common_model(w, models.models, config.beta) is not None):
             n_ran = i
             break

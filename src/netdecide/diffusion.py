@@ -5,11 +5,14 @@ and then aggregates the intermediate estimates of the neighbors it currently
 believes observe the same model. Beliefs come from a smoothed proximity
 test between a neighbor's fresh estimate and the agent's previous
 aggregate, so cooperation links form and dissolve as the estimates move.
+
+The belief state is one N x N array of smoothed indicators in [0, 1],
+the identity before any data (each agent believes only in itself). A
+belief is its entry rounded half up, read where the aggregation support
+is built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,34 +55,8 @@ def check_divergence(psi, bound):
     )
 
 
-@dataclass(eq=False)
-class ClusterMatrices:
-    """Belief state about which neighbors share one's model.
-
-    raw : ndarray of bool, shape (N, N)
-        Latest instantaneous proximity indicators; entry (l, k) says agent
-        l's fresh estimate passed agent k's proximity test. Zero off the
-        graph support.
-    smoothed : ndarray, shape (N, N)
-        Exponentially smoothed indicators in [0, 1].
-    beliefs : ndarray of bool, shape (N, N)
-        ``smoothed`` rounded to the nearest integer, ties at 0.5 rounding
-        up. Entry (l, k) means k currently believes l observes its model.
-    """
-
-    raw: np.ndarray
-    smoothed: np.ndarray
-    beliefs: np.ndarray
-
-    @classmethod
-    def initial(cls, n_agents):
-        """Before any data, each agent believes only in itself."""
-        eye = np.eye(n_agents, dtype=bool)
-        return cls(raw=eye.copy(), smoothed=np.eye(n_agents), beliefs=eye.copy())
-
-
-def update_cluster_matrices(cm, psi, phi_prev, adjacency, alpha, smoothing):
-    """Advance the belief state by one round.
+def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing):
+    """Advance the smoothed cluster indicators by one round.
 
     The instantaneous indicator for (l, k) is the test
     ||psi_l - phi_k_prev||^2 <= alpha restricted to l in k's neighborhood.
@@ -89,15 +66,17 @@ def update_cluster_matrices(cm, psi, phi_prev, adjacency, alpha, smoothing):
     1/smoothing rounds. That lag is what keeps transient proximity during
     the early adaptation phase from ever being believed.
     """
-    d2 = squared_distances(psi, phi_prev)
-    raw = (d2 <= alpha) & adjacency
-    smoothed = (1.0 - smoothing) * cm.smoothed + smoothing * raw
-    return ClusterMatrices(raw=raw, smoothed=smoothed, beliefs=smoothed >= 0.5)
+    raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency
+    return (1.0 - smoothing) * smoothed + smoothing * raw
 
 
-def believed_neighborhoods(beliefs):
-    """Column support for aggregation: believed neighbors plus always self."""
-    support = beliefs.copy()
+def believed_neighborhoods(smoothed):
+    """Column support for aggregation: believed neighbors plus always self.
+
+    Entry (l, k) of ``smoothed`` rounded to the nearest integer, ties at
+    0.5 rounding up, says whether k believes l observes its model.
+    """
+    support = smoothed >= 0.5
     np.fill_diagonal(support, True)
     return support
 

@@ -5,8 +5,11 @@ through the network. Direct neighbors of the target copy its current
 output; everyone else latches onto the first informed neighbor it sees and
 keeps refreshing from that source's previous-round anchor, so an agent at
 relay depth d holds the target's output from d-1 rounds ago. The relayed
-anchor replaces local labeling: weights follow the fresh route when a
-neighbor's adaptation output is near one's own anchor.
+anchor replaces local labeling: informed agents link to their informed
+neighbors, and the split weights of
+``netdecide.decision.update_desired_matrices`` send a link's weight down
+the fresh route when the neighbor's adaptation output is near one's own
+anchor. The relay state is two arrays, the anchors and their sources.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -19,46 +22,28 @@ Source bookkeeping uses 1-based agent ids with 0 meaning "no source yet".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .decision import DesiredMatrices, InvariantViolation, run_rounds
-from .diffusion import combination_weights
+from .decision import InvariantViolation, run_rounds, update_desired_matrices
 from .network import bfs_depths, squared_distances
 
 # benchmark/spans.py wraps these names in this module; they stay bound
 # here until it wraps them only in netdecide.decision, whose loop calls them
 from .decision import (adapt, aggregate, agreement_vector,  # noqa: F401
-                       believed_neighborhoods, check_divergence, component_count,
-                       evaluate_success, observed_msd, pairwise_close,
-                       update_cluster_matrices, update_estimate)
+                       believed_neighborhoods, check_divergence,
+                       combination_weights, component_count, evaluate_success,
+                       observed_msd, pairwise_close, update_cluster_matrices,
+                       update_estimate)
 
 
-@dataclass(eq=False)
-class AnchorState:
-    """Relayed anchor values and where they come from.
+def spread_anchor(anchors, sources, psi, adjacency, target):
+    """Advance the relay by one synchronous round and return the new
+    ``(anchors, sources)``.
 
-    anchors : ndarray, shape (N, M)
-        Each agent's current copy of the target's adaptation output
-        (zeros until reached).
-    sources : ndarray of int, shape (N,)
-        1-based id of the neighbor each agent relays from; 0 while
-        uninformed. The target and its direct neighbors point at the
-        target itself.
-    """
-
-    anchors: np.ndarray
-    sources: np.ndarray
-
-    @classmethod
-    def initial(cls, n_agents, dim):
-        return cls(anchors=np.zeros((n_agents, dim)),
-                   sources=np.zeros(n_agents, dtype=int))
-
-
-def spread_anchor(state, psi, adjacency, target):
-    """Advance the relay by one synchronous round.
+    ``anchors`` (N, M) holds each agent's copy of the target's adaptation
+    output (zeros until reached); ``sources`` holds the 1-based id of the
+    neighbor each agent relays from, 0 while uninformed, and the target
+    itself for the target and its direct neighbors.
 
     Direct neighbors of ``target`` (itself included) copy its current
     adaptation output. An uninformed agent adopts the previous-round
@@ -68,50 +53,48 @@ def spread_anchor(state, psi, adjacency, target):
     neighbor, and otherwise keeps its stale copy.
     """
     n = adjacency.shape[0]
-    anchors = state.anchors.copy()
-    sources = state.sources.copy()
+    prev_anchors, prev_sources = anchors, sources
+    anchors = anchors.copy()
+    sources = sources.copy()
 
     direct = adjacency[:, target]
-    informed_prev = state.sources > 0
+    informed_prev = prev_sources > 0
 
     # uninformed agents scan neighbors for anyone informed last round
     candidates = adjacency & informed_prev[:, None]
     has_candidate = candidates.any(axis=0)
     first_candidate = candidates.argmax(axis=0)
     latch = ~direct & ~informed_prev & has_candidate
-    anchors[latch] = state.anchors[first_candidate[latch]]
+    anchors[latch] = prev_anchors[first_candidate[latch]]
     sources[latch] = first_candidate[latch] + 1
 
     # informed agents refresh from their recorded source while it stays nearby
     refresh = ~direct & informed_prev
-    src = state.sources - 1
+    src = prev_sources - 1
     still_linked = np.zeros(n, dtype=bool)
     still_linked[refresh] = adjacency[src[refresh], np.flatnonzero(refresh)]
     refresh &= still_linked
-    anchors[refresh] = state.anchors[src[refresh]]
+    anchors[refresh] = prev_anchors[src[refresh]]
 
     # a direct link to the target dominates everything
     anchors[direct] = psi[target]
     sources[direct] = target + 1
-    return AnchorState(anchors=anchors, sources=sources)
+    return anchors, sources
 
 
-def follow_matrices(state, psi, adjacency, threshold):
-    """Split weight matrices driven by the relay instead of labels.
+def follow_matrices(anchors, sources, psi, adjacency, threshold):
+    """Split weight matrices ``(fresh, hold)`` driven by the relay instead
+    of labels.
 
     Neighbors are linked when both ends are informed; uninformed agents
     keep a self-preserving link so their column stays stochastic. A linked
     neighbor's weight rides the fresh route when its adaptation output is
     within ``threshold`` (squared norm) of the agent's anchor.
     """
-    informed = state.sources > 0
+    informed = sources > 0
     linked = adjacency & informed[:, None] & informed[None, :]
     np.fill_diagonal(linked, True)
-    weights = combination_weights(linked)
-    refresh = squared_distances(psi, state.anchors) <= threshold
-    fresh = np.where(refresh, weights, 0.0)
-    return DesiredMatrices(linked=linked, weights=weights, fresh=fresh,
-                           hold=weights - fresh)
+    return update_desired_matrices(linked, psi, anchors, threshold)
 
 
 class AnchorRelay:
@@ -131,28 +114,30 @@ class AnchorRelay:
     def __init__(self, config, topology, dim, check_invariants):
         self.beta = config.beta
         self.target = config.target_agent - 1
-        self.anchor = AnchorState.initial(topology.n_agents, dim)
+        self.anchors = np.zeros((topology.n_agents, dim))
+        self.sources = np.zeros(topology.n_agents, dtype=int)
         self.coverage = np.zeros(config.max_iters, dtype=int)
         self.deviations = np.zeros(config.max_iters)
         self.depths = (bfs_depths(topology.adjacency, self.target)
                        if check_invariants else None)
 
-    def desired(self, t, w_prev, psi, close, p, topology):
-        adjacency = topology.adjacency
-        self.anchor = spread_anchor(self.anchor, psi, adjacency, self.target)
-        informed = self.anchor.sources > 0
+    def desired(self, t, w_prev, psi, close, p, adjacency):
+        self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
+                                                   adjacency, self.target)
+        informed = self.sources > 0
         self.coverage[t] = int(informed.sum())
         if self.depths is not None and not np.array_equal(
                 informed, (self.depths >= 0) & (self.depths <= t + 1)):
             raise InvariantViolation(
                 f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
-        return w_prev, close, follow_matrices(self.anchor, psi, adjacency, self.beta)
+        return (w_prev, close,
+                *follow_matrices(self.anchors, self.sources, psi, adjacency, self.beta))
 
     def track(self, t, w, models, assignment):
         self.deviations[t] = squared_distances(w, models[[assignment[self.target]]]).mean()
 
     def record_fields(self, n_ran, agreed):
-        n = len(self.anchor.sources)
+        n = len(self.sources)
         return dict(msd_desired=self.deviations[:n_ran],
                     source_coverage=self.coverage[:n_ran], target_agent=self.target,
                     switch_adopt=np.zeros(n, dtype=int),

@@ -71,13 +71,13 @@ def captured_source(positions, sources, capture_radius=5.0):
     return common_model(positions, sources, capture_radius * capture_radius)
 
 
-def evaluate_success(record, t_hold=None, threshold=None):
+def evaluate_success(record):
     """Replay the success test from a run record alone.
 
     For static and follow runs success requires (a) network-wide agreement
-    at every one of the final ``t_hold`` iterations and (b) every final
-    desired estimate within ``threshold`` (squared norm) of one common
-    ground-truth model; follow runs additionally require that model to be
+    at every one of the final ``record.t_hold`` iterations and (b) every
+    final desired estimate within ``record.threshold`` (squared norm) of
+    one common ground-truth model; follow runs additionally require that model to be
     the target agent's observed one. A mobile run succeeds when the whole
     swarm physically parks within the capture radius of one source.
     Returns ``(success, model_index_or_None)``.
@@ -87,11 +87,9 @@ def evaluate_success(record, t_hold=None, threshold=None):
             return False, None
         source = captured_source(record.final_positions, record.models)
         return source is not None, source
-    t_hold = record.t_hold if t_hold is None else t_hold
-    threshold = record.threshold if threshold is None else threshold
     flags = np.asarray(record.all_agreed, dtype=bool)
-    model = common_model(record.final_w, record.models, threshold)
-    if flags.size < t_hold or not flags[-t_hold:].all():
+    model = common_model(record.final_w, record.models, record.threshold)
+    if flags.size < record.t_hold or not flags[-record.t_hold:].all():
         return False, model
     if model is None:
         return False, None

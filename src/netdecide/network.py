@@ -10,7 +10,6 @@ the ground-truth model it is assigned to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +88,10 @@ class Topology:
     Attributes
     ----------
     adjacency : ndarray of bool, shape (N, N)
-        Symmetric with a True diagonal (closed neighborhoods).
+        Symmetric with a True diagonal; row k is agent k's closed
+        neighborhood.
+    degrees : ndarray of int, shape (N,)
+        Closed neighborhood sizes, derived from ``adjacency``.
     positions : ndarray, shape (N, 2)
         Agent coordinates; abstract for static networks, body-length units
         for mobile swarms.
@@ -102,13 +104,6 @@ class Topology:
         self.adjacency = np.asarray(self.adjacency, dtype=bool)
         self.positions = np.asarray(self.positions, dtype=float)
         self.degrees = self.adjacency.sum(axis=0)
-
-    @cached_property
-    def neighbors(self):
-        """Closed neighborhood of each agent as an index array, built on
-        first use: only the switch stage reads it, and mobile swarms
-        rebuild their topology every round."""
-        return [np.flatnonzero(col) for col in self.adjacency.T]
 
     @property
     def n_agents(self):
@@ -241,25 +236,6 @@ def generate_topology(n_agents, max_degree=7, radius=0.18, seed=None, max_tries=
         f"no connected topology with closed degree <= {max_degree} found for "
         f"{n_agents} agents at radius {radius} after {max_tries} tries"
     )
-
-
-def two_clique_topology(clique_size=4):
-    """Two complete cliques joined by a single bridge link.
-
-    A stress pattern for consensus dynamics: every agent sits in a clear
-    local majority, so nothing moves unless some tie-breaking rule injects
-    randomness. The degree cap is intentionally not applied here.
-    """
-    c = int(clique_size)
-    n = 2 * c
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[:c, :c] = True
-    adjacency[c:, c:] = True
-    adjacency[c - 1, c] = adjacency[c, c - 1] = True
-    angles = np.linspace(0.0, 2 * np.pi, c, endpoint=False)
-    blob = 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
-    positions = np.vstack([blob + [0.25, 0.5], blob + [0.75, 0.5]])
-    return Topology(adjacency, positions).validate()
 
 
 @dataclass(eq=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,31 +72,24 @@ class RunRecord:
         return self.assignment.shape[0]
 
     def __eq__(self, other):
+        """Every field but ``wall_time`` equal; arrays compare by value,
+        nan equal to nan in float arrays."""
         if not isinstance(other, RunRecord):
             return NotImplemented
-        def arr_eq(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=np.asarray(a).dtype.kind == "f")
-        return (
-            self.mode == other.mode
-            and self.n_iters == other.n_iters
-            and self.success == other.success
-            and self.final_model == other.final_model
-            and self.target_agent == other.target_agent
-            and self.threshold == other.threshold
-            and self.t_hold == other.t_hold
-            and self.diverged == other.diverged
-            and self.max_speed_observed == other.max_speed_observed
-            and all(
-                arr_eq(getattr(self, name), getattr(other, name))
-                for name in ("msd_observed", "msd_desired", "all_agreed",
-                             "n_desired_models", "source_coverage", "models",
-                             "assignment", "final_w", "final_agreement",
-                             "switch_adopt", "switch_random", "trajectory",
-                             "final_positions")
-            )
-        )
+        for f in fields(self):
+            if f.name == "wall_time":
+                continue
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not f.type.startswith("np.ndarray"):
+                same = a == b
+            elif a is None or b is None:
+                same = a is b
+            else:
+                a = np.asarray(a)
+                same = np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            if not same:
+                return False
+        return True
 
     @classmethod
     def failed(cls, mode, n_iters, models, assignment, threshold, t_hold,

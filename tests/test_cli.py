@@ -1,13 +1,80 @@
-"""Command line front end: exit codes for bad input."""
+"""Command line front end: exit codes for bad input, files each command
+writes, and where configuration values come from."""
+
+import json
+
+import pytest
 
 from netdecide.cli import main
 
+TINY = ["--agents", "12", "--radius", "0.5", "--iters", "20", "--t-hold", "5",
+        "--trials", "1", "--quiet"]
 
-def test_jobs_below_one_exits_with_code_2(tmp_path, monkeypatch, capsys):
+
+@pytest.fixture(autouse=True)
+def no_output_override(monkeypatch):
     monkeypatch.delenv("NETDECIDE_OUTPUT_DIR", raising=False)
+
+
+def test_jobs_below_one_exits_with_code_2(tmp_path, capsys):
     code = main(["decide", "--agents", "20", "--iters", "20", "--t-hold", "5",
                  "--trials", "1", "--jobs", "0", "--out-dir", str(tmp_path),
                  "--quiet"])
     assert code == 2
     assert "n_jobs" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+def written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda d: d / "missing.json",
+    lambda d: d,
+    lambda d: written(d / "bad.json", "{not json"),
+    lambda d: written(d / "list.json", "[1, 2]"),
+], ids=["missing", "directory", "malformed", "list"])
+def test_bad_config_file_exits_with_code_2(tmp_path, capsys, make_config):
+    path = make_config(tmp_path)
+    code = main(["decide", "--config", str(path), "--print-config"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, extra, files", [
+    ("decide", ["--export-networks"],
+     ["summary.json", "trial_001.csv", "trial_001.json", "trial_001_network.json"]),
+    ("follow", ["--target-agent", "2"],
+     ["summary.json", "trial_001.csv", "trial_001.json"]),
+    ("mobile", ["--save-trajectories", "--snapshot-iters", "1", "20"],
+     ["summary.json", "trial_001.csv", "trial_001.json", "trial_001_trajectory.csv"]),
+    ("sweep", ["--model-counts", "1", "2"], ["sweep.json", "sweep.csv"]),
+])
+def test_tiny_runs_write_their_files(tmp_path, mode, extra, files):
+    assert main([mode, *TINY, *extra, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    if mode == "sweep":
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert sorted(doc["batches"]) == ["1", "2"]
+        assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
+
+
+def test_flag_beats_config_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_agents": 30, "radius": 0.3}))
+    assert main(["decide", "--config", str(path), "--agents", "12",
+                 "--print-config"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["n_agents"] == 12
+    assert printed["radius"] == 0.3
+
+
+def test_output_dir_variable_beats_out_dir_flag(tmp_path, monkeypatch):
+    monkeypatch.setenv("NETDECIDE_OUTPUT_DIR", str(tmp_path / "from-env"))
+    assert main(["decide", *TINY, "--summary-only",
+                 "--out-dir", str(tmp_path / "from-flag")]) == 0
+    assert (tmp_path / "from-env" / "summary.json").exists()
+    assert not (tmp_path / "from-flag").exists()

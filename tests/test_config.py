@@ -26,3 +26,9 @@ def test_from_dict_accepts_json_numbers():
          "reassign_at": [10, 20], "target_agent": None})
     assert config.model_range == (-2, 2)
     assert config.reassign_at == (10, 20)
+
+
+@pytest.mark.parametrize("mode", sorted(ExperimentConfig.MODE_DEFAULTS))
+def test_config_survives_json_round_trip(mode):
+    config = ExperimentConfig.for_mode(mode, reassign_at=(3, 9))
+    assert ExperimentConfig.from_json(config.to_json()) == config

@@ -8,38 +8,37 @@ from netdecide.decision import (InvariantViolation, apply_switching,
                                 run_decision, switch_decision,
                                 update_desired_matrices, update_estimate,
                                 verify_round)
-from netdecide.diffusion import (ClusterMatrices, aggregate,
-                                 believed_neighborhoods, combination_weights)
+from netdecide.diffusion import (aggregate, believed_neighborhoods,
+                                 combination_weights)
 from netdecide.labeling import view_from_closeness
-from netdecide.network import Topology, pairwise_close
+from netdecide.network import pairwise_close
 from test_labeling import block_matrix
 
 
-def full_topology(n):
-    return Topology(np.ones((n, n), dtype=bool), np.zeros((n, 2)))
+def desired_split(w_prev, psi, adjacency, threshold):
+    """The decide split: linked where previous desired estimates are close."""
+    linked = pairwise_close(w_prev, threshold) & adjacency
+    return update_desired_matrices(linked, psi, w_prev, threshold)
 
 
 def test_desired_matrices_all_fresh_when_everyone_agrees():
     w_prev = np.tile([0.4, -0.2], (4, 1))
     psi = w_prev + 0.01
-    matrices = update_desired_matrices(w_prev, psi, np.ones((4, 4), dtype=bool),
-                                       0.08, pairwise_close(w_prev, 0.08))
-    assert matrices.linked.all()
-    assert np.allclose(matrices.hold, 0.0)
-    assert np.allclose(matrices.fresh, matrices.weights)
+    fresh, hold = desired_split(w_prev, psi, np.ones((4, 4), dtype=bool), 0.08)
+    assert np.allclose(hold, 0.0)
+    assert np.allclose(fresh, 0.25)
 
 
 def test_desired_matrices_route_far_neighbors_to_hold():
     w_prev = np.zeros((3, 2))
     psi = np.zeros((3, 2))
     psi[1] = [10.0, 10.0]
-    matrices = update_desired_matrices(w_prev, psi, np.ones((3, 3), dtype=bool),
-                                       0.08, pairwise_close(w_prev, 0.08))
+    fresh, hold = desired_split(w_prev, psi, np.ones((3, 3), dtype=bool), 0.08)
     # agent 1 still looks linked through w_prev, but its adaptation
     # output rides the hold route in every column
-    assert np.allclose(matrices.fresh[1], 0.0)
-    assert np.allclose(matrices.hold[1], matrices.weights[1])
-    assert np.allclose(matrices.hold[0], 0.0)
+    assert np.allclose(fresh[1], 0.0)
+    assert np.allclose(hold[1], 1 / 3)
+    assert np.allclose(hold[0], 0.0)
 
 
 def test_desired_matrices_split_properties(rng):
@@ -50,25 +49,21 @@ def test_desired_matrices_split_properties(rng):
         adjacency = rng.random((n, n)) < 0.6
         adjacency |= adjacency.T
         np.fill_diagonal(adjacency, True)
-        matrices = update_desired_matrices(w_prev, psi, adjacency, 0.5,
-                                           pairwise_close(w_prev, 0.5))
-        assert np.allclose(matrices.fresh + matrices.hold, matrices.weights)
-        assert not ((matrices.fresh > 0) & (matrices.hold > 0)).any()
-        assert np.allclose(matrices.weights.sum(axis=0), 1.0, atol=1e-12)
-        assert ((matrices.weights > 0) <= (matrices.linked & adjacency)).all()
+        linked = pairwise_close(w_prev, 0.5) & adjacency
+        fresh, hold = desired_split(w_prev, psi, adjacency, 0.5)
+        assert np.allclose(fresh + hold, combination_weights(linked))
+        assert not ((fresh > 0) & (hold > 0)).any()
+        assert np.allclose((fresh + hold).sum(axis=0), 1.0, atol=1e-12)
+        assert ((fresh + hold > 0) == linked).all()
 
 
 def test_update_estimate_pure_fresh_returns_aggregates():
-    from netdecide.decision import DesiredMatrices
     phi = np.array([[1.0, 2.0], [3.0, 4.0]])
     w_prev = np.array([[9.0, 9.0], [8.0, 8.0]])
     eye = np.eye(2)
-    m = DesiredMatrices(linked=np.eye(2, dtype=bool), weights=eye,
-                        fresh=eye, hold=np.zeros((2, 2)))
-    assert np.array_equal(update_estimate(phi, w_prev, m), phi)
-    m = DesiredMatrices(linked=np.eye(2, dtype=bool), weights=eye,
-                        fresh=np.zeros((2, 2)), hold=eye)
-    assert np.array_equal(update_estimate(phi, w_prev, m), w_prev)
+    zero = np.zeros((2, 2))
+    assert np.array_equal(update_estimate(phi, w_prev, eye, zero), phi)
+    assert np.array_equal(update_estimate(phi, w_prev, zero, eye), w_prev)
 
 
 def test_update_estimate_mixed_routes_hand_value():
@@ -80,10 +75,7 @@ def test_update_estimate_mixed_routes_hand_value():
     hold = np.zeros((3, 3))
     fresh[1, 0] = 0.5
     hold[2, 0] = 0.5
-    from netdecide.decision import DesiredMatrices
-    m = DesiredMatrices(linked=np.ones((3, 3), dtype=bool),
-                        weights=fresh + hold, fresh=fresh, hold=hold)
-    out = update_estimate(phi, w_prev, m)
+    out = update_estimate(phi, w_prev, fresh, hold)
     assert np.allclose(out[0], [0.5, 0.5])
 
 
@@ -139,14 +131,13 @@ def test_apply_switching_reads_pre_switch_estimates():
     adjacency = np.eye(n, dtype=bool)
     for a, b in [(0, 1), (0, 2), (1, 3)]:
         adjacency[a, b] = adjacency[b, a] = True
-    topo = Topology(adjacency, np.zeros((n, 2)))
     close = block_matrix([[1, 2], [0, 3]], n)
     w_prev = np.arange(n * 2, dtype=float).reshape(n, 2)
     rngs = [np.random.default_rng(s) for s in range(n)]
     adopt = np.zeros(n, dtype=int)
     random = np.zeros(n, dtype=int)
     p = np.array([0.5, 0.5, 1.0, 1.0])
-    updated, changed = apply_switching(w_prev.copy(), close, topo, p, rngs,
+    updated, changed = apply_switching(w_prev.copy(), close, adjacency, p, rngs,
                                        True, adopt, random)
     assert changed
     assert np.array_equal(updated[0], w_prev[1])
@@ -158,11 +149,11 @@ def test_apply_switching_reads_pre_switch_estimates():
 
 def test_apply_switching_skips_agreeing_agents():
     n = 3
-    topo = full_topology(n)
     close = block_matrix([[0], [1], [2]], n)
     w_prev = np.arange(n * 2, dtype=float).reshape(n, 2)
     rngs = [np.random.default_rng(s) for s in range(n)]
-    updated, changed = apply_switching(w_prev.copy(), close, topo,
+    updated, changed = apply_switching(w_prev.copy(), close,
+                                       np.ones((n, n), dtype=bool),
                                        np.ones(n), rngs, True,
                                        np.zeros(n, dtype=int),
                                        np.zeros(n, dtype=int))
@@ -176,15 +167,13 @@ def healthy_round(n=4, seed=0):
     psi = rng.normal(size=(n, 2)) * 0.01
     w_prev = psi.copy()
     smoothed = np.ones((n, n)) * 0.9
-    cluster = ClusterMatrices(raw=np.ones((n, n), dtype=bool),
-                              smoothed=smoothed, beliefs=smoothed >= 0.5)
-    support = believed_neighborhoods(cluster.beliefs)
+    support = believed_neighborhoods(smoothed)
     combination = combination_weights(support)
     phi = aggregate(combination, psi)
     close = pairwise_close(w_prev, 0.5)
-    matrices = update_desired_matrices(w_prev, psi, adjacency, 0.5, close)
-    return dict(combination=combination, support=support, cluster=cluster,
-                matrices=matrices, close=close, adjacency=adjacency,
+    fresh, hold = update_desired_matrices(close & adjacency, psi, w_prev, 0.5)
+    return dict(combination=combination, support=support, smoothed=smoothed,
+                fresh=fresh, hold=hold, close=close, adjacency=adjacency,
                 phi=phi, psi=psi)
 
 
@@ -196,10 +185,10 @@ def test_verify_round_accepts_consistent_state():
     lambda r: r["combination"].__setitem__((0, 0), 2.0),
     lambda r: r["support"].__setitem__((0, 1), False),
     lambda r: r["close"].__setitem__((0, 1), False),
-    lambda r: r["cluster"].smoothed.__setitem__((0, 0), 0.2),
-    lambda r: r["cluster"].smoothed.__setitem__((0, 0), 1.5),
-    lambda r: r["matrices"].hold.__setitem__((0, 0), 0.1),
-    lambda r: r["matrices"].fresh.__setitem__((0, 0), 0.7),
+    lambda r: r["adjacency"].__setitem__((0, 1), False),
+    lambda r: r["smoothed"].__setitem__((0, 0), 1.5),
+    lambda r: r["hold"].__setitem__((0, 0), 0.1),
+    lambda r: r["fresh"].__setitem__((0, 0), 0.7),
     lambda r: r["phi"].__setitem__((0, 0), 99.0),
 ])
 def test_verify_round_rejects_corruption(corrupt):

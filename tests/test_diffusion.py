@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netdecide.diffusion import (ClusterMatrices, DivergenceError, adapt,
-                                 aggregate, believed_neighborhoods,
+from netdecide.diffusion import (DivergenceError, adapt, aggregate,
+                                 believed_neighborhoods,
                                  check_divergence, combination_weights,
                                  update_cluster_matrices)
 from netdecide.network import (DataStream, build_streams, draw_noise_profile,
@@ -61,9 +61,14 @@ def test_check_divergence_names_the_agent():
 
 
 def test_initial_cluster_state_is_self_only():
-    cm = ClusterMatrices.initial(4)
-    assert np.array_equal(cm.beliefs, np.eye(4, dtype=bool))
-    assert np.array_equal(cm.smoothed, np.eye(4))
+    # the loop starts from the identity: each agent believes only in
+    # itself, and one round of far-off estimates cannot undo that
+    psi = np.arange(8.0).reshape(4, 2) * 10
+    smoothed = update_cluster_matrices(np.eye(4), psi, -psi,
+                                       np.ones((4, 4), dtype=bool),
+                                       alpha=0.04, smoothing=0.005)
+    assert np.array_equal(believed_neighborhoods(smoothed), np.eye(4, dtype=bool))
+    assert np.allclose(smoothed, 0.995 * np.eye(4))
 
 
 def test_belief_gate_requires_both_proximity_and_link():
@@ -71,24 +76,23 @@ def test_belief_gate_requires_both_proximity_and_link():
     phi_prev = psi.copy()
     adjacency = np.ones((3, 3), dtype=bool)
     adjacency[0, 2] = adjacency[2, 0] = False
-    cm = update_cluster_matrices(ClusterMatrices.initial(3), psi, phi_prev,
-                                 adjacency, alpha=0.04, smoothing=1.0)
+    smoothed = update_cluster_matrices(np.eye(3), psi, phi_prev, adjacency,
+                                       alpha=0.04, smoothing=1.0)
     want = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
-    assert np.array_equal(cm.raw, want)
-    assert np.array_equal(cm.beliefs, want)
+    # a gain of 1 makes the smoothed state the instantaneous indicator
+    assert np.array_equal(smoothed, want.astype(float))
+    assert np.array_equal(believed_neighborhoods(smoothed), want)
 
 
 def test_smoothing_single_step_is_innovation_gain():
     # one round of a steady indicator moves the state by the gain only;
     # a fresh pair sits at 0.005, far below the 0.5 belief threshold
-    cm = ClusterMatrices(raw=np.zeros((2, 2), dtype=bool),
-                         smoothed=np.zeros((2, 2)),
-                         beliefs=np.eye(2, dtype=bool))
     psi = np.zeros((2, 2))
-    out = update_cluster_matrices(cm, psi, psi, np.ones((2, 2), dtype=bool),
+    out = update_cluster_matrices(np.zeros((2, 2)), psi, psi,
+                                  np.ones((2, 2), dtype=bool),
                                   alpha=0.04, smoothing=0.005)
-    assert np.allclose(out.smoothed, 0.005)
-    assert np.array_equal(out.beliefs, np.zeros((2, 2), dtype=bool))
+    assert np.allclose(out, 0.005)
+    assert not (out >= 0.5).any()
 
 
 def test_belief_forms_after_sustained_proximity():
@@ -101,36 +105,30 @@ def test_belief_forms_after_sustained_proximity():
         t += 1
     assert t == 139
     state = np.zeros((1, 1))
-    cm = ClusterMatrices(raw=np.zeros((1, 1), dtype=bool), smoothed=state,
-                         beliefs=np.zeros((1, 1), dtype=bool))
     psi = np.zeros((1, 2))
     for i in range(1, 140):
-        cm = update_cluster_matrices(cm, psi, psi, np.ones((1, 1), dtype=bool),
-                                     alpha=0.04, smoothing=0.005)
-        assert bool(cm.beliefs[0, 0]) == (i >= 139)
+        state = update_cluster_matrices(state, psi, psi, np.ones((1, 1), dtype=bool),
+                                        alpha=0.04, smoothing=0.005)
+        assert bool(state[0, 0] >= 0.5) == (i >= 139)
 
 
 def test_established_belief_is_a_fixed_point():
-    cm = ClusterMatrices(raw=np.ones((1, 1), dtype=bool),
-                         smoothed=np.ones((1, 1)),
-                         beliefs=np.ones((1, 1), dtype=bool))
     psi = np.zeros((1, 2))
-    out = update_cluster_matrices(cm, psi, psi, np.ones((1, 1), dtype=bool),
+    out = update_cluster_matrices(np.ones((1, 1)), psi, psi,
+                                  np.ones((1, 1), dtype=bool),
                                   alpha=0.04, smoothing=0.005)
-    assert out.smoothed[0, 0] == 1.0
-    assert out.beliefs[0, 0]
+    assert out[0, 0] == 1.0
 
 
 def test_belief_tie_at_half_rounds_up():
-    cm = ClusterMatrices(raw=np.ones((1, 1), dtype=bool),
-                         smoothed=np.ones((1, 1)),
-                         beliefs=np.ones((1, 1), dtype=bool))
-    psi = np.zeros((1, 2))
-    far = np.full((1, 2), 10.0)
-    out = update_cluster_matrices(cm, psi, far, np.ones((1, 1), dtype=bool),
+    # two agents that believed in each other drift apart for one round
+    # at gain 0.5: the off-diagonal state lands exactly on the tie
+    psi = np.zeros((2, 2))
+    out = update_cluster_matrices(np.ones((2, 2)), psi, psi + 10.0,
+                                  np.ones((2, 2), dtype=bool),
                                   alpha=0.04, smoothing=0.5)
-    assert out.smoothed[0, 0] == 0.5
-    assert out.beliefs[0, 0]
+    assert out[0, 1] == 0.5 and out[1, 0] == 0.5
+    assert believed_neighborhoods(out).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,21 +136,21 @@ def test_belief_tie_at_half_rounds_up():
 def test_smoothed_state_stays_in_unit_interval(seed):
     g = np.random.default_rng(seed)
     n = 4
-    cm = ClusterMatrices.initial(n)
+    smoothed = np.eye(n)
     adjacency = np.ones((n, n), dtype=bool)
     for _ in range(30):
         psi = g.normal(size=(n, 2))
         phi = g.normal(size=(n, 2))
-        cm = update_cluster_matrices(cm, psi, phi, adjacency,
-                                     alpha=1.0, smoothing=g.uniform(0, 1))
-        assert (cm.smoothed >= 0.0).all() and (cm.smoothed <= 1.0).all()
-        assert np.array_equal(cm.beliefs, cm.smoothed >= 0.5)
+        smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
+                                           alpha=1.0, smoothing=g.uniform(0, 1))
+        assert (smoothed >= 0.0).all() and (smoothed <= 1.0).all()
 
 
 def test_believed_neighborhoods_always_include_self():
-    beliefs = np.zeros((3, 3), dtype=bool)
-    beliefs[0, 1] = True
-    support = believed_neighborhoods(beliefs)
+    smoothed = np.zeros((3, 3))
+    smoothed[0, 1] = 0.7
+    smoothed[1, 0] = 0.3
+    support = believed_neighborhoods(smoothed)
     assert support.diagonal().all()
     assert support[0, 1]
     assert not support[1, 0]
@@ -221,14 +219,13 @@ def test_beliefs_recover_cluster_structure(seed):
     streams = build_streams(noise, n_rounds, seed + 300)
     psi = np.zeros((n, 2))
     phi = np.zeros((n, 2))
-    cm = ClusterMatrices.initial(n)
+    smoothed = np.eye(n)
     for i in range(1, n_rounds + 1):
         d, u = streams.data.round(i, observed)
         psi = adapt(psi, u, d, 0.01)
-        cm = update_cluster_matrices(cm, psi, phi, topo.adjacency,
-                                     alpha=0.04, smoothing=0.005)
-        phi = aggregate(combination_weights(believed_neighborhoods(cm.beliefs)),
-                        psi)
+        smoothed = update_cluster_matrices(smoothed, psi, phi, topo.adjacency,
+                                           alpha=0.04, smoothing=0.005)
+        phi = aggregate(combination_weights(believed_neighborhoods(smoothed)), psi)
     same_model = assignment[:, None] == assignment[None, :]
     linked = topo.adjacency & ~np.eye(n, dtype=bool)
-    assert np.array_equal(cm.beliefs[linked], same_model[linked])
+    assert np.array_equal(believed_neighborhoods(smoothed)[linked], same_model[linked])

@@ -4,46 +4,51 @@ import numpy as np
 import pytest
 
 from conftest import build_world, tiny_config
-from netdecide.follow import (AnchorState, follow_matrices, run_follow,
-                              spread_anchor)
+from netdecide.decision import update_desired_matrices
+from netdecide.diffusion import combination_weights
+from netdecide.follow import follow_matrices, run_follow, spread_anchor
 from netdecide.network import bfs_depths
 from test_network import path_adjacency
+
+
+def initial_relay(n, dim):
+    """No agent informed yet: zero anchors, no sources."""
+    return np.zeros((n, dim)), np.zeros(n, dtype=int)
 
 
 def test_anchor_chain_walkthrough():
     # chain 0 - 1 - 2 with target 0: the neighbor copies the current
     # output, the next hop picks it up one round later
     adj = path_adjacency(3)
-    state = AnchorState.initial(3, 2)
+    anchors, sources = initial_relay(3, 2)
     psi1 = np.array([[1.0, 1.0], [7.0, 7.0], [8.0, 8.0]])
-    state = spread_anchor(state, psi1, adj, target=0)
-    assert np.array_equal(state.anchors[0], psi1[0])
-    assert np.array_equal(state.anchors[1], psi1[0])
-    assert np.array_equal(state.anchors[2], [0.0, 0.0])
-    assert state.sources.tolist() == [1, 1, 0]
+    anchors, sources = spread_anchor(anchors, sources, psi1, adj, target=0)
+    assert np.array_equal(anchors[0], psi1[0])
+    assert np.array_equal(anchors[1], psi1[0])
+    assert np.array_equal(anchors[2], [0.0, 0.0])
+    assert sources.tolist() == [1, 1, 0]
     psi2 = np.array([[2.0, 2.0], [7.0, 7.0], [8.0, 8.0]])
-    state = spread_anchor(state, psi2, adj, target=0)
-    assert np.array_equal(state.anchors[1], psi2[0])
-    assert np.array_equal(state.anchors[2], psi1[0])
-    assert state.sources.tolist() == [1, 1, 2]
+    anchors, sources = spread_anchor(anchors, sources, psi2, adj, target=0)
+    assert np.array_equal(anchors[1], psi2[0])
+    assert np.array_equal(anchors[2], psi1[0])
+    assert sources.tolist() == [1, 1, 2]
 
 
 def test_anchor_staleness_on_chain():
     # depth-d agent lags the target's output by d - 1 rounds
     n = 6
     adj = path_adjacency(n)
-    state = AnchorState.initial(n, 2)
+    anchors, sources = initial_relay(n, 2)
     history = {}
     for i in range(1, 15):
         psi = np.full((n, 2), -1.0)
         psi[0] = [float(i), float(i)]
         history[i] = psi[0].copy()
-        state = spread_anchor(state, psi, adj, target=0)
+        anchors, sources = spread_anchor(anchors, sources, psi, adj, target=0)
         for depth in range(1, n):
             if i >= depth:
-                assert np.array_equal(state.anchors[depth],
-                                      history[i - depth + 1])
-        assert np.array_equal(state.anchors[0], history[i])
+                assert np.array_equal(anchors[depth], history[i - depth + 1])
+        assert np.array_equal(anchors[0], history[i])
 
 
 def test_informed_set_is_bfs_ball(rng):
@@ -53,11 +58,11 @@ def test_informed_set_is_bfs_ball(rng):
         for j in range(i + 1, n):
             adj[i, j] = adj[j, i] = rng.random() < 0.2
     depths = bfs_depths(adj, 4)
-    state = AnchorState.initial(n, 2)
+    anchors, sources = initial_relay(n, 2)
     psi = rng.normal(size=(n, 2))
     for i in range(1, n + 2):
-        state = spread_anchor(state, psi, adj, target=4)
-        informed = state.sources > 0
+        anchors, sources = spread_anchor(anchors, sources, psi, adj, target=4)
+        informed = sources > 0
         assert np.array_equal(informed, (depths >= 0) & (depths <= i))
 
 
@@ -67,12 +72,12 @@ def test_sources_latch_lowest_index_and_never_reset():
     adj = np.eye(n, dtype=bool)
     for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
         adj[a, b] = adj[b, a] = True
-    state = AnchorState.initial(n, 2)
+    anchors, sources = initial_relay(n, 2)
     psi = np.zeros((n, 2))
     seen = []
     for _ in range(5):
-        state = spread_anchor(state, psi, adj, target=0)
-        seen.append(state.sources.copy())
+        anchors, sources = spread_anchor(anchors, sources, psi, adj, target=0)
+        seen.append(sources.copy())
     assert seen[0].tolist() == [1, 1, 1, 0]
     assert seen[1][3] == 2
     for s in seen[1:]:
@@ -84,20 +89,23 @@ def test_follow_matrices_columns():
     adj = np.ones((n, n), dtype=bool)
     anchors = np.zeros((n, 2))
     sources = np.array([1, 1, 2, 0])
-    state = AnchorState(anchors=anchors, sources=sources)
     psi = np.zeros((n, 2))
     psi[1] = [9.0, 9.0]
-    matrices = follow_matrices(state, psi, adj, threshold=0.08)
+    fresh, hold = follow_matrices(anchors, sources, psi, adj, threshold=0.08)
+    weights = fresh + hold
     # uninformed agent 3 keeps a pure self column
-    assert matrices.weights[:, 3].tolist() == [0, 0, 0, 1]
-    assert np.allclose(matrices.weights.sum(axis=0), 1.0)
+    assert weights[:, 3].tolist() == [0, 0, 0, 1]
+    assert np.allclose(weights.sum(axis=0), 1.0)
     # informed agents link informed peers only, plus themselves
-    assert matrices.linked[:3, :3].all()
-    assert not matrices.linked[3, 0] and not matrices.linked[0, 3]
+    linked = np.eye(n, dtype=bool)
+    linked[:3, :3] = True
+    assert np.array_equal(weights, combination_weights(linked))
     # agent 1's far-off output rides the hold route everywhere
-    assert np.allclose(matrices.fresh[1, :], 0.0)
-    assert np.allclose(matrices.hold[1, :3], matrices.weights[1, :3])
-    assert np.allclose(matrices.fresh + matrices.hold, matrices.weights)
+    assert np.allclose(fresh[1, :], 0.0)
+    assert np.allclose(hold[1, :3], 1 / 3)
+    # the relay only chooses the links and the anchors of the shared split
+    want = update_desired_matrices(linked, psi, anchors, 0.08)
+    assert all(np.array_equal(a, b) for a, b in zip((fresh, hold), want))
 
 
 def test_run_follow_converges_to_target_model():

@@ -1,10 +1,10 @@
-"""Column labels, local model classes, and agreement degrees."""
+"""Local model classes and agreement degrees."""
 
 import numpy as np
 import pytest
 
-from netdecide.labeling import agreement_vector, column_label, view_from_closeness
-from netdecide.network import Topology, pairwise_close
+from netdecide.labeling import agreement_vector, view_from_closeness
+from netdecide.network import pairwise_close
 
 
 def block_matrix(blocks, n):
@@ -15,30 +15,26 @@ def block_matrix(blocks, n):
     return m
 
 
-def test_column_label_values():
-    assert column_label([1, 0, 0, 1, 0, 1]) == 37
-    assert column_label([0, 0, 0, 0, 1, 0]) == 2
-    assert column_label([0, 0, 0, 0, 0, 0]) == 0
-    assert column_label([1]) == 1
-    assert column_label([1, 1, 1, 1]) == 15
+def column_labels(matrix):
+    """The paper's local labels: each column read as a binary number, top
+    row most significant."""
+    return [int("".join(str(int(b)) for b in col), 2) for col in np.asarray(matrix).T]
 
 
 def test_six_member_view_worked_example():
     # three classes {0,3,5}, {1,2}, {4}: columns read 37, 24, 24, 37, 2, 37
     close = block_matrix([[0, 3, 5], [1, 2], [4]], 6)
+    assert column_labels(close) == [37, 24, 24, 37, 2, 37]
     view = view_from_closeness(0, close, np.arange(6))
-    assert np.array_equal(view.labels, [37, 24, 24, 37, 2, 37])
     assert view.model_count == 3
     assert [list(c) for c in view.classes] == [[0, 3, 5], [1, 2], [4]]
     assert np.array_equal(view.majority, [0, 3, 5])
-    assert view.agreement == pytest.approx(0.5)
 
 
 def test_unanimous_view_has_one_class():
     close = np.ones((6, 6), dtype=bool)
     view = view_from_closeness(2, close, np.arange(6))
     assert view.model_count == 1
-    assert view.agreement == 1.0
     assert np.array_equal(view.majority, np.arange(6))
 
 
@@ -46,7 +42,6 @@ def test_all_distinct_view():
     close = np.eye(4, dtype=bool)
     view = view_from_closeness(1, close, np.arange(4))
     assert view.model_count == 4
-    assert view.agreement == pytest.approx(0.25)
     # four singleton classes tie; the viewer's own class wins
     assert np.array_equal(view.majority, [1])
 
@@ -67,8 +62,9 @@ def test_same_class_members_share_labels():
             blocks[b].append(member)
         close = block_matrix([b for b in blocks if b], n)
         view = view_from_closeness(0, close, np.arange(n))
+        labels = column_labels(close)
         for c in view.classes:
-            assert len({view.labels[m] for m in c}) == 1
+            assert len({labels[m] for m in c}) == 1
         flat = sorted(m for c in view.classes for m in c)
         assert flat == list(range(n))
 
@@ -84,6 +80,7 @@ def test_classes_match_pairwise_equality_oracle():
             for j in range(i + 1, n):
                 close[i, j] = close[j, i] = rng.random() < 0.5
         view = view_from_closeness(0, close, np.arange(n))
+        labels = column_labels(close)
         cls_of = {}
         for idx, c in enumerate(view.classes):
             for m in c:
@@ -92,23 +89,23 @@ def test_classes_match_pairwise_equality_oracle():
             for b in range(n):
                 same_col = all(close[r, a] == close[r, b] for r in range(n))
                 assert (cls_of[a] == cls_of[b]) == same_col
-                assert (view.labels[a] == view.labels[b]) == same_col
+                assert (labels[a] == labels[b]) == same_col
 
 
 def test_build_label_view_applies_threshold_gate():
     adj = np.ones((4, 4), dtype=bool)
     adj[0, 3] = adj[3, 0] = False
-    topo = Topology(adj, np.zeros((4, 2)))
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
     close = pairwise_close(w_prev, 0.08)
-    view = view_from_closeness(1, close, topo.neighbors[1])
+    view = view_from_closeness(1, close, np.flatnonzero(adj[1]))
     assert np.array_equal(view.members, [0, 1, 2, 3])
     assert [list(c) for c in view.classes] == [[0, 1], [2], [3]]
-    assert view.agreement == pytest.approx(0.5)
     # agent 0 sees only members {0, 1, 2}
-    view0 = view_from_closeness(0, close, topo.neighbors[0])
+    view0 = view_from_closeness(0, close, np.flatnonzero(adj[0]))
     assert np.array_equal(view0.members, [0, 1, 2])
-    assert view0.agreement == pytest.approx(2 / 3)
+    assert [list(c) for c in view0.classes] == [[0, 1], [2]]
+    p = agreement_vector(close, adj, adj.sum(axis=0))
+    assert p[1] == pytest.approx(0.5) and p[0] == pytest.approx(2 / 3)
 
 
 def test_agreement_vector_matches_per_view_values():
@@ -118,13 +115,12 @@ def test_agreement_vector_matches_per_view_values():
     for i in range(n):
         for j in range(i + 1, n):
             adj[i, j] = adj[j, i] = rng.random() < 0.5
-    topo = Topology(adj, np.zeros((n, 2)))
     w_prev = rng.normal(size=(n, 2))
     close = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
             close[i, j] = ((w_prev[i] - w_prev[j]) ** 2).sum() <= 0.5
-    got = agreement_vector(close, adj, topo.degrees)
+    got = agreement_vector(close, adj, adj.sum(axis=0))
     for k in range(n):
-        view = view_from_closeness(k, pairwise_close(w_prev, 0.5), topo.neighbors[k])
-        assert got[k] == pytest.approx(view.agreement)
+        # the share of k's closed neighborhood close to k
+        assert got[k] == pytest.approx(close[k, np.flatnonzero(adj[k])].mean())

@@ -1,5 +1,7 @@
 """Deviation curves and the replayable success test."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_success_requires_full_hold_window():
     short = make_record(agreed_tail=10)
     success, model = evaluate_success(short)
     assert not success and model == 0
-    assert evaluate_success(short, t_hold=5) == (True, 0)
+    assert evaluate_success(dataclasses.replace(short, t_hold=5)) == (True, 0)
 
 
 def test_success_requires_one_common_model():

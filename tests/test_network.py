@@ -12,7 +12,22 @@ from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
                                generate_topology, is_connected,
                                network_from_json, network_to_json,
                                pairwise_close, random_assignment,
-                               squared_distances, two_clique_topology)
+                               squared_distances)
+
+
+def two_clique_topology(clique_size=4):
+    """Two complete cliques joined by a single bridge link, degree cap not
+    applied."""
+    c = int(clique_size)
+    n = 2 * c
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[:c, :c] = True
+    adjacency[c:, c:] = True
+    adjacency[c - 1, c] = adjacency[c, c - 1] = True
+    angles = np.linspace(0.0, 2 * np.pi, c, endpoint=False)
+    blob = 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
+    positions = np.vstack([blob + [0.25, 0.5], blob + [0.75, 0.5]])
+    return Topology(adjacency, positions).validate()
 
 
 def path_adjacency(n):

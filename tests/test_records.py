@@ -1,10 +1,12 @@
 """On-disk record formats and their exact round trips."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
+import pytest
 
 from conftest import build_world, tiny_config
 from netdecide.config import ExperimentConfig
@@ -125,3 +127,36 @@ def test_equality_detects_content_changes():
     other = parse_record(*serialize_record(record))
     other.msd_observed[0, 0] += 1e-9
     assert other != record
+
+
+def _altered(value):
+    """A value unequal to ``value`` of a record field."""
+    if value is None:
+        return 0
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        if out.dtype == bool:
+            out.flat[0] = not out.flat[0]
+        else:
+            out.flat[0] = 7 if out.flat[0] != 7 else 8
+        return out
+    if isinstance(value, (bool, np.bool_)):
+        return not value
+    if isinstance(value, str):
+        return value + "x"
+    return value + 1
+
+
+@pytest.fixture(scope="module")
+def mobile_record():
+    """A record with every optional field set."""
+    cfg = ExperimentConfig.for_mode("mobile", n_agents=12, max_iters=30, t_hold=5,
+                                    n_trials=1, seed=2, snapshot_iters=(1, 30))
+    return run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0], trajectories=True)[0]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunRecord)])
+def test_equality_compares_every_field_but_wall_time(mobile_record, name):
+    record = mobile_record
+    other = dataclasses.replace(record, **{name: _altered(getattr(record, name))})
+    assert (other == record) == (name == "wall_time")
