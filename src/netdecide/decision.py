@@ -11,7 +11,8 @@ desired-deviation curve and record fields.
 - :class:`MajoritySwitching` (decision-making and mobile swarms): agents
   label their neighbors' desired models locally and switch their own
   desired estimate when they disagree with the local majority, with a
-  random tie-breaker that defuses evenly split standoffs.
+  random tie-breaker that defuses evenly split standoffs. All
+  non-unanimous agents are labeled and decided in one array batch.
 - ``netdecide.follow.AnchorRelay`` (follow-the-target): a relayed copy of
   the target agent's output replaces local labeling.
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .diffusion import (adapt, aggregate, believed_neighborhoods,
                         check_divergence, combination_weights, update_cluster_matrices)
+# benchmark/spans.py times the switch stage's labeling under this name, here
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
@@ -69,47 +71,40 @@ def update_estimate(phi, w_prev, fresh, hold):
     return fresh.T @ phi + hold.T @ w_prev
 
 
-def switch_decision(agent, view, rng, equilibrium_break=True):
-    """Decide whose previous desired estimate ``agent`` should copy.
+def apply_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
+    """Run the switch stage for every non-unanimous agent (p_k < 1) and
+    return ``(updated, adopted, drawn)``: the estimates after it and the
+    ids of the agents that adopted a majority or drew a neighbor.
 
-    Returns ``(source, case)`` where ``case`` is "majority" when the agent
-    joins the local majority class, "random" when an evenly split view is
-    defused by copying a uniformly drawn neighbor (majority members more
-    likely to be drawn), or ``(None, None)`` to keep the current estimate.
-    """
-    if agent not in view.majority:
-        return int(view.majority.min()), "majority"
-    if equilibrium_break and view.model_count == 2:
-        members = view.members
-        return int(members[rng.integers(0, len(members))]), "random"
-    return None, None
-
-
-def apply_switching(w_prev, close, adjacency, p, rngs, equilibrium_break,
-                    adopt_counts, random_counts):
-    """Run the switch stage for every non-unanimous agent (p_k < 1); a
-    unanimous agent's view has one class, so it would keep its estimate.
-
-    All decisions read the published pre-switch estimates; the copies are
-    applied together, which is the intra-round re-send barrier.
+    An agent outside its local majority class (the largest, ties going to
+    its own class, then to the smallest leading member) adopts the
+    majority's smallest member. With ``equilibrium_break`` a majority
+    member of a two-class view copies a neighbor drawn uniformly by its
+    own generator, which defuses evenly split standoffs. All decisions
+    read the pre-switch estimates; the copies are applied together, which
+    is the intra-round re-send barrier.
     """
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
-        return w_prev, False
+        return w_prev, pending, pending
+    slots, same = view_from_closeness(close, adjacency[pending])
+    size = same.sum(axis=2)
+    best = size.max(axis=1)
+    # each view holds its viewer in exactly one slot
+    adopt = size[slots == pending[:, None]] < best
+    # the first slot of largest-class size leads the first largest class
+    first = np.argmax(size == best[:, None], axis=1)
+    # a slot leads its class when its first equal-label slot is itself
+    classes = (same.argmax(axis=2) == np.arange(slots.shape[1])).sum(axis=1)
+    draw = ~adopt & (classes == 2) & equilibrium_break
+
     updated = w_prev.copy()
-    changed = False
-    for k in pending:
-        view = view_from_closeness(k, close, np.flatnonzero(adjacency[k]))
-        source, case = switch_decision(k, view, rngs[k], equilibrium_break)
-        if source is None:
-            continue
-        updated[k] = w_prev[source]
-        changed = True
-        if case == "majority":
-            adopt_counts[k] += 1
-        else:
-            random_counts[k] += 1
-    return updated, changed
+    updated[pending[adopt]] = w_prev[slots[adopt, first[adopt]]]
+    width = (slots >= 0).sum(axis=1)
+    for v in np.flatnonzero(draw):
+        k = pending[v]
+        updated[k] = w_prev[slots[v, rngs[k].integers(0, width[v])]]
+    return updated, pending[adopt], pending[draw]
 
 
 def verify_round(*, combination, support, smoothed, fresh, hold, close, adjacency,
@@ -159,10 +154,11 @@ class MajoritySwitching:
         self.deviations = np.zeros((config.max_iters, n_models))
 
     def desired(self, t, w_prev, psi, close, p, adjacency):
-        w_prev, changed = apply_switching(
-            w_prev, close, adjacency, p, self.rngs, self.equilibrium_break,
-            self.adopt_counts, self.random_counts)
-        if changed:
+        w_prev, adopted, drawn = apply_switching(
+            w_prev, close, adjacency, p, self.rngs, self.equilibrium_break)
+        if adopted.size or drawn.size:
+            self.adopt_counts[adopted] += 1
+            self.random_counts[drawn] += 1
             close = pairwise_close(w_prev, self.beta)
         fresh, hold = update_desired_matrices(close & adjacency, psi, w_prev,
                                               self.beta)

@@ -421,18 +421,32 @@ def network_to_json(topology, models):
     return doc
 
 
+def _check_ids(kind, ids, upper):
+    """Raise :class:`TopologyError` naming the first of ``ids`` outside
+    1..upper."""
+    outside = ids[(ids < 1) | (ids > upper)]
+    if outside.size:
+        raise TopologyError(f"{kind} {outside[0]} is outside 1..{upper}")
+
+
 def network_from_json(doc):
-    """Inverse of :func:`network_to_json`."""
+    """Inverse of :func:`network_to_json`; raises :class:`TopologyError`
+    naming the first agent id that repeats or lies outside 1..N, and the
+    first assignment label outside 1..M."""
     agents = sorted(doc["agents"], key=lambda a: a["id"])
     n = len(agents)
+    ids = np.array([a["id"] for a in agents], dtype=int)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise TopologyError(f"agent id {repeated[0]} repeats")
+    _check_ids("agent id", ids, n)
+    links = np.array(doc["links"], dtype=int).reshape(-1, 2)
+    _check_ids("link agent id", links.ravel(), n)
+    adjacency = np.eye(n, dtype=bool)
+    adjacency[links[:, 0] - 1, links[:, 1] - 1] = True
+    models = ModelSet(doc["models"], doc.get("assignment"))
+    if models.assignment is not None:
+        _check_ids("assignment label", models.assignment, models.n_models)
+        models.assignment = models.assignment - 1
     positions = np.array([[a["x"], a["y"]] for a in agents])
-    adjacency = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(adjacency, True)
-    for a, b in doc["links"]:
-        adjacency[a - 1, b - 1] = adjacency[b - 1, a - 1] = True
-    assignment = doc.get("assignment")
-    models = ModelSet(
-        np.array(doc["models"], dtype=float),
-        None if assignment is None else np.array(assignment, dtype=int) - 1,
-    )
-    return Topology(adjacency, positions).validate(), models
+    return Topology(adjacency | adjacency.T, positions).validate(), models

@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_world, tiny_config
 from netdecide.decision import (InvariantViolation, apply_switching,
-                                run_decision, switch_decision,
-                                update_desired_matrices, update_estimate,
-                                verify_round)
+                                run_decision, update_desired_matrices,
+                                update_estimate, verify_round)
 from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
-from netdecide.labeling import view_from_closeness
 from netdecide.network import pairwise_close
-from test_labeling import block_matrix
+from test_labeling import block_matrix, switch_sources
 
 
 def desired_split(w_prev, psi, adjacency, threshold):
@@ -79,49 +79,45 @@ def test_update_estimate_mixed_routes_hand_value():
     assert np.allclose(out[0], [0.5, 0.5])
 
 
-def test_switch_keeps_estimate_when_view_is_unanimous(rng):
-    view = view_from_closeness(1, np.ones((4, 4), dtype=bool), np.arange(4))
-    assert switch_decision(1, view, rng) == (None, None)
+def test_switch_keeps_estimate_when_view_is_unanimous():
+    # the stage itself keeps a one-class view, whatever p_k reads
+    assert switch_sources(np.ones((4, 4), dtype=bool), [1]) == ([0, 1, 2, 3], [], [])
 
 
-def test_switch_adopts_lowest_indexed_majority_member(rng):
+def test_switch_adopts_lowest_indexed_majority_member():
     close = block_matrix([[0, 2, 3], [1], [4]], 5)
-    view = view_from_closeness(1, close, np.arange(5))
-    assert switch_decision(1, view, rng) == (0, "majority")
-    view4 = view_from_closeness(4, close, np.arange(5))
-    assert switch_decision(4, view4, rng) == (0, "majority")
+    assert switch_sources(close, [1, 4]) == ([0, 0, 2, 3, 0], [1, 4], [])
 
 
-def test_switch_majority_member_stays_with_three_classes(rng):
+def test_switch_majority_member_stays_with_three_classes():
     close = block_matrix([[0, 1, 2], [3, 4], [5]], 6)
-    view = view_from_closeness(0, close, np.arange(6))
-    assert switch_decision(0, view, rng) == (None, None)
+    assert switch_sources(close, [0]) == ([0, 1, 2, 3, 4, 5], [], [])
 
 
 def test_switch_even_split_draw_matches_member_frequencies():
-    # majority member in a 4-vs-2 split: uniform draw over all six
-    # members, so the majority block is hit with probability 2/3
+    # majority members in a 4-vs-2 split: uniform draws over all six
+    # members, so the majority block is hit with probability 2/3; the four
+    # members share one generator and draw in ascending order
     close = block_matrix([[0, 1, 2, 3], [4, 5]], 6)
-    view = view_from_closeness(0, close, np.arange(6))
     rng = np.random.default_rng(99)
-    n_draws = 10_000
+    n_calls = 2_500
     hits = np.zeros(6, dtype=int)
-    for _ in range(n_draws):
-        source, case = switch_decision(0, view, rng)
-        assert case == "random"
-        hits[source] += 1
+    for _ in range(n_calls):
+        sources, adopted, drawn = switch_sources(close, range(4), rngs=[rng] * 6)
+        assert drawn == [0, 1, 2, 3] and adopted == []
+        np.add.at(hits, sources[:4], 1)
+    n_draws = 4 * n_calls
     majority_hits = hits[:4].sum()
     sigma = np.sqrt(n_draws * (2 / 3) * (1 / 3))
     assert abs(majority_hits - n_draws * 2 / 3) < 3 * sigma
     assert (hits > 0).all()
 
 
-def test_switch_even_split_respects_equilibrium_flag(rng):
+def test_switch_even_split_respects_equilibrium_flag():
     close = block_matrix([[0, 1], [2, 3]], 4)
-    view = view_from_closeness(0, close, np.arange(4))
-    assert switch_decision(0, view, rng, equilibrium_break=False) == (None, None)
-    source, case = switch_decision(0, view, rng, equilibrium_break=True)
-    assert case == "random" and source in range(4)
+    assert switch_sources(close, [0], equilibrium_break=False) == ([0, 1, 2, 3], [], [])
+    sources, adopted, drawn = switch_sources(close, [0], equilibrium_break=True)
+    assert drawn == [0] and adopted == [] and sources[0] in range(4)
 
 
 def test_apply_switching_reads_pre_switch_estimates():
@@ -134,17 +130,14 @@ def test_apply_switching_reads_pre_switch_estimates():
     close = block_matrix([[1, 2], [0, 3]], n)
     w_prev = np.arange(n * 2, dtype=float).reshape(n, 2)
     rngs = [np.random.default_rng(s) for s in range(n)]
-    adopt = np.zeros(n, dtype=int)
-    random = np.zeros(n, dtype=int)
     p = np.array([0.5, 0.5, 1.0, 1.0])
-    updated, changed = apply_switching(w_prev.copy(), close, adjacency, p, rngs,
-                                       True, adopt, random)
-    assert changed
+    updated, adopted, drawn = apply_switching(w_prev.copy(), close, adjacency, p,
+                                              rngs, True)
     assert np.array_equal(updated[0], w_prev[1])
     assert np.array_equal(updated[1], w_prev[0])
     assert np.array_equal(updated[2:], w_prev[2:])
-    assert adopt.tolist() == [1, 1, 0, 0]
-    assert random.sum() == 0
+    assert adopted.tolist() == [0, 1]
+    assert drawn.size == 0
 
 
 def test_apply_switching_skips_agreeing_agents():
@@ -152,13 +145,76 @@ def test_apply_switching_skips_agreeing_agents():
     close = block_matrix([[0], [1], [2]], n)
     w_prev = np.arange(n * 2, dtype=float).reshape(n, 2)
     rngs = [np.random.default_rng(s) for s in range(n)]
-    updated, changed = apply_switching(w_prev.copy(), close,
-                                       np.ones((n, n), dtype=bool),
-                                       np.ones(n), rngs, True,
-                                       np.zeros(n, dtype=int),
-                                       np.zeros(n, dtype=int))
-    assert not changed
+    updated, adopted, drawn = apply_switching(w_prev.copy(), close,
+                                              np.ones((n, n), dtype=bool),
+                                              np.ones(n), rngs, True)
+    assert adopted.size == 0 and drawn.size == 0
     assert np.array_equal(updated, w_prev)
+
+
+def per_agent_view(agent, close, members):
+    """One agent's view built alone: ``(members, classes, majority)``, the
+    classes grouped by identical closeness columns."""
+    matrix = close[np.ix_(members, members)]
+    groups = {}
+    for pos in range(len(members)):
+        groups.setdefault(matrix[:, pos].tobytes(), []).append(pos)
+    classes = sorted((np.sort(members[idx]) for idx in groups.values()),
+                     key=lambda c: int(c[0]))
+    best = max(len(c) for c in classes)
+    candidates = [c for c in classes if len(c) == best]
+    majority = next((c for c in candidates if agent in c), candidates[0])
+    return members, classes, majority
+
+
+def per_agent_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
+    """The switch stage one agent at a time: the reference
+    :func:`apply_switching` must reproduce, draws and generator states
+    included."""
+    updated = w_prev.copy()
+    adopted, drawn = [], []
+    for k in np.flatnonzero(p < 1.0):
+        members, classes, majority = per_agent_view(k, close,
+                                                    np.flatnonzero(adjacency[k]))
+        if k not in majority:
+            updated[k] = w_prev[int(majority.min())]
+            adopted.append(k)
+        elif equilibrium_break and len(classes) == 2:
+            updated[k] = w_prev[int(members[rngs[k].integers(0, len(members))])]
+            drawn.append(k)
+    return updated, adopted, drawn
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+       link=st.floats(0.0, 1.0), groups=st.integers(1, 5),
+       flips=st.floats(0.0, 0.3), pending=st.floats(0.0, 1.0),
+       equilibrium_break=st.booleans())
+@example(seed=0, n=80, link=1.0, groups=2, flips=0.0, pending=1.0,
+         equilibrium_break=True)
+def test_apply_switching_matches_per_agent_path(seed, n, link, groups, flips,
+                                                pending, equilibrium_break):
+    # views up to 80 wide, so labels span up to 10 bytes
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < link, 1)
+    adjacency = upper | upper.T | np.eye(n, dtype=bool)
+    label = rng.integers(0, groups, size=n)
+    flipped = np.triu(rng.random((n, n)) < flips, 1)
+    close = (label[:, None] == label[None, :]) ^ flipped ^ flipped.T
+    p = np.where(rng.random(n) < pending, 0.5, 1.0)
+    w_prev = rng.normal(size=(n, 2))
+    rngs = [np.random.default_rng([seed, k]) for k in range(n)]
+    ref_rngs = [np.random.default_rng([seed, k]) for k in range(n)]
+
+    updated, adopted, drawn = apply_switching(w_prev, close, adjacency, p, rngs,
+                                              equilibrium_break)
+    ref, ref_adopted, ref_drawn = per_agent_switching(w_prev, close, adjacency, p,
+                                                      ref_rngs, equilibrium_break)
+    assert np.array_equal(updated, ref)
+    assert adopted.tolist() == ref_adopted
+    assert drawn.tolist() == ref_drawn
+    for got, want in zip(rngs, ref_rngs):
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def healthy_round(n=4, seed=0):

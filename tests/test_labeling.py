@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from netdecide.decision import apply_switching
 from netdecide.labeling import agreement_vector, view_from_closeness
 from netdecide.network import pairwise_close
 
@@ -21,35 +22,69 @@ def column_labels(matrix):
     return [int("".join(str(int(b)) for b in col), 2) for col in np.asarray(matrix).T]
 
 
+def view_classes(slots, same, v):
+    """Members of view ``v`` grouped into its classes, ordered by smallest
+    member."""
+    valid = np.flatnonzero(slots[v] >= 0)
+    return sorted({tuple(slots[v][same[v, a]]) for a in valid})
+
+
+def whole_view(close):
+    """The classes of one view holding every agent of ``close``."""
+    slots, same = view_from_closeness(close, np.ones((1, len(close)), dtype=bool))
+    return view_classes(slots, same, 0)
+
+
+def switch_sources(close, pending, adjacency=None, equilibrium_break=True, rngs=None):
+    """Run the switch stage with ``pending`` agents (p_k < 1) on estimates
+    that name their agent, and return ``(sources, adopted, drawn)``:
+    whose pre-switch estimate each agent holds afterwards, and the ids
+    :func:`apply_switching` reports."""
+    n = len(close)
+    if adjacency is None:
+        adjacency = np.ones((n, n), dtype=bool)
+    if rngs is None:
+        rngs = [np.random.default_rng(k) for k in range(n)]
+    p = np.ones(n)
+    p[pending] = 0.5
+    w_prev = np.arange(n, dtype=float)[:, None]
+    updated, adopted, drawn = apply_switching(w_prev, close, adjacency, p, rngs,
+                                              equilibrium_break)
+    return updated[:, 0].astype(int).tolist(), adopted.tolist(), drawn.tolist()
+
+
 def test_six_member_view_worked_example():
     # three classes {0,3,5}, {1,2}, {4}: columns read 37, 24, 24, 37, 2, 37
     close = block_matrix([[0, 3, 5], [1, 2], [4]], 6)
-    assert column_labels(close) == [37, 24, 24, 37, 2, 37]
-    view = view_from_closeness(0, close, np.arange(6))
-    assert view.model_count == 3
-    assert [list(c) for c in view.classes] == [[0, 3, 5], [1, 2], [4]]
-    assert np.array_equal(view.majority, [0, 3, 5])
+    labels = column_labels(close)
+    assert labels == [37, 24, 24, 37, 2, 37]
+    slots, same = view_from_closeness(close, np.ones((1, 6), dtype=bool))
+    assert slots.tolist() == [[0, 1, 2, 3, 4, 5]]
+    assert np.array_equal(same[0], np.equal.outer(labels, labels))
+    assert view_classes(slots, same, 0) == [(0, 3, 5), (1, 2), (4,)]
+    # {0, 3, 5} is the majority: its members stay (three classes, no
+    # draw) and the others adopt agent 0's estimate
+    sources, adopted, drawn = switch_sources(close, range(6))
+    assert sources == [0, 0, 0, 3, 0, 5]
+    assert adopted == [1, 2, 4] and drawn == []
 
 
 def test_unanimous_view_has_one_class():
     close = np.ones((6, 6), dtype=bool)
-    view = view_from_closeness(2, close, np.arange(6))
-    assert view.model_count == 1
-    assert np.array_equal(view.majority, np.arange(6))
+    assert whole_view(close) == [tuple(range(6))]
+    assert switch_sources(close, [2]) == (list(range(6)), [], [])
 
 
 def test_all_distinct_view():
     close = np.eye(4, dtype=bool)
-    view = view_from_closeness(1, close, np.arange(4))
-    assert view.model_count == 4
+    assert whole_view(close) == [(0,), (1,), (2,), (3,)]
     # four singleton classes tie; the viewer's own class wins
-    assert np.array_equal(view.majority, [1])
+    assert switch_sources(close, [1]) == ([0, 1, 2, 3], [], [])
 
 
 def test_majority_tie_without_viewer_prefers_first_class():
     close = block_matrix([[0, 1], [2, 3], [4]], 5)
-    view = view_from_closeness(4, close, np.arange(5))
-    assert np.array_equal(view.majority, [0, 1])
+    assert switch_sources(close, [4]) == ([0, 1, 2, 3, 0], [4], [])
 
 
 def test_same_class_members_share_labels():
@@ -61,11 +96,11 @@ def test_same_class_members_share_labels():
         for member, b in enumerate(rng.integers(0, n_blocks, size=n)):
             blocks[b].append(member)
         close = block_matrix([b for b in blocks if b], n)
-        view = view_from_closeness(0, close, np.arange(n))
+        classes = whole_view(close)
         labels = column_labels(close)
-        for c in view.classes:
+        for c in classes:
             assert len({labels[m] for m in c}) == 1
-        flat = sorted(m for c in view.classes for m in c)
+        flat = sorted(m for c in classes for m in c)
         assert flat == list(range(n))
 
 
@@ -79,10 +114,10 @@ def test_classes_match_pairwise_equality_oracle():
         for i in range(n):
             for j in range(i + 1, n):
                 close[i, j] = close[j, i] = rng.random() < 0.5
-        view = view_from_closeness(0, close, np.arange(n))
+        classes = whole_view(close)
         labels = column_labels(close)
         cls_of = {}
-        for idx, c in enumerate(view.classes):
+        for idx, c in enumerate(classes):
             for m in c:
                 cls_of[m] = idx
         for a in range(n):
@@ -92,18 +127,17 @@ def test_classes_match_pairwise_equality_oracle():
                 assert (labels[a] == labels[b]) == same_col
 
 
-def test_build_label_view_applies_threshold_gate():
+def test_views_see_members_through_adjacency_gate():
     adj = np.ones((4, 4), dtype=bool)
     adj[0, 3] = adj[3, 0] = False
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
     close = pairwise_close(w_prev, 0.08)
-    view = view_from_closeness(1, close, np.flatnonzero(adj[1]))
-    assert np.array_equal(view.members, [0, 1, 2, 3])
-    assert [list(c) for c in view.classes] == [[0, 1], [2], [3]]
-    # agent 0 sees only members {0, 1, 2}
-    view0 = view_from_closeness(0, close, np.flatnonzero(adj[0]))
-    assert np.array_equal(view0.members, [0, 1, 2])
-    assert [list(c) for c in view0.classes] == [[0, 1], [2]]
+    slots, same = view_from_closeness(close, adj[[1, 0]])
+    assert slots.tolist() == [[0, 1, 2, 3], [0, 1, 2, -1]]
+    assert view_classes(slots, same, 0) == [(0, 1), (2,), (3,)]
+    # agent 0 sees only members {0, 1, 2}; its padding slot is in no class
+    assert view_classes(slots, same, 1) == [(0, 1), (2,)]
+    assert not same[1, 3].any() and not same[1, :, 3].any()
     p = agreement_vector(close, adj, adj.sum(axis=0))
     assert p[1] == pytest.approx(0.5) and p[0] == pytest.approx(2 / 3)
 

@@ -355,3 +355,27 @@ def test_network_json_without_assignment():
     assert "assignment" not in doc
     _, models = network_from_json(doc)
     assert models.assignment is None
+
+
+def small_network_doc(**changes):
+    """A valid three-agent, one-model network document with ``changes``."""
+    doc = {"schema": "netdecide.network/1",
+           "agents": [{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2, 3)],
+           "links": [[1, 2], [2, 3]],
+           "models": [[0.0, 0.0]],
+           "assignment": [1, 1, 1]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("changes, bad_id", [
+    (dict(links=[[1, 2], [0, 2]]), "link agent id 0 "),
+    (dict(links=[[1, 2], [2, 4]]), "link agent id 4 "),
+    (dict(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2, 2)]),
+     "agent id 2 repeats"),
+    (dict(assignment=[1, 5, 1]), "label 5 "),
+], ids=["link-below-1", "link-above-n", "repeated-agent", "label-above-m"])
+def test_network_from_json_rejects_bad_ids(changes, bad_id):
+    network_from_json(small_network_doc())
+    with pytest.raises(TopologyError, match=bad_id):
+        network_from_json(small_network_doc(**changes))
