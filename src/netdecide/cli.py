@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import TUPLE_FIELDS, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .harness import run_monte_carlo, run_sweep
 from .network import TopologyError
 from .records import save_record
@@ -131,32 +131,21 @@ def build_parser():
 
 
 def _overrides(args):
-    out = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "mode":
-            continue
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        out[f.name] = tuple(value) if f.name in TUPLE_FIELDS else value
-    if getattr(args, "no_equilibrium_break", False):
+    """The config fields the flags set."""
+    out = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+           if getattr(args, f.name, None) is not None}
+    if args.no_equilibrium_break:
         out["equilibrium_break"] = False
-    if getattr(args, "no_early_stop", False):
+    if args.no_early_stop:
         out["early_stop"] = False
     return out
 
 
 def _build_config(mode, args):
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_file(args.config)
-        if config.mode != mode:
-            config = config.replace(mode=mode)
-    else:
-        config = ExperimentConfig.for_mode(mode)
-    overrides = _overrides(args)
-    if overrides:
-        config = config.replace(**overrides)
-    return config
+    """The subcommand's mode defaults, then the --config file, then flags."""
+    if args.config:
+        return ExperimentConfig.from_file(args.config, mode=mode, **_overrides(args))
+    return ExperimentConfig.for_mode(mode, **_overrides(args))
 
 
 def _out_dir(args):

@@ -1,10 +1,13 @@
 """Experiment configuration: one flat record covering every mode.
 
-Configs load from JSON (one object whose keys are the field names of
-:class:`ExperimentConfig`, with an optional ``"schema"`` key), from CLI
-flags, or from the per-mode defaults; explicit values win over
-file values, which win over defaults. Agent ids (``target_agent``) are
-1-based here, matching every external artifact.
+Every config is built by layering, later layers winning: the chosen
+mode's defaults (the field defaults below, with ``MODE_DEFAULTS[mode]``
+on top), then the values of a JSON config file, then explicit values
+such as CLI flags. A config file is one object whose keys are field
+names of :class:`ExperimentConfig`, with optional ``"mode"`` (default
+``"decide"``) and ``"schema"`` keys; it may name only some fields. Agent
+ids (``target_agent``) are 1-based here, matching every external
+artifact.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ _TYPE_CHECKS = {
     "int": _is_int,
     "int | None": lambda v: v is None or _is_int(v),
     "float": _is_real,
-    "tuple[float, float]": lambda v: (isinstance(v, (tuple, list)) and len(v) == 2
+    "tuple[float, float]": lambda v: (isinstance(v, tuple) and len(v) == 2
                                       and all(_is_real(x) for x in v)),
-    "tuple[int, ...]": lambda v: (isinstance(v, (tuple, list))
-                                  and all(_is_int(x) for x in v)),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(_is_int(x) for x in v),
 }
 
 
@@ -87,12 +89,22 @@ class ExperimentConfig:
                    "start_extent": 50.0},
     }
 
+    def __post_init__(self):
+        # JSON and argparse hand tuple values over as lists
+        for f in dataclasses.fields(self):
+            if f.type.startswith("tuple") and isinstance(getattr(self, f.name), list):
+                setattr(self, f.name, tuple(getattr(self, f.name)))
+
     @classmethod
     def for_mode(cls, mode, **overrides):
-        if mode not in cls.MODE_DEFAULTS:
+        """The defaults of ``mode`` with ``overrides`` on top."""
+        # a list is not hashable, so test the type before the lookup
+        if not isinstance(mode, str) or mode not in cls.MODE_DEFAULTS:
             raise ConfigError(f"unknown mode {mode!r}")
-        values = {"mode": mode, **cls.MODE_DEFAULTS[mode], **overrides}
-        return cls(**values).validate()
+        unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        return cls(mode=mode, **{**cls.MODE_DEFAULTS[mode], **overrides}).validate()
 
     def replace(self, **changes):
         return dataclasses.replace(self, **changes).validate()
@@ -138,45 +150,32 @@ class ExperimentConfig:
         return self
 
     def to_json(self):
-        doc = {"schema": "netdecide.config/1"}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        doc = {"schema": "netdecide.config/1", **dataclasses.asdict(self)}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, values):
+    def from_dict(cls, values, **overrides):
+        """A config from a JSON object's ``values``, layered on the defaults
+        of its mode, with ``overrides`` (``mode`` included) on top."""
         if not isinstance(values, dict):
             raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
-        values = dict(values)
+        values = {**values, **overrides}
         values.pop("schema", None)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in TUPLE_FIELDS:
-            if isinstance(values.get(key), list):
-                values[key] = tuple(values[key])
-        return cls(**values).validate()
+        return cls.for_mode(values.pop("mode", "decide"), **values)
 
     @classmethod
-    def from_json(cls, text):
+    def from_json(cls, text, **overrides):
         try:
             values = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return cls.from_dict(values)
+        return cls.from_dict(values, **overrides)
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, **overrides):
         try:
             with open(path) as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.from_json(text)
-
-
-# fields whose values are tuples; JSON and argparse hand them over as lists
-TUPLE_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig)
-                         if f.type.startswith("tuple"))
+        return cls.from_json(text, **overrides)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -25,7 +25,7 @@ from .mobility import MotionDriver, rebuild_topology
 from .network import (DivergenceError, assign_agents, build_streams,
                       corner_models, draw_noise_profile, generate_models,
                       generate_topology, network_to_json)
-from .records import RunRecord
+from .records import RunRecord, jsonable
 
 SUMMARY_SCHEMA = "netdecide.summary/1"
 
@@ -123,30 +123,12 @@ class MonteCarloSummary:
         return self.success_count / self.n_trials
 
     def to_json(self):
-        def scrub(values):
-            out = []
-            for v in np.asarray(values, dtype=float).tolist():
-                out.append(None if isinstance(v, float) and np.isnan(v) else v)
-            return out
-
-        doc = {
-            "schema": SUMMARY_SCHEMA,
-            "config": json.loads(self.config.to_json()),
-            "n_trials": self.n_trials,
-            "success_count": self.success_count,
-            "success_rate": self.success_rate,
-            "diverged_count": self.diverged_count,
-            "trial_success": [bool(s) for s in self.trial_success],
-            "final_models": [None if m is None else int(m) + 1 for m in self.final_models],
-            "mean_msd_observed": [scrub(row) for row in self.mean_msd_observed],
-            "p10_msd_observed": [scrub(row) for row in self.p10_msd_observed],
-            "p90_msd_observed": [scrub(row) for row in self.p90_msd_observed],
-            "mean_msd_desired": scrub(self.mean_msd_desired),
-            "p10_msd_desired": scrub(self.p10_msd_desired),
-            "p90_msd_desired": scrub(self.p90_msd_desired),
-            "desired_support": [int(x) for x in self.desired_support],
-            "mean_switches_per_trial": self.mean_switches_per_trial,
-        }
+        doc = {f.name: jsonable(getattr(self, f.name)) for f in fields(self)
+               if f.name not in ("records", "networks")}
+        doc.update(schema=SUMMARY_SCHEMA, success_rate=self.success_rate,
+                   config=json.loads(self.config.to_json()),
+                   final_models=[None if m is None else int(m) + 1
+                                 for m in self.final_models])
         return json.dumps(doc, indent=2, sort_keys=True)
 
 

@@ -186,7 +186,7 @@ def _reaches(nbrs, a, b):
     return False
 
 
-def generate_topology(n_agents, max_degree=7, radius=0.18, seed=None, max_tries=50):
+def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     """Connected random geometric graph on the unit square.
 
     Agents are placed uniformly at random and linked when closer than
@@ -263,8 +263,8 @@ class ModelSet:
         return self.models.shape[1]
 
 
-def generate_models(n_models, dim=2, value_range=(-1.0, 1.0), seed=None,
-                    min_separation_sq=0.0, max_tries=1000):
+def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0,
+                    max_tries=1000):
     """Draw model vectors with entries uniform in ``value_range``.
 
     The whole set is redrawn until every pair is strictly farther apart
@@ -289,7 +289,7 @@ def generate_models(n_models, dim=2, value_range=(-1.0, 1.0), seed=None,
     )
 
 
-def corner_models(value_range=(-1.0, 1.0)):
+def corner_models(value_range):
     """The four corners of the square box, as a :class:`ModelSet`.
 
     Row order is (lo,lo), (lo,hi), (hi,lo), (hi,hi). Used by mobile
@@ -337,8 +337,7 @@ class NoiseProfile:
         self.reg_power = np.atleast_2d(np.asarray(self.reg_power, dtype=float))
 
 
-def draw_noise_profile(n_agents, dim, seed=None, sigma_v2_range=(1e-3, 1e-2),
-                       reg_power_range=(0.8, 1.2)):
+def draw_noise_profile(n_agents, dim, seed=None, *, sigma_v2_range, reg_power_range):
     """Noise variances log-uniform in ``sigma_v2_range``; regressor powers
     uniform in ``reg_power_range``."""
     rng = np.random.default_rng(seed)
@@ -430,9 +429,10 @@ def _check_ids(kind, ids, upper):
 
 
 def network_from_json(doc):
-    """Inverse of :func:`network_to_json`; raises :class:`TopologyError`
-    naming the first agent id that repeats or lies outside 1..N, and the
-    first assignment label outside 1..M."""
+    """Inverse of :func:`network_to_json`. Raises :class:`TopologyError`
+    naming the first agent id that repeats or lies outside 1..N, the first
+    link that is not a pair, the first assignment label outside 1..M, or an
+    assignment that is not one label per agent."""
     agents = sorted(doc["agents"], key=lambda a: a["id"])
     n = len(agents)
     ids = np.array([a["id"] for a in agents], dtype=int)
@@ -440,12 +440,18 @@ def network_from_json(doc):
     if repeated.size:
         raise TopologyError(f"agent id {repeated[0]} repeats")
     _check_ids("agent id", ids, n)
+    for link in doc["links"]:
+        if not isinstance(link, (list, tuple)) or len(link) != 2:
+            raise TopologyError(f"link {link!r} is not a pair of agent ids")
     links = np.array(doc["links"], dtype=int).reshape(-1, 2)
     _check_ids("link agent id", links.ravel(), n)
     adjacency = np.eye(n, dtype=bool)
     adjacency[links[:, 0] - 1, links[:, 1] - 1] = True
     models = ModelSet(doc["models"], doc.get("assignment"))
     if models.assignment is not None:
+        if models.assignment.shape != (n,):
+            raise TopologyError(f"assignment has {models.assignment.size} labels "
+                                f"for {n} agents")
         _check_ids("assignment label", models.assignment, models.n_models)
         models.assignment = models.assignment - 1
     positions = np.array([[a["x"], a["y"]] for a in agents])

@@ -3,8 +3,9 @@
 One run serializes to a per-iteration CSV (deviation curves and agreement
 flags), a JSON sidecar (final state, switch counts, success), and, for
 mobile runs that sampled positions, a trajectory CSV. Serialization round
-trips exactly: floats are written with repr, blanks mean nan, and agent
-and model ids are 1-based on disk while arrays stay 0-based in memory.
+trips exactly: floats are written with repr, nan is a blank CSV cell or
+a JSON null, and agent and model ids are 1-based on disk while arrays
+stay 0-based in memory.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -26,6 +28,26 @@ def _fmt(x):
 
 def _parse(cell):
     return np.nan if cell == "" else float(cell)
+
+
+def jsonable(value):
+    """``value`` as plain JSON values: arrays and lists as nested lists,
+    numpy scalars as Python numbers, nan as None."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, list):
+        return [jsonable(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+# the per-iteration CSV columns after iter and msd_1..msd_C, as
+# (header, RunRecord field, dtype); a field that is None has no column
+CURVE_COLUMNS = (
+    ("msd_desired", "msd_desired", float),
+    ("num_distinct_desired_models", "n_desired_models", int),
+    ("all_agreed", "all_agreed", bool),
+    ("source_coverage", "source_coverage", int),
+)
 
 
 @dataclass(eq=False)
@@ -66,10 +88,6 @@ class RunRecord:
     @property
     def n_models(self):
         return self.models.shape[0]
-
-    @property
-    def n_agents(self):
-        return self.assignment.shape[0]
 
     def __eq__(self, other):
         """Every field but ``wall_time`` equal; arrays compare by value,
@@ -115,26 +133,19 @@ class RunRecord:
 
 
 def record_to_csv(record):
-    """Per-iteration table: iter, msd_1..msd_C, msd_desired,
-    num_distinct_desired_models, all_agreed and, for follow runs,
-    source_coverage."""
+    """Per-iteration table: iter, msd_1..msd_C, then the
+    :data:`CURVE_COLUMNS` the record has."""
+    curves = [(name, getattr(record, attr), dtype) for name, attr, dtype in CURVE_COLUMNS
+              if getattr(record, attr) is not None]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = (["iter"]
-              + [f"msd_{j + 1}" for j in range(record.n_models)]
-              + ["msd_desired", "num_distinct_desired_models", "all_agreed"])
-    if record.source_coverage is not None:
-        header.append("source_coverage")
-    writer.writerow(header)
+    writer.writerow(["iter"] + [f"msd_{j + 1}" for j in range(record.n_models)]
+                    + [name for name, _, _ in curves])
     for t in range(record.n_iters):
-        row = ([str(t + 1)]
-               + [_fmt(x) for x in record.msd_observed[t]]
-               + [_fmt(record.msd_desired[t]),
-                  str(int(record.n_desired_models[t])),
-                  str(int(record.all_agreed[t]))])
-        if record.source_coverage is not None:
-            row.append(str(int(record.source_coverage[t])))
-        writer.writerow(row)
+        writer.writerow([str(t + 1)]
+                        + [_fmt(x) for x in record.msd_observed[t]]
+                        + [_fmt(values[t]) if dtype is float else str(int(values[t]))
+                           for _, values, dtype in curves])
     return buf.getvalue()
 
 
@@ -151,21 +162,20 @@ def record_to_json(record):
         "threshold": record.threshold,
         "t_hold": record.t_hold,
         "wall_time": record.wall_time,
-        "models": [[float(x) for x in row] for row in record.models],
-        "assignment": [int(j) + 1 for j in record.assignment],
-        "final_w": [[float(x) for x in row] for row in record.final_w],
-        "final_agreement": [float(x) for x in record.final_agreement],
+        "models": jsonable(record.models),
+        "assignment": jsonable(record.assignment + 1),
+        "final_w": jsonable(record.final_w),
+        "final_agreement": jsonable(record.final_agreement),
         "switch_counts": {
-            "adopt_majority": [int(x) for x in record.switch_adopt],
-            "random_neighbor": [int(x) for x in record.switch_random],
+            "adopt_majority": jsonable(record.switch_adopt),
+            "random_neighbor": jsonable(record.switch_random),
         },
     }
     if record.final_positions is not None:
-        doc["final_positions"] = [[float(x) for x in row]
-                                  for row in record.final_positions]
+        doc["final_positions"] = jsonable(record.final_positions)
     if record.max_speed_observed is not None:
         doc["max_speed_observed"] = float(record.max_speed_observed)
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def trajectory_to_csv(record):
@@ -189,27 +199,17 @@ def serialize_record(record):
 def parse_record(csv_text, json_text, trajectory_csv=None):
     """Inverse of :func:`serialize_record`."""
     doc = json.loads(json_text)
-    rows = list(csv.reader(io.StringIO(csv_text)))
-    header, body = rows[0], rows[1:]
-    n_models = sum(1 for h in header if h.startswith("msd_") and h != "msd_desired")
-    has_coverage = "source_coverage" in header
+    header, *body = csv.reader(io.StringIO(csv_text))
     n_iters = doc["n_iters"]
-    if len(body) != n_iters:
-        raise ValueError(f"expected {n_iters} rows, found {len(body)}")
-
-    msd_observed = np.full((n_iters, n_models), np.nan)
-    msd_desired = np.full(n_iters, np.nan)
-    all_agreed = np.zeros(n_iters, dtype=bool)
-    n_desired = np.zeros(n_iters, dtype=int)
-    coverage = np.zeros(n_iters, dtype=int) if has_coverage else None
-    for row in body:
-        t = int(row[0]) - 1
-        msd_observed[t] = [_parse(c) for c in row[1:1 + n_models]]
-        msd_desired[t] = _parse(row[1 + n_models])
-        n_desired[t] = int(row[2 + n_models])
-        all_agreed[t] = bool(int(row[3 + n_models]))
-        if has_coverage:
-            coverage[t] = int(row[4 + n_models])
+    columns = {name: [row[i] for row in body] for i, name in enumerate(header)}
+    if columns["iter"] != [str(t) for t in range(1, n_iters + 1)]:
+        raise ValueError(f"expected rows for iterations 1..{n_iters}")
+    msd_observed = np.column_stack([[_parse(c) for c in columns[f"msd_{j + 1}"]]
+                                    for j in range(len(doc["models"]))])
+    curves = {attr: (np.array([(_parse if dtype is float else int)(c)
+                               for c in columns[name]], dtype=dtype)
+                     if name in columns else None)
+              for name, attr, dtype in CURVE_COLUMNS}
 
     trajectory = None
     if trajectory_csv is not None:
@@ -223,10 +223,7 @@ def parse_record(csv_text, json_text, trajectory_csv=None):
         mode=doc["mode"],
         n_iters=n_iters,
         msd_observed=msd_observed,
-        msd_desired=msd_desired,
-        all_agreed=all_agreed,
-        n_desired_models=n_desired,
-        source_coverage=coverage,
+        **curves,
         models=np.array(doc["models"], dtype=float),
         assignment=np.array(doc["assignment"], dtype=int) - 1,
         final_w=np.array(doc["final_w"], dtype=float),

@@ -1,11 +1,18 @@
 """Shared helpers: tiny seeded worlds that run in well under a second."""
 
+import json
+
 import numpy as np
 import pytest
 
 from netdecide.config import ExperimentConfig
 from netdecide.network import (assign_agents, build_streams, draw_noise_profile,
                                generate_models, generate_topology)
+
+
+# the noise ranges of the default config
+NOISE_RANGES = {name: getattr(ExperimentConfig(), name)
+                for name in ("sigma_v2_range", "reg_power_range")}
 
 
 def tiny_config(**overrides):
@@ -27,6 +34,13 @@ def build_world(cfg, seed=0):
                                reg_power_range=cfg.reg_power_range)
     streams = build_streams(noise, cfg.max_iters, seed + 4)
     return topo, models, streams
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture

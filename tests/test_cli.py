@@ -72,6 +72,26 @@ def test_flag_beats_config_file(tmp_path, capsys):
     assert printed["radius"] == 0.3
 
 
+@pytest.mark.parametrize("mode", ["decide", "follow", "mobile"])
+def test_partial_config_file_equals_the_same_flags(tmp_path, capsys, mode):
+    path = written(tmp_path / "part.json",
+                   json.dumps({"n_agents": 30, "max_iters": 60, "n_trials": 1}))
+    assert main([mode, "--config", str(path), "--print-config"]) == 0
+    from_file = capsys.readouterr().out
+    assert main([mode, "--agents", "30", "--iters", "60", "--trials", "1",
+                 "--print-config"]) == 0
+    assert from_file == capsys.readouterr().out
+
+
+def test_follow_config_file_keeps_the_default_target(tmp_path):
+    path = written(tmp_path / "f.json", json.dumps({"n_agents": 30}))
+    assert main(["follow", "--config", str(path), "--iters", "20", "--t-hold", "5",
+                 "--trials", "1", "--quiet", "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["target_agent"] == 10
+    assert summary["config"]["n_agents"] == 30
+
+
 def test_output_dir_variable_beats_out_dir_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("NETDECIDE_OUTPUT_DIR", str(tmp_path / "from-env"))
     assert main(["decide", *TINY, "--summary-only",

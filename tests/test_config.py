@@ -1,4 +1,5 @@
-"""Experiment configuration: type checks on loaded values."""
+"""Experiment configuration: type checks on loaded values and the layering
+of mode defaults, file values and explicit values."""
 
 import pytest
 
@@ -32,3 +33,23 @@ def test_from_dict_accepts_json_numbers():
 def test_config_survives_json_round_trip(mode):
     config = ExperimentConfig.for_mode(mode, reassign_at=(3, 9))
     assert ExperimentConfig.from_json(config.to_json()) == config
+
+
+@pytest.mark.parametrize("mode", sorted(ExperimentConfig.MODE_DEFAULTS))
+def test_partial_dict_layers_on_its_mode_defaults(mode):
+    values = {"n_agents": 30, "max_iters": 60, "reassign_at": [7]}
+    assert (ExperimentConfig.from_dict({"mode": mode, **values})
+            == ExperimentConfig.for_mode(mode, **values))
+
+
+def test_explicit_values_beat_file_values():
+    config = ExperimentConfig.from_json('{"mode": "follow", "n_agents": 30}',
+                                        mode="mobile", n_agents=12)
+    assert config == ExperimentConfig.for_mode("mobile", n_agents=12)
+
+
+def test_unknown_keys_are_rejected():
+    with pytest.raises(ConfigError, match="colour"):
+        ExperimentConfig.from_dict({"colour": "red"})
+    with pytest.raises(ConfigError, match="colour"):
+        ExperimentConfig.for_mode("decide", colour="red")

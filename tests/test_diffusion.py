@@ -12,6 +12,8 @@ from netdecide.diffusion import (DivergenceError, adapt, aggregate,
 from netdecide.network import (DataStream, build_streams, draw_noise_profile,
                                generate_models, generate_topology)
 
+from conftest import NOISE_RANGES
+
 
 def test_adapt_zero_regressor_is_identity():
     psi = np.array([[0.3, -0.7], [1.0, 2.0]])
@@ -212,10 +214,11 @@ def test_beliefs_recover_cluster_structure(seed):
     linked pairs believe in each other exactly when they share a model."""
     n, n_rounds = 16, 600
     topo = generate_topology(n, max_degree=7, radius=0.55, seed=seed)
-    models = generate_models(2, seed=seed + 100, min_separation_sq=0.32)
+    models = generate_models(2, 2, (-1.0, 1.0), seed=seed + 100,
+                             min_separation_sq=0.32)
     assignment = np.arange(n) % 2
     observed = models.models[assignment]
-    noise = draw_noise_profile(n, 2, seed=seed + 200)
+    noise = draw_noise_profile(n, 2, seed=seed + 200, **NOISE_RANGES)
     streams = build_streams(noise, n_rounds, seed + 300)
     psi = np.zeros((n, 2))
     phi = np.zeros((n, 2))

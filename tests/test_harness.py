@@ -1,14 +1,16 @@
-"""Monte Carlo harness: aggregation and argument checks."""
+"""Monte Carlo harness: aggregation, argument checks and diverged trials."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from netdecide.cli import main
 from netdecide.config import ConfigError
 from netdecide.harness import _nan_stats, _pad_stack, run_monte_carlo
 
-from conftest import tiny_config
+from conftest import strict_json, tiny_config
 
 
 def nanpercentile_reference(stack):
@@ -62,3 +64,27 @@ def test_nan_stats_all_nan_columns_are_nan_without_warning():
 def test_run_monte_carlo_rejects_fewer_than_one_job(n_jobs):
     with pytest.raises(ConfigError, match="n_jobs"):
         run_monte_carlo(tiny_config(), n_jobs=n_jobs)
+
+
+# a step size this large makes every agent's estimate blow up
+DIVERGING = dict(n_agents=20, n_models=2, radius=0.4, max_iters=100, t_hold=10,
+                 n_trials=2, step_size=1.5, seed=1)
+
+
+def test_diverging_batch_records_every_trial_as_failed():
+    summary = run_monte_carlo(tiny_config(**DIVERGING), keep_records=True)
+    assert summary.diverged_count == summary.n_trials == 2
+    assert summary.success_count == 0
+    assert all(r.diverged and not r.success for r in summary.records)
+
+
+def test_diverging_cli_run_writes_strict_json(tmp_path, monkeypatch):
+    monkeypatch.delenv("NETDECIDE_OUTPUT_DIR", raising=False)
+    flags = ["--agents", "20", "--models", "2", "--radius", "0.4", "--iters", "100",
+             "--t-hold", "10", "--trials", "2", "--step-size", "1.5", "--seed", "1"]
+    assert main(["decide", *flags, "--quiet", "--out-dir", str(tmp_path)]) == 0
+    sidecars = sorted(tmp_path.glob("trial_*.json"))
+    assert len(sidecars) == 2
+    for path in sidecars:
+        assert strict_json(path.read_text())["diverged"] is True
+    assert strict_json((tmp_path / "summary.json").read_text())["diverged_count"] == 2

@@ -14,6 +14,8 @@ from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
                                pairwise_close, random_assignment,
                                squared_distances)
 
+from conftest import NOISE_RANGES
+
 
 def two_clique_topology(clique_size=4):
     """Two complete cliques joined by a single bridge link, degree cap not
@@ -293,7 +295,7 @@ def test_random_assignment_covers_every_model(rng):
 
 def test_assign_agents_attaches_assignment():
     topo = generate_topology(15, max_degree=7, radius=0.5, seed=3)
-    ms = generate_models(3, seed=4, min_separation_sq=0.32)
+    ms = generate_models(3, 2, (-1.0, 1.0), seed=4, min_separation_sq=0.32)
     assigned = assign_agents(ms, topo, seed=5)
     assert assigned.assignment.shape == (15,)
     observed = assigned.models[assigned.assignment]
@@ -312,7 +314,7 @@ def test_noise_profile_stays_in_ranges():
 
 
 def test_data_stream_observation_algebra():
-    noise = draw_noise_profile(6, 2, seed=11)
+    noise = draw_noise_profile(6, 2, seed=11, **NOISE_RANGES)
     stream = DataStream(noise, np.random.SeedSequence(5).spawn(6), n_iters=40)
     w = np.arange(12, dtype=float).reshape(6, 2)
     d, u = stream.round(17, w)
@@ -321,7 +323,7 @@ def test_data_stream_observation_algebra():
 
 
 def test_build_streams_is_seed_deterministic():
-    noise = draw_noise_profile(5, 2, seed=21)
+    noise = draw_noise_profile(5, 2, seed=21, **NOISE_RANGES)
     a = build_streams(noise, 30, seed=77)
     b = build_streams(noise, 30, seed=77)
     c = build_streams(noise, 30, seed=78)
@@ -335,7 +337,8 @@ def test_build_streams_is_seed_deterministic():
 
 def test_network_json_round_trip():
     topo = generate_topology(12, max_degree=7, radius=0.5, seed=2)
-    models = assign_agents(generate_models(2, seed=3, min_separation_sq=0.32),
+    models = assign_agents(generate_models(2, 2, (-1.0, 1.0), seed=3,
+                                           min_separation_sq=0.32),
                            topo, seed=4)
     doc = network_to_json(topo, models)
     assert doc["schema"] == "netdecide.network/1"
@@ -374,7 +377,11 @@ def small_network_doc(**changes):
     (dict(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2, 2)]),
      "agent id 2 repeats"),
     (dict(assignment=[1, 5, 1]), "label 5 "),
-], ids=["link-below-1", "link-above-n", "repeated-agent", "label-above-m"])
+    (dict(assignment=[1, 1]), "2 labels for 3 agents"),
+    (dict(links=[[1, 2, 1, 2]]), r"link \[1, 2, 1, 2\] is not a pair"),
+    (dict(links=[[1, 2], [1]]), r"link \[1\] is not a pair"),
+], ids=["link-below-1", "link-above-n", "repeated-agent", "label-above-m",
+        "assignment-too-short", "link-of-four", "link-of-one"])
 def test_network_from_json_rejects_bad_ids(changes, bad_id):
     network_from_json(small_network_doc())
     with pytest.raises(TopologyError, match=bad_id):

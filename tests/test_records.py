@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_world, tiny_config
+from conftest import build_world, strict_json, tiny_config
 from netdecide.config import ExperimentConfig
 from netdecide.decision import run_decision
 from netdecide.follow import run_follow
@@ -111,6 +111,16 @@ def test_failed_stub_shape_and_flags():
     assert stub.msd_observed.shape == (40, 2)
     assert not stub.all_agreed.any()
     assert parse_record(*serialize_record(stub)) == stub
+
+
+def test_failed_stub_sidecar_is_strict_json():
+    models = np.array([[0.0, 0.0], [1.0, 1.0]])
+    stub = RunRecord.failed("decide", 40, models, np.zeros(6, dtype=int),
+                            threshold=0.08, t_hold=50)
+    csv_text, json_text, traj = serialize_record(stub)
+    doc = strict_json(json_text)
+    assert doc["final_w"] == [[None, None]] * 6
+    assert parse_record(csv_text, json_text, traj) == stub
 
 
 def test_equality_ignores_wall_time():
