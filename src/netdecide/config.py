@@ -146,6 +146,8 @@ class ExperimentConfig:
             need(c.comm_radius > 0, "comm_radius must be positive")
             need(c.start_extent > 0, "start_extent must be positive")
             need(c.max_speed > 0, "max_speed must be positive")
+            # the speed rescale divides by max(|blend|, goal_gain)
+            need(c.goal_gain > 0, "goal_gain must be positive")
             need(c.repulse_radius >= 0, "repulse_radius must be nonnegative")
         return self
 

@@ -53,12 +53,16 @@ def step_motion(state, targets, adjacency, config):
     counts = others.sum(axis=1)
     align = (others @ vel) / np.maximum(counts, 1)[:, None]
 
-    diff = pos[:, None, :] - pos[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
+    # [j, i] = pos_i - pos_j: axis-0 sums over j add row by row, keeping the golden bits
+    x, y = pos[:, 0], pos[:, 1]
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    d2 = dx * dx + dy * dy
     near = d2 < config.repulse_radius ** 2
     np.fill_diagonal(near, False)
-    push = np.where(near[:, :, None], diff / np.maximum(d2, 1e-12)[:, :, None], 0.0)
-    repulse = push.sum(axis=1)
+    denom = np.maximum(d2, 1e-12)
+    repulse = np.column_stack([np.where(near, dx / denom, 0.0).sum(axis=0),
+                               np.where(near, dy / denom, 0.0).sum(axis=0)])
 
     blend = (config.goal_gain * goal + config.align_gain * align
              + config.repulse_gain * repulse)
@@ -89,7 +93,7 @@ class MotionDriver:
         self.state = MotionState.at(positions)
         self.models = np.atleast_2d(models)
         self.snapshot_iters = set(snapshot_iters)
-        self.rows = []
+        self.blocks = []
         self.max_observed_speed = 0.0
 
     def step(self, iteration, targets, topology):
@@ -99,12 +103,12 @@ class MotionDriver:
         if speed > self.config.max_speed * (1 + 1e-9):
             raise AssertionError(f"speed cap violated at iteration {iteration}: {speed}")
         if iteration in self.snapshot_iters:
+            n = len(targets)
             labels = squared_distances(targets, self.models).argmin(axis=1)
-            for k in range(len(targets)):
-                self.rows.append((iteration, k, self.state.positions[k, 0],
-                                  self.state.positions[k, 1], labels[k]))
+            self.blocks.append(np.column_stack(
+                [np.full(n, iteration), np.arange(n), self.state.positions, labels]))
         return rebuild_topology(self.state.positions, self.config.comm_radius,
                                 self.config.max_degree)
 
     def trajectory(self):
-        return np.array(self.rows, dtype=float) if self.rows else None
+        return np.concatenate(self.blocks) if self.blocks else None

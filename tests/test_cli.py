@@ -25,6 +25,16 @@ def test_jobs_below_one_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_zero_goal_gain_exits_with_code_2(tmp_path, capsys):
+    code = main(["mobile", "--goal-gain", "0", "--agents", "12", "--iters", "40",
+                 "--t-hold", "10", "--trials", "1", "--out-dir", str(tmp_path),
+                 "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "goal_gain" in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def written(path, text):
     path.write_text(text)
     return path

@@ -53,3 +53,12 @@ def test_unknown_keys_are_rejected():
         ExperimentConfig.from_dict({"colour": "red"})
     with pytest.raises(ConfigError, match="colour"):
         ExperimentConfig.for_mode("decide", colour="red")
+
+
+@pytest.mark.parametrize("goal_gain", [0.0, -0.5])
+def test_mobile_rejects_a_goal_gain_that_is_not_positive(goal_gain):
+    # the motion law divides by max(|blend|, goal_gain), so a gain of 0
+    # turns the positions of an agent at its target NaN
+    with pytest.raises(ConfigError, match="goal_gain"):
+        ExperimentConfig.for_mode("mobile", goal_gain=goal_gain, n_agents=12,
+                                  max_iters=40, t_hold=10, n_trials=1)

@@ -1,17 +1,20 @@
-"""Golden digests: fixed-seed batches must reproduce their summary.json bytes.
+"""Golden digests: fixed-seed batches must reproduce their summary.json bytes,
+and the mobile batch its record files as well.
 
 One small config per mode, each run serially and on a two-process pool.
-The digests are SHA-256 of the text ``summary.json`` holds; they change
+The digests are SHA-256 of the text those files hold; they change
 only when a change to the simulation is meant to change its outputs, and
 such a change says so where it updates them.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from netdecide.config import ExperimentConfig
 from netdecide.harness import run_monte_carlo
+from netdecide.records import serialize_record
 
 GOLDEN = {
     # N=20 at radius 0.4 sits over the degree cap, so world build prunes
@@ -37,6 +40,24 @@ def test_summary_digest_is_pinned(mode, n_jobs):
     summary = run_monte_carlo(config, n_jobs=n_jobs)
     text = summary.to_json() + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# every mobile record's CSV, JSON sidecar and trajectory CSV, which pin
+# positions round by round rather than through summary.json alone
+MOBILE_RECORDS = "5ac3259e554b033bc1c4c02c350899b8cfb74571f66597088155fd62d32185f2"
+
+
+def test_mobile_record_digest_is_pinned():
+    overrides, _ = GOLDEN["mobile"]
+    config = ExperimentConfig.for_mode("mobile", **overrides,
+                                       snapshot_iters=(1, 75, 150))
+    summary = run_monte_carlo(config, keep_records=True, trajectories=True)
+    digest = hashlib.sha256()
+    for record in summary.records:
+        # the sidecar holds wall_time, which no run reproduces
+        for text in serialize_record(dataclasses.replace(record, wall_time=0.0)):
+            digest.update(text.encode())
+    assert digest.hexdigest() == MOBILE_RECORDS
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netdecide.config import ExperimentConfig
 from netdecide.harness import run_single_trial, trial_seeds
@@ -73,6 +75,60 @@ def test_alignment_pulls_along_neighbor_velocity():
     targets = positions.copy()
     out = step_motion(state, targets, np.ones((2, 2), dtype=bool), PARAMS)
     assert out.velocities[0, 0] > 0
+
+
+def all_pairs_motion(state, targets, adjacency, config):
+    """The motion law over (N, N, 2) difference arrays: the reference
+    :func:`step_motion` must reproduce bit for bit."""
+    pos = state.positions
+    vel = state.velocities
+    to_target = targets - pos
+    dist = np.linalg.norm(to_target, axis=1)
+    goal = to_target / np.maximum(dist, 1.0)[:, None]
+    others = adjacency.copy()
+    np.fill_diagonal(others, False)
+    counts = others.sum(axis=1)
+    align = (others @ vel) / np.maximum(counts, 1)[:, None]
+    diff = pos[:, None, :] - pos[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    near = d2 < config.repulse_radius ** 2
+    np.fill_diagonal(near, False)
+    push = np.where(near[:, :, None], diff / np.maximum(d2, 1e-12)[:, :, None], 0.0)
+    repulse = push.sum(axis=1)
+    blend = (config.goal_gain * goal + config.align_gain * align
+             + config.repulse_gain * repulse)
+    speed = np.linalg.norm(blend, axis=1)
+    new_vel = blend * (config.max_speed / np.maximum(speed, config.goal_gain))[:, None]
+    return MotionState(positions=pos + new_vel, velocities=new_vel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+       extent=st.floats(0.25, 40.0), coincident=st.floats(0.0, 0.5),
+       link=st.floats(0.0, 1.0), radius=st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0]),
+       boundary=st.booleans())
+# a crowd well inside the radius, where every agent sums many pushes
+@example(seed=0, n=120, extent=2.0, coincident=0.1, link=0.3, radius=1.0,
+         boundary=True)
+def test_step_motion_matches_all_pairs_law(seed, n, extent, coincident, link,
+                                           radius, boundary):
+    rng = np.random.default_rng(seed)
+    # positions on a grid of quarters, so a pair sits exactly radius apart
+    positions = np.round(rng.uniform(-extent, extent, (n, 2)) * 4) / 4
+    copies = rng.random(n) < coincident
+    positions[copies] = positions[rng.integers(0, n, copies.sum())]
+    if boundary and n >= 2:
+        positions[1] = positions[0] + [radius, 0.0]
+    state = MotionState(positions=positions, velocities=rng.uniform(-1, 1, (n, 2)))
+    targets = rng.uniform(-extent, extent, (n, 2))
+    upper = np.triu(rng.random((n, n)) < link, 1)
+    adjacency = upper | upper.T | np.eye(n, dtype=bool)
+    config = PARAMS.replace(repulse_radius=radius)
+
+    got = step_motion(state, targets, adjacency, config)
+    want = all_pairs_motion(state, targets, adjacency, config)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.velocities, want.velocities)
 
 
 def test_rebuild_topology_matches_brute_force(rng):
