@@ -286,7 +286,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         threshold=config.beta,
         t_hold=config.t_hold,
         trajectory=None if motion is None else motion.trajectory(),
-        final_positions=None if motion is None else motion.state.positions.copy(),
+        final_positions=None if motion is None else motion.positions.copy(),
         max_speed_observed=None if motion is None else motion.max_observed_speed,
         wall_time=time.perf_counter() - started,
         **policy.record_fields(n_ran, agreed[:n_ran]),

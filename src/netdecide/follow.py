@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decision import InvariantViolation, run_rounds, update_desired_matrices
-from .network import bfs_depths, squared_distances
+from .network import squared_distances
 
 # benchmark/spans.py wraps these names in this module; they stay bound
 # here until it wraps them only in netdecide.decision, whose loop calls them
@@ -118,18 +118,20 @@ class AnchorRelay:
         self.sources = np.zeros(topology.n_agents, dtype=int)
         self.coverage = np.zeros(config.max_iters, dtype=int)
         self.deviations = np.zeros(config.max_iters)
-        self.depths = (bfs_depths(topology.adjacency, self.target)
-                       if check_invariants else None)
+        # the hop ball around the target, grown by one hop each round
+        self.ball = (np.arange(topology.n_agents) == self.target
+                     if check_invariants else None)
 
     def desired(self, t, w_prev, psi, close, p, adjacency):
         self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
                                                    adjacency, self.target)
         informed = self.sources > 0
         self.coverage[t] = int(informed.sum())
-        if self.depths is not None and not np.array_equal(
-                informed, (self.depths >= 0) & (self.depths <= t + 1)):
-            raise InvariantViolation(
-                f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
+        if self.ball is not None:
+            self.ball = adjacency[self.ball].any(axis=0)
+            if not np.array_equal(informed, self.ball):
+                raise InvariantViolation(
+                    f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
         return (w_prev, close,
                 *follow_matrices(self.anchors, self.sources, psi, adjacency, self.beta))
 

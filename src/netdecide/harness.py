@@ -22,9 +22,9 @@ from .config import ConfigError, ExperimentConfig
 from .decision import run_decision
 from .follow import run_follow
 from .mobility import MotionDriver, rebuild_topology
-from .network import (DivergenceError, assign_agents, build_streams,
-                      corner_models, draw_noise_profile, generate_models,
-                      generate_topology, network_to_json)
+from .network import (DivergenceError, ModelSet, build_streams, corner_models,
+                      draw_noise_profile, generate_models, generate_topology,
+                      network_to_json, random_assignment)
 from .records import RunRecord, jsonable
 
 SUMMARY_SCHEMA = "netdecide.summary/1"
@@ -61,11 +61,12 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
     else:
         models = generate_models(config.n_models, config.dim, config.model_range,
                                  seed=model_ss, min_separation_sq=4.0 * config.beta)
-    models = assign_agents(models, topology, seed=assign_ss)
-    noise = draw_noise_profile(config.n_agents, config.dim, seed=noise_ss,
-                               sigma_v2_range=config.sigma_v2_range,
-                               reg_power_range=config.reg_power_range)
-    streams = build_streams(noise, config.max_iters, sim_ss)
+    models = ModelSet(models.models, random_assignment(
+        config.n_agents, models.n_models, np.random.default_rng(assign_ss)))
+    sigma_v2, reg_power = draw_noise_profile(config.n_agents, config.dim, seed=noise_ss,
+                                             sigma_v2_range=config.sigma_v2_range,
+                                             reg_power_range=config.reg_power_range)
+    streams = build_streams(sigma_v2, reg_power, config.max_iters, sim_ss)
     network_doc = network_to_json(topology, models) if export_network else None
 
     try:
@@ -87,7 +88,7 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
         record = RunRecord.failed(
             config.mode, config.max_iters, models.models, models.assignment,
             config.beta, config.t_hold,
-            target_agent=None if config.target_agent is None else config.target_agent - 1,
+            target_agent=config.target_agent - 1 if config.mode == "follow" else None,
         )
     return record, network_doc
 

@@ -10,28 +10,16 @@ tolerated, an isolated agent simply runs self-only updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .network import Topology, squared_distances, _prune_degrees
+from .network import DivergenceError, Topology, squared_distances, _prune_degrees
 
 
-@dataclass(eq=False)
-class MotionState:
-    positions: np.ndarray
-    velocities: np.ndarray
-
-    @classmethod
-    def at(cls, positions):
-        positions = np.asarray(positions, dtype=float)
-        return cls(positions=positions.copy(),
-                   velocities=np.zeros_like(positions))
-
-
-def step_motion(state, targets, adjacency, config):
-    """One synchronous motion step, with the steering gains and geometry
-    of an :class:`~netdecide.config.ExperimentConfig`.
+def step_motion(pos, vel, targets, adjacency, config):
+    """One synchronous motion step from positions ``pos`` and velocities
+    ``vel`` (both (N, 2)), with the steering gains and geometry of an
+    :class:`~netdecide.config.ExperimentConfig`; returns the new
+    ``(pos, vel)``.
 
     The steering blend is goal_gain * (displacement to target, capped at
     unit length) + align_gain * (mean linked-neighbor velocity, self
@@ -41,9 +29,6 @@ def step_motion(state, targets, adjacency, config):
     moves at exactly max_speed, velocity fades linearly to zero at the
     target, and the cap can never be exceeded.
     """
-    pos = state.positions
-    vel = state.velocities
-
     to_target = targets - pos
     dist = np.linalg.norm(to_target, axis=1)
     goal = to_target / np.maximum(dist, 1.0)[:, None]
@@ -68,7 +53,7 @@ def step_motion(state, targets, adjacency, config):
              + config.repulse_gain * repulse)
     speed = np.linalg.norm(blend, axis=1)
     new_vel = blend * (config.max_speed / np.maximum(speed, config.goal_gain))[:, None]
-    return MotionState(positions=pos + new_vel, velocities=new_vel)
+    return pos + new_vel, new_vel
 
 
 def rebuild_topology(positions, comm_radius, max_degree):
@@ -85,29 +70,35 @@ class MotionDriver:
     """Steps the swarm inside the decision loop and samples trajectories.
 
     ``config`` supplies the motion law's gains and the communication
-    radius and degree cap of the per-round topology rebuild.
+    radius and degree cap of the per-round topology rebuild. A non-finite
+    velocity raises :class:`~netdecide.network.DivergenceError`, which
+    the harness records as a diverged trial.
     """
 
     def __init__(self, config, positions, models, snapshot_iters=()):
         self.config = config
-        self.state = MotionState.at(positions)
+        self.positions = np.array(positions, dtype=float)
+        self.velocities = np.zeros_like(self.positions)
         self.models = np.atleast_2d(models)
         self.snapshot_iters = set(snapshot_iters)
         self.blocks = []
         self.max_observed_speed = 0.0
 
     def step(self, iteration, targets, topology):
-        self.state = step_motion(self.state, targets, topology.adjacency, self.config)
-        speed = float(np.linalg.norm(self.state.velocities, axis=1).max(initial=0.0))
-        self.max_observed_speed = max(self.max_observed_speed, speed)
+        self.positions, self.velocities = step_motion(
+            self.positions, self.velocities, targets, topology.adjacency, self.config)
+        if not np.isfinite(self.velocities).all():
+            raise DivergenceError(f"non-finite velocity at iteration {iteration}")
+        speed = float(np.linalg.norm(self.velocities, axis=1).max(initial=0.0))
         if speed > self.config.max_speed * (1 + 1e-9):
             raise AssertionError(f"speed cap violated at iteration {iteration}: {speed}")
+        self.max_observed_speed = max(self.max_observed_speed, speed)
         if iteration in self.snapshot_iters:
             n = len(targets)
             labels = squared_distances(targets, self.models).argmin(axis=1)
             self.blocks.append(np.column_stack(
-                [np.full(n, iteration), np.arange(n), self.state.positions, labels]))
-        return rebuild_topology(self.state.positions, self.config.comm_radius,
+                [np.full(n, iteration), np.arange(n), self.positions, labels]))
+        return rebuild_topology(self.positions, self.config.comm_radius,
                                 self.config.max_degree)
 
     def trajectory(self):

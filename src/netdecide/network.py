@@ -1,5 +1,5 @@
-"""Network scaffolding: geometric topologies, ground-truth models, noise
-profiles, and the synthetic data streams the agents adapt on.
+"""Network scaffolding: geometric topologies, ground-truth models, per-agent
+noise statistics, and the synthetic data streams the agents adapt on.
 
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
@@ -38,25 +38,6 @@ def pairwise_close(points, threshold):
     # the test is symmetric; guard against one-ulp asymmetry in the distances
     close &= close.T
     return close
-
-
-def bfs_depths(adjacency, root):
-    """Hop counts from ``root``; -1 marks unreachable agents."""
-    n = adjacency.shape[0]
-    depth = np.full(n, -1, dtype=int)
-    frontier = np.zeros(n, dtype=bool)
-    frontier[root] = True
-    d = 0
-    while frontier.any():
-        depth[frontier] = d
-        reached = depth >= 0
-        frontier = adjacency[:, frontier].any(axis=1) & ~reached
-        d += 1
-    return depth
-
-
-def is_connected(adjacency):
-    return bool((bfs_depths(adjacency, 0) >= 0).all())
 
 
 def component_count(close):
@@ -228,7 +209,7 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
         d2 = squared_distances(positions)
         adjacency = d2 <= radius * radius
         np.fill_diagonal(adjacency, True)
-        if not is_connected(adjacency):
+        if component_count(adjacency) != 1:
             continue
         if _prune_degrees(adjacency, d2, max_degree, keep_connected=True):
             return Topology(adjacency, positions).validate()
@@ -311,40 +292,18 @@ def random_assignment(n_agents, n_models, rng):
             return assignment
 
 
-def assign_agents(models, topology, seed=None):
-    """Attach a uniform random assignment to ``models``; every model gets
-    at least one follower."""
-    rng = np.random.default_rng(seed)
-    assignment = random_assignment(topology.n_agents, models.n_models, rng)
-    return ModelSet(models.models, assignment)
-
-
-@dataclass(eq=False)
-class NoiseProfile:
-    """Per-agent signal and noise statistics.
-
-    sigma_v2 : ndarray, shape (N,)
-        Measurement-noise variances.
-    reg_power : ndarray, shape (N, M)
-        Diagonal entries of each agent's regressor covariance.
-    """
-
-    sigma_v2: np.ndarray
-    reg_power: np.ndarray
-
-    def __post_init__(self):
-        self.sigma_v2 = np.asarray(self.sigma_v2, dtype=float)
-        self.reg_power = np.atleast_2d(np.asarray(self.reg_power, dtype=float))
-
-
 def draw_noise_profile(n_agents, dim, seed=None, *, sigma_v2_range, reg_power_range):
-    """Noise variances log-uniform in ``sigma_v2_range``; regressor powers
-    uniform in ``reg_power_range``."""
+    """Per-agent signal and noise statistics ``(sigma_v2, reg_power)``.
+
+    ``sigma_v2`` (N,) holds measurement-noise variances, log-uniform in
+    ``sigma_v2_range``; ``reg_power`` (N, M) holds the diagonal entries of
+    each agent's regressor covariance, uniform in ``reg_power_range``.
+    """
     rng = np.random.default_rng(seed)
     lo, hi = sigma_v2_range
     sigma_v2 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n_agents))
     reg_power = rng.uniform(*reg_power_range, size=(n_agents, dim))
-    return NoiseProfile(sigma_v2, reg_power)
+    return sigma_v2, reg_power
 
 
 class DataStream:
@@ -357,15 +316,15 @@ class DataStream:
     models, which keeps mid-run reassignment cheap.
     """
 
-    def __init__(self, noise, agent_seeds, n_iters):
+    def __init__(self, sigma_v2, reg_power, agent_seeds, n_iters):
         n = len(agent_seeds)
-        dim = noise.reg_power.shape[1]
+        dim = reg_power.shape[1]
         self.u = np.empty((n_iters, n, dim))
         self.v = np.empty((n_iters, n))
         for k, entropy in enumerate(agent_seeds):
             g = np.random.default_rng(entropy)
-            self.u[:, k, :] = g.standard_normal((n_iters, dim)) * np.sqrt(noise.reg_power[k])
-            self.v[:, k] = g.standard_normal(n_iters) * np.sqrt(noise.sigma_v2[k])
+            self.u[:, k, :] = g.standard_normal((n_iters, dim)) * np.sqrt(reg_power[k])
+            self.v[:, k] = g.standard_normal(n_iters) * np.sqrt(sigma_v2[k])
 
     def round(self, i, observed):
         """Regressors and observations for 1-based iteration ``i``."""
@@ -383,13 +342,13 @@ class StreamBundle:
     reassign: np.random.Generator
 
 
-def build_streams(noise, n_iters, seed):
+def build_streams(sigma_v2, reg_power, n_iters, seed):
     """Split ``seed`` into per-agent data streams, per-agent decision
     streams, and one reassignment stream (in that spawn order)."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    n = noise.reg_power.shape[0]
+    n = reg_power.shape[0]
     children = root.spawn(2 * n + 1)
-    data = DataStream(noise, children[:n], n_iters)
+    data = DataStream(sigma_v2, reg_power, children[:n], n_iters)
     decision = [np.random.default_rng(s) for s in children[n:2 * n]]
     return StreamBundle(data=data, decision=decision,
                         reassign=np.random.default_rng(children[2 * n]))

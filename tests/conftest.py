@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from netdecide.config import ExperimentConfig
-from netdecide.network import (assign_agents, build_streams, draw_noise_profile,
-                               generate_models, generate_topology)
+from netdecide.network import (ModelSet, build_streams, draw_noise_profile,
+                               generate_models, generate_topology,
+                               random_assignment)
 
 
 # the noise ranges of the default config
@@ -28,11 +29,12 @@ def build_world(cfg, seed=0):
     topo = generate_topology(cfg.n_agents, cfg.max_degree, cfg.radius, seed=seed)
     models = generate_models(cfg.n_models, cfg.dim, cfg.model_range,
                              seed=seed + 1, min_separation_sq=4.0 * cfg.beta)
-    models = assign_agents(models, topo, seed=seed + 2)
+    models = ModelSet(models.models, random_assignment(
+        cfg.n_agents, models.n_models, np.random.default_rng(seed + 2)))
     noise = draw_noise_profile(cfg.n_agents, cfg.dim, seed=seed + 3,
                                sigma_v2_range=cfg.sigma_v2_range,
                                reg_power_range=cfg.reg_power_range)
-    streams = build_streams(noise, cfg.max_iters, seed + 4)
+    streams = build_streams(*noise, cfg.max_iters, seed + 4)
     return topo, models, streams
 
 

@@ -219,7 +219,7 @@ def test_beliefs_recover_cluster_structure(seed):
     assignment = np.arange(n) % 2
     observed = models.models[assignment]
     noise = draw_noise_profile(n, 2, seed=seed + 200, **NOISE_RANGES)
-    streams = build_streams(noise, n_rounds, seed + 300)
+    streams = build_streams(*noise, n_rounds, seed + 300)
     psi = np.zeros((n, 2))
     phi = np.zeros((n, 2))
     smoothed = np.eye(n)

@@ -4,11 +4,28 @@ import numpy as np
 import pytest
 
 from conftest import build_world, tiny_config
-from netdecide.decision import update_desired_matrices
+import netdecide.follow
+from netdecide.decision import InvariantViolation, update_desired_matrices
 from netdecide.diffusion import combination_weights
 from netdecide.follow import follow_matrices, run_follow, spread_anchor
-from netdecide.network import bfs_depths
 from test_network import path_adjacency
+
+
+def hop_depths(adjacency, root):
+    """Hop counts from ``root`` by a plain-Python breadth-first search;
+    -1 marks agents it never reaches."""
+    depth = [-1] * len(adjacency)
+    depth[root] = 0
+    frontier = [root]
+    while frontier:
+        grown = []
+        for v in frontier:
+            for w in np.flatnonzero(adjacency[v]).tolist():
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    grown.append(w)
+        frontier = grown
+    return np.array(depth)
 
 
 def initial_relay(n, dim):
@@ -57,7 +74,7 @@ def test_informed_set_is_bfs_ball(rng):
     for i in range(n):
         for j in range(i + 1, n):
             adj[i, j] = adj[j, i] = rng.random() < 0.2
-    depths = bfs_depths(adj, 4)
+    depths = hop_depths(adj, 4)
     anchors, sources = initial_relay(n, 2)
     psi = rng.normal(size=(n, 2))
     for i in range(1, n + 2):
@@ -118,12 +135,30 @@ def test_run_follow_converges_to_target_model():
     assert not np.isnan(record.msd_desired).any()
     coverage = record.source_coverage
     assert (np.diff(coverage) >= 0).all()
-    depth_max = bfs_depths(topo.adjacency, 2).max()
+    depth_max = hop_depths(topo.adjacency, 2).max()
     assert coverage[depth_max - 1] == cfg.n_agents
     assert record.success
     assert record.final_model == models.assignment[2]
     target_model = models.models[models.assignment[2]]
     assert ((record.final_w - target_model) ** 2).sum(axis=1).max() < cfg.beta
+
+
+def test_invariant_check_catches_a_stalled_relay(monkeypatch):
+    # the relay skips its third round, so the informed set lags the ball
+    calls = []
+
+    def stalled(anchors, sources, *args):
+        calls.append(None)
+        if len(calls) == 3:
+            return anchors, sources
+        return spread_anchor(anchors, sources, *args)
+
+    monkeypatch.setattr(netdecide.follow, "spread_anchor", stalled)
+    cfg = tiny_config(mode="follow", n_models=2, max_iters=40, target_agent=3)
+    topo, models, streams = build_world(cfg, seed=2)
+    with pytest.raises(InvariantViolation, match="at round 3 "):
+        run_follow(cfg, topo, models, streams, check_invariants=True)
+    assert len(calls) == 3
 
 
 def test_run_follow_reassignment_perturbs_only_the_suffix():

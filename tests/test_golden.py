@@ -1,5 +1,5 @@
-"""Golden digests: fixed-seed batches must reproduce their summary.json bytes,
-and the mobile batch its record files as well.
+"""Golden digests: fixed-seed batches must reproduce their summary.json bytes
+and the files of every record.
 
 One small config per mode, each run serially and on a two-process pool.
 The digests are SHA-256 of the text those files hold; they change
@@ -42,6 +42,18 @@ def test_summary_digest_is_pinned(mode, n_jobs):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def records_digest(summary):
+    """SHA-256 over every record's CSV, JSON sidecar and trajectory CSV
+    (when it has one), in trial order."""
+    digest = hashlib.sha256()
+    for record in summary.records:
+        # the sidecar holds wall_time, which no run reproduces
+        for text in serialize_record(dataclasses.replace(record, wall_time=0.0)):
+            if text is not None:
+                digest.update(text.encode())
+    return digest.hexdigest()
+
+
 # every mobile record's CSV, JSON sidecar and trajectory CSV, which pin
 # positions round by round rather than through summary.json alone
 MOBILE_RECORDS = "5ac3259e554b033bc1c4c02c350899b8cfb74571f66597088155fd62d32185f2"
@@ -52,12 +64,24 @@ def test_mobile_record_digest_is_pinned():
     config = ExperimentConfig.for_mode("mobile", **overrides,
                                        snapshot_iters=(1, 75, 150))
     summary = run_monte_carlo(config, keep_records=True, trajectories=True)
-    digest = hashlib.sha256()
-    for record in summary.records:
-        # the sidecar holds wall_time, which no run reproduces
-        for text in serialize_record(dataclasses.replace(record, wall_time=0.0)):
-            digest.update(text.encode())
-    assert digest.hexdigest() == MOBILE_RECORDS
+    assert records_digest(summary) == MOBILE_RECORDS
+
+
+# every decide and follow record's CSV and JSON sidecar, which hold the
+# per-agent switch counts, the desired-model counts and the relay coverage
+# that summary.json only aggregates
+RECORDS = {
+    "decide": "9fe3de3f909e6d024ccadd54381e630ccd63b59b832499b81fcf66257379eb8c",
+    "follow": "1f59d6c33f2e13f2b5f3b50e5cf2195a262f03bd95793cc1ecf8f87fb720a8d2",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RECORDS))
+def test_record_digest_is_pinned(mode):
+    overrides, _ = GOLDEN[mode]
+    config = ExperimentConfig.for_mode(mode, **overrides)
+    summary = run_monte_carlo(config, keep_records=True)
+    assert records_digest(summary) == RECORDS[mode]
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))

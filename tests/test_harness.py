@@ -9,6 +9,7 @@ import pytest
 from netdecide.cli import main
 from netdecide.config import ConfigError
 from netdecide.harness import _nan_stats, _pad_stack, run_monte_carlo
+from netdecide.records import record_to_json
 
 from conftest import strict_json, tiny_config
 
@@ -76,6 +77,20 @@ def test_diverging_batch_records_every_trial_as_failed():
     assert summary.diverged_count == summary.n_trials == 2
     assert summary.success_count == 0
     assert all(r.diverged and not r.success for r in summary.records)
+
+
+@pytest.mark.parametrize("mode, step_size, diverged, target", [
+    ("decide", 1.5, 2, None), ("decide", 0.01, 0, None), ("follow", 1.5, 2, 5)])
+def test_records_name_a_target_only_in_follow_mode(mode, step_size, diverged, target):
+    # a decide config may carry a target_agent; its records, failure stubs
+    # included, name none
+    config = tiny_config(**dict(DIVERGING, mode=mode, step_size=step_size,
+                                target_agent=5))
+    summary = run_monte_carlo(config, keep_records=True)
+    assert summary.diverged_count == diverged
+    for record in summary.records:
+        assert record.target_agent == (None if target is None else target - 1)
+        assert strict_json(record_to_json(record))["target_agent"] == target
 
 
 def test_diverging_cli_run_writes_strict_json(tmp_path, monkeypatch):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netdecide.mobility
 from netdecide.config import ExperimentConfig
 from netdecide.harness import run_single_trial, trial_seeds
 from netdecide.metrics import captured_source
-from netdecide.mobility import (MotionDriver, MotionState, rebuild_topology,
-                                step_motion)
-from netdecide.network import is_connected, squared_distances
+from netdecide.mobility import MotionDriver, rebuild_topology, step_motion
+from netdecide.network import DivergenceError, component_count
 
 
 PARAMS = ExperimentConfig.for_mode("mobile")
@@ -20,50 +20,55 @@ def lone_adjacency(n):
     return np.eye(n, dtype=bool)
 
 
+def at_rest(positions):
+    """Positions and zero velocities, the ``(pos, vel)`` of a swarm at rest."""
+    positions = np.array(positions, dtype=float)
+    return positions, np.zeros_like(positions)
+
+
 def test_agent_at_target_stays_put():
-    state = MotionState.at(np.array([[3.0, 4.0]]))
-    out = step_motion(state, np.array([[3.0, 4.0]]), lone_adjacency(1), PARAMS)
-    assert np.linalg.norm(out.velocities) < 1e-6
-    assert np.allclose(out.positions, [[3.0, 4.0]])
+    pos, vel = step_motion(*at_rest([[3.0, 4.0]]), np.array([[3.0, 4.0]]),
+                           lone_adjacency(1), PARAMS)
+    assert np.linalg.norm(vel) < 1e-6
+    assert np.allclose(pos, [[3.0, 4.0]])
 
 
 def test_lone_far_agent_moves_at_exactly_max_speed():
-    state = MotionState.at(np.array([[0.0, 0.0]]))
     target = np.array([[300.0, 400.0]])
-    out = step_motion(state, target, lone_adjacency(1), PARAMS)
-    speed = np.linalg.norm(out.velocities)
+    pos, vel = step_motion(*at_rest([[0.0, 0.0]]), target, lone_adjacency(1), PARAMS)
+    speed = np.linalg.norm(vel)
     assert speed == pytest.approx(PARAMS.max_speed, rel=1e-12)
-    assert np.allclose(out.positions, [[0.6, 0.8]])
+    assert np.allclose(pos, [[0.6, 0.8]])
 
 
 def test_velocity_fades_near_target():
-    state = MotionState.at(np.array([[0.0, 0.0]]))
-    out = step_motion(state, np.array([[0.1, 0.0]]), lone_adjacency(1), PARAMS)
+    _, vel = step_motion(*at_rest([[0.0, 0.0]]), np.array([[0.1, 0.0]]),
+                         lone_adjacency(1), PARAMS)
     # inside the unit ball the goal term scales with distance
-    assert np.linalg.norm(out.velocities) == pytest.approx(0.1, rel=1e-9)
+    assert np.linalg.norm(vel) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_speed_cap_holds_on_random_swarms(rng):
     for _ in range(25):
         n = 12
-        state = MotionState(positions=rng.uniform(-20, 20, (n, 2)),
-                            velocities=rng.uniform(-1, 1, (n, 2)))
+        pos = rng.uniform(-20, 20, (n, 2))
+        vel = rng.uniform(-1, 1, (n, 2))
         targets = rng.uniform(-20, 20, (n, 2))
         adjacency = rng.random((n, n)) < 0.4
         adjacency |= adjacency.T
         np.fill_diagonal(adjacency, True)
-        out = step_motion(state, targets, adjacency, PARAMS)
-        speeds = np.linalg.norm(out.velocities, axis=1)
+        _, vel = step_motion(pos, vel, targets, adjacency, PARAMS)
+        speeds = np.linalg.norm(vel, axis=1)
         assert (speeds <= PARAMS.max_speed * (1 + 1e-9)).all()
 
 
 def test_repulsion_separates_near_collisions():
     positions = np.array([[0.0, 0.0], [0.05, 0.0]])
-    state = MotionState.at(positions)
     targets = np.array([[10.0, 0.0], [10.0, 0.0]])
     before = np.linalg.norm(positions[0] - positions[1])
-    out = step_motion(state, targets, np.ones((2, 2), dtype=bool), PARAMS)
-    after = np.linalg.norm(out.positions[0] - out.positions[1])
+    pos, _ = step_motion(*at_rest(positions), targets, np.ones((2, 2), dtype=bool),
+                         PARAMS)
+    after = np.linalg.norm(pos[0] - pos[1])
     assert after > before
 
 
@@ -71,17 +76,15 @@ def test_alignment_pulls_along_neighbor_velocity():
     # both sit at their targets; only the trailing agent feels alignment
     positions = np.array([[0.0, 0.0], [5.0, 0.0]])
     velocities = np.array([[0.0, 0.0], [1.0, 0.0]])
-    state = MotionState(positions=positions, velocities=velocities)
     targets = positions.copy()
-    out = step_motion(state, targets, np.ones((2, 2), dtype=bool), PARAMS)
-    assert out.velocities[0, 0] > 0
+    _, vel = step_motion(positions, velocities, targets, np.ones((2, 2), dtype=bool),
+                         PARAMS)
+    assert vel[0, 0] > 0
 
 
-def all_pairs_motion(state, targets, adjacency, config):
+def all_pairs_motion(pos, vel, targets, adjacency, config):
     """The motion law over (N, N, 2) difference arrays: the reference
     :func:`step_motion` must reproduce bit for bit."""
-    pos = state.positions
-    vel = state.velocities
     to_target = targets - pos
     dist = np.linalg.norm(to_target, axis=1)
     goal = to_target / np.maximum(dist, 1.0)[:, None]
@@ -99,7 +102,7 @@ def all_pairs_motion(state, targets, adjacency, config):
              + config.repulse_gain * repulse)
     speed = np.linalg.norm(blend, axis=1)
     new_vel = blend * (config.max_speed / np.maximum(speed, config.goal_gain))[:, None]
-    return MotionState(positions=pos + new_vel, velocities=new_vel)
+    return pos + new_vel, new_vel
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,16 +122,16 @@ def test_step_motion_matches_all_pairs_law(seed, n, extent, coincident, link,
     positions[copies] = positions[rng.integers(0, n, copies.sum())]
     if boundary and n >= 2:
         positions[1] = positions[0] + [radius, 0.0]
-    state = MotionState(positions=positions, velocities=rng.uniform(-1, 1, (n, 2)))
+    velocities = rng.uniform(-1, 1, (n, 2))
     targets = rng.uniform(-extent, extent, (n, 2))
     upper = np.triu(rng.random((n, n)) < link, 1)
     adjacency = upper | upper.T | np.eye(n, dtype=bool)
     config = PARAMS.replace(repulse_radius=radius)
 
-    got = step_motion(state, targets, adjacency, config)
-    want = all_pairs_motion(state, targets, adjacency, config)
-    assert np.array_equal(got.positions, want.positions)
-    assert np.array_equal(got.velocities, want.velocities)
+    got = step_motion(positions, velocities, targets, adjacency, config)
+    want = all_pairs_motion(positions, velocities, targets, adjacency, config)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 def test_rebuild_topology_matches_brute_force(rng):
@@ -153,7 +156,7 @@ def test_rebuild_topology_tolerates_disconnection():
     pts = np.array([[0.0, 0.0], [100.0, 0.0]])
     topo = rebuild_topology(pts, comm_radius=5.0, max_degree=7)
     assert not topo.adjacency[0, 1]
-    assert not is_connected(topo.adjacency)
+    assert component_count(topo.adjacency) == 2
 
 
 def test_motion_driver_samples_requested_snapshots():
@@ -164,7 +167,7 @@ def test_motion_driver_samples_requested_snapshots():
     targets = np.array([[-50.0, -50.0], [50.0, 50.0], [50.0, 50.0]])
     for i in (1, 2, 3):
         topo = driver.step(i, targets, rebuild_topology(
-            driver.state.positions, 22.0, 80))
+            driver.positions, 22.0, 80))
         topo.validate()
     rows = driver.trajectory()
     assert rows.shape == (6, 5)
@@ -175,6 +178,26 @@ def test_motion_driver_samples_requested_snapshots():
     assert driver.max_observed_speed <= PARAMS.max_speed * (1 + 1e-9)
     empty = MotionDriver(PARAMS, positions, models)
     assert empty.trajectory() is None
+
+
+def test_motion_driver_raises_divergence_on_non_finite_velocity():
+    # agent 0 steers at a NaN target while agent 1 flies on at full speed
+    positions = np.array([[0.0, 0.0], [10.0, 0.0]])
+    driver = MotionDriver(PARAMS, positions, np.array([[20.0, 0.0]]))
+    targets = np.array([[np.nan, np.nan], [20.0, 0.0]])
+    with pytest.raises(DivergenceError, match="iteration 4"):
+        driver.step(4, targets, rebuild_topology(positions, 22.0, 80))
+
+
+def test_non_finite_motion_records_a_diverged_trial(monkeypatch):
+    def nan_motion(pos, vel, *args):
+        return pos + np.nan, vel + np.nan
+
+    monkeypatch.setattr(netdecide.mobility, "step_motion", nan_motion)
+    cfg = ExperimentConfig.for_mode("mobile", n_agents=12, max_iters=40,
+                                    t_hold=10, n_trials=1)
+    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0])
+    assert record.diverged and not record.success
 
 
 def test_seeded_swarm_reaches_one_source():

@@ -6,13 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
-                               assign_agents, bfs_depths, build_streams,
-                               component_count, corner_models,
+                               build_streams, component_count, corner_models,
                                draw_noise_profile, generate_models,
-                               generate_topology, is_connected,
-                               network_from_json, network_to_json,
-                               pairwise_close, random_assignment,
-                               squared_distances)
+                               generate_topology, network_from_json,
+                               network_to_json, pairwise_close,
+                               random_assignment, squared_distances)
 
 from conftest import NOISE_RANGES
 
@@ -74,26 +72,13 @@ def test_pairwise_close_matches_brute_force(rng):
     assert np.array_equal(close, close.T)
 
 
-def test_bfs_depths_on_path():
-    adj = path_adjacency(5)
-    assert np.array_equal(bfs_depths(adj, 0), [0, 1, 2, 3, 4])
-    assert np.array_equal(bfs_depths(adj, 2), [2, 1, 0, 1, 2])
-
-
-def test_bfs_depths_unreachable_is_minus_one():
-    adj = np.eye(4, dtype=bool)
-    adj[0, 1] = adj[1, 0] = True
-    assert np.array_equal(bfs_depths(adj, 0), [0, 1, -1, -1])
-
-
 def test_connectivity_and_components(rng):
-    assert is_connected(path_adjacency(6))
+    assert component_count(path_adjacency(6)) == 1
     split = np.eye(6, dtype=bool)
     split[0, 1] = split[1, 0] = True
     split[3, 4] = split[4, 3] = True
-    assert not is_connected(split)
     assert component_count(split) == 4
-    # oracle: count components by repeated BFS
+    # oracle: count components by a plain-Python graph search
     for _ in range(20):
         n = int(rng.integers(2, 9))
         adj = np.eye(n, dtype=bool)
@@ -101,14 +86,7 @@ def test_connectivity_and_components(rng):
             for j in range(i + 1, n):
                 if rng.random() < 0.25:
                     adj[i, j] = adj[j, i] = True
-        seen = np.zeros(n, dtype=bool)
-        count = 0
-        for root in range(n):
-            if not seen[root]:
-                count += 1
-                seen |= bfs_depths(adj, root) >= 0
-        assert component_count(adj) == count
-        assert is_connected(adj) == (count == 1)
+        assert component_count(adj) == oracle_component_count(adj)
 
 
 def oracle_component_count(close):
@@ -182,7 +160,7 @@ def test_topology_validate_rejects_bad_shapes():
 def test_generate_topology_contract(seed):
     topo = generate_topology(30, max_degree=7, radius=0.35, seed=seed)
     topo.validate()
-    assert is_connected(topo.adjacency)
+    assert component_count(topo.adjacency) == 1
     assert topo.degrees.max() <= 7
     assert (topo.positions >= 0).all() and (topo.positions <= 1).all()
 
@@ -212,7 +190,7 @@ def reference_prune(adjacency, sqdist, max_degree):
         if deg[a] <= max_degree and deg[b] <= max_degree:
             continue
         adjacency[a, b] = adjacency[b, a] = False
-        if not is_connected(adjacency):
+        if component_count(adjacency) != 1:
             adjacency[a, b] = adjacency[b, a] = True
             continue
         deg[a] -= 1
@@ -228,7 +206,7 @@ def reference_topology(n_agents, max_degree, radius, seed, max_tries=50):
         d2 = squared_distances(positions)
         adjacency = d2 <= radius * radius
         np.fill_diagonal(adjacency, True)
-        if not is_connected(adjacency):
+        if component_count(adjacency) != 1:
             continue
         if reference_prune(adjacency, d2, max_degree):
             return adjacency, positions
@@ -261,7 +239,7 @@ def test_two_clique_topology_structure():
     assert adj[:4, :4].all() and adj[4:, 4:].all()
     off = adj[:4, 4:].copy()
     assert off.sum() == 1 and off[3, 0]
-    assert is_connected(adj)
+    assert component_count(adj) == 1
 
 
 def test_generate_models_respects_separation_and_range():
@@ -293,29 +271,18 @@ def test_random_assignment_covers_every_model(rng):
         assert set(np.unique(assignment)) == {0, 1, 2, 3}
 
 
-def test_assign_agents_attaches_assignment():
-    topo = generate_topology(15, max_degree=7, radius=0.5, seed=3)
-    ms = generate_models(3, 2, (-1.0, 1.0), seed=4, min_separation_sq=0.32)
-    assigned = assign_agents(ms, topo, seed=5)
-    assert assigned.assignment.shape == (15,)
-    observed = assigned.models[assigned.assignment]
-    assert observed.shape == (15, 2)
-    for k in range(15):
-        assert np.array_equal(observed[k],
-                              ms.models[assigned.assignment[k]])
-
-
 def test_noise_profile_stays_in_ranges():
-    noise = draw_noise_profile(200, 2, seed=9, sigma_v2_range=(1e-3, 1e-2),
-                               reg_power_range=(0.8, 1.2))
-    assert noise.sigma_v2.shape == (200,)
-    assert (noise.sigma_v2 >= 1e-3).all() and (noise.sigma_v2 <= 1e-2).all()
-    assert (noise.reg_power >= 0.8).all() and (noise.reg_power <= 1.2).all()
+    sigma_v2, reg_power = draw_noise_profile(
+        200, 2, seed=9, sigma_v2_range=(1e-3, 1e-2), reg_power_range=(0.8, 1.2))
+    assert sigma_v2.shape == (200,)
+    assert reg_power.shape == (200, 2)
+    assert (sigma_v2 >= 1e-3).all() and (sigma_v2 <= 1e-2).all()
+    assert (reg_power >= 0.8).all() and (reg_power <= 1.2).all()
 
 
 def test_data_stream_observation_algebra():
     noise = draw_noise_profile(6, 2, seed=11, **NOISE_RANGES)
-    stream = DataStream(noise, np.random.SeedSequence(5).spawn(6), n_iters=40)
+    stream = DataStream(*noise, np.random.SeedSequence(5).spawn(6), n_iters=40)
     w = np.arange(12, dtype=float).reshape(6, 2)
     d, u = stream.round(17, w)
     assert np.allclose(d, (u * w).sum(axis=1) + stream.v[16])
@@ -324,9 +291,9 @@ def test_data_stream_observation_algebra():
 
 def test_build_streams_is_seed_deterministic():
     noise = draw_noise_profile(5, 2, seed=21, **NOISE_RANGES)
-    a = build_streams(noise, 30, seed=77)
-    b = build_streams(noise, 30, seed=77)
-    c = build_streams(noise, 30, seed=78)
+    a = build_streams(*noise, 30, seed=77)
+    b = build_streams(*noise, 30, seed=77)
+    c = build_streams(*noise, 30, seed=78)
     assert np.array_equal(a.data.u, b.data.u)
     assert np.array_equal(a.data.v, b.data.v)
     assert not np.array_equal(a.data.u, c.data.u)
@@ -337,9 +304,8 @@ def test_build_streams_is_seed_deterministic():
 
 def test_network_json_round_trip():
     topo = generate_topology(12, max_degree=7, radius=0.5, seed=2)
-    models = assign_agents(generate_models(2, 2, (-1.0, 1.0), seed=3,
-                                           min_separation_sq=0.32),
-                           topo, seed=4)
+    models = generate_models(2, 2, (-1.0, 1.0), seed=3, min_separation_sq=0.32)
+    models = ModelSet(models.models, random_assignment(12, 2, np.random.default_rng(4)))
     doc = network_to_json(topo, models)
     assert doc["schema"] == "netdecide.network/1"
     assert min(a["id"] for a in doc["agents"]) == 1
