@@ -25,6 +25,14 @@ a "hold" route that keeps diffusing previous desired estimates otherwise.
 The two are all the loop keeps of the split; their sum is the linked
 weights.
 
+A static topology is fixed for the whole run, so :func:`run_rounds`
+builds its link index once (the flat indices, rows and columns of the
+adjacency's True entries) and the cluster, weight and split stages run on
+the links. The smoothed beliefs and the combination, fresh and hold
+weights, the BLAS operands of the aggregation and the estimate update,
+stay N x N, as does the closeness, whose every pair the desired-model
+count reads. Mobile swarms pass no index and take the dense path.
+
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
 (re-sends) updated desired estimates before the combination weights for
@@ -38,13 +46,14 @@ import time
 import numpy as np
 
 from .diffusion import (adapt, aggregate, believed_neighborhoods,
-                        check_divergence, combination_weights, update_cluster_matrices)
+                        check_divergence, combination_weights, link_weights,
+                        update_cluster_matrices)
 # benchmark/spans.py times the switch stage's labeling under this name, here
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
-from .network import (component_count, pairwise_close, random_assignment,
-                      squared_distances)
+from .network import (component_count, link_distances, link_index, pairwise_close,
+                      random_assignment, squared_distances)
 from .records import RunRecord
 
 
@@ -52,17 +61,25 @@ class InvariantViolation(AssertionError):
     """A per-round structural invariant failed."""
 
 
-def update_desired_matrices(linked, psi, anchors, threshold):
+def update_desired_matrices(linked, psi, anchors, threshold, links=None):
     """Split weight matrices ``(fresh, hold)`` for one round.
 
     The uniform column-stochastic weights over ``linked`` are split by
     neighbor: a weight rides the fresh route when the neighbor's
     adaptation output is within ``threshold`` (squared norm) of the
-    agent's anchor, and the hold route otherwise.
+    agent's anchor, and the hold route otherwise. Given ``links``,
+    ``linked`` holds one bool per link, and the weights and the distance
+    test are taken on the linked links only.
     """
-    weights = combination_weights(linked)
-    fresh = np.where(squared_distances(psi, anchors) <= threshold, weights, 0.0)
-    return fresh, weights - fresh
+    if links is None:
+        weights = combination_weights(linked)
+        fresh = np.where(squared_distances(psi, anchors) <= threshold, weights, 0.0)
+        return fresh, weights - fresh
+    links = links.where(linked)
+    weights = link_weights(links)
+    near = link_distances(psi, anchors, links) <= threshold
+    return (links.where(near).scatter(weights[near]),
+            links.where(~near).scatter(weights[~near]))
 
 
 def update_estimate(phi, w_prev, fresh, hold):
@@ -127,8 +144,11 @@ def verify_round(*, combination, support, smoothed, fresh, hold, close, adjacenc
     if ((total > 0) & ~adjacency).any():
         raise InvariantViolation("desired weights outside the adjacency")
     # aggregates stay in the convex hull of the estimates they combine
-    lo = np.where(support[:, :, None], psi[:, None, :], np.inf).min(axis=0)
-    hi = np.where(support[:, :, None], psi[:, None, :], -np.inf).max(axis=0)
+    rows, cols = np.nonzero(support)
+    lo = np.full_like(phi, np.inf)
+    hi = np.full_like(phi, -np.inf)
+    np.minimum.at(lo, cols, psi[rows])
+    np.maximum.at(hi, cols, psi[rows])
     if (phi < lo - 1e-9).any() or (phi > hi + 1e-9).any():
         raise InvariantViolation("aggregate left the convex hull of its support")
 
@@ -153,15 +173,15 @@ class MajoritySwitching:
         self.random_counts = np.zeros(n_agents, dtype=int)
         self.deviations = np.zeros((config.max_iters, n_models))
 
-    def desired(self, t, w_prev, psi, close, p, adjacency):
+    def desired(self, t, w_prev, psi, close, p, adjacency, links):
         w_prev, adopted, drawn = apply_switching(
             w_prev, close, adjacency, p, self.rngs, self.equilibrium_break)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1
             close = pairwise_close(w_prev, self.beta)
-        fresh, hold = update_desired_matrices(close & adjacency, psi, w_prev,
-                                              self.beta)
+        linked = close & adjacency if links is None else close.ravel()[links.flat]
+        fresh, hold = update_desired_matrices(linked, psi, w_prev, self.beta, links)
         return w_prev, close, fresh, hold
 
     def track(self, t, w, models, assignment):
@@ -201,6 +221,8 @@ def run_rounds(config, topology, models, streams, policy, *,
     observed = models.models[assignment]
     adjacency = topology.adjacency
     degrees = topology.degrees
+    # a static network's links, on which the neighborhood stages run
+    links = link_index(adjacency) if motion is None else None
     bound = 1e3 * max(np.linalg.norm(models.models, axis=1).max(), 1.0)
     reassign_at = set(config.reassign_at)
 
@@ -237,9 +259,11 @@ def run_rounds(config, topology, models, streams, policy, *,
             w_prev = psi.copy()
 
         smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
-                                           config.alpha, config.smoothing)
-        support = believed_neighborhoods(smoothed) & adjacency
-        combination = combination_weights(support)
+                                           config.alpha, config.smoothing, links)
+        support = believed_neighborhoods(smoothed, links)
+        if links is None:
+            support &= adjacency
+        combination = combination_weights(support, links)
         phi = aggregate(combination, psi)
 
         close = pairwise_close(w_prev, config.beta)
@@ -248,7 +272,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         streak = streak + 1 if agreed[t] else 0
 
         w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p,
-                                                    adjacency)
+                                                    adjacency, links)
         n_desired[t] = component_count(close)
         w = update_estimate(phi, w_prev, fresh, hold)
 
@@ -256,6 +280,9 @@ def run_rounds(config, topology, models, streams, policy, *,
         policy.track(t, w, models.models, assignment)
 
         if check_invariants:
+            # on links, the dense support holds the link path to the dense one
+            if links is not None:
+                support = believed_neighborhoods(smoothed) & adjacency
             verify_round(combination=combination, support=support,
                          smoothed=smoothed, fresh=fresh, hold=hold, close=close,
                          adjacency=adjacency, phi=phi, psi=psi)

@@ -10,13 +10,20 @@ The belief state is one N x N array of smoothed indicators in [0, 1],
 the identity before any data (each agent believes only in itself). A
 belief is its entry rounded half up, read where the aggregation support
 is built.
+
+Static networks pass the stages the adjacency's link index
+(``netdecide.network.link_index``: the flat indices l*N + k, rows and
+columns of its True entries), and the proximity test, the support and the
+weights run on the links. The smoothed state and the weights, the BLAS
+operand of :func:`aggregate`, stay N x N. Mobile swarms pass no index and
+take the same steps on N x N arrays, to the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import DivergenceError, squared_distances
+from .network import DivergenceError, link_distances, squared_distances
 
 
 def adapt(psi, u, d, step_size):
@@ -55,7 +62,8 @@ def check_divergence(psi, bound):
     )
 
 
-def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing):
+def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing,
+                            links=None):
     """Advance the smoothed cluster indicators by one round.
 
     The instantaneous indicator for (l, k) is the test
@@ -65,28 +73,54 @@ def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing
     or dissolves after the indicator holds steadily for on the order of
     1/smoothing rounds. That lag is what keeps transient proximity during
     the early adaptation phase from ever being believed.
+
+    Given ``links``, the link index of ``adjacency``, the test runs on the
+    links only and ``smoothing`` is added where it passes, which rounds
+    exactly as adding ``smoothing`` times the 0/1 indicator.
     """
-    raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency
-    return (1.0 - smoothing) * smoothed + smoothing * raw
+    if links is None:
+        raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency
+        return (1.0 - smoothing) * smoothed + smoothing * raw
+    near = link_distances(psi, phi_prev, links) <= alpha
+    smoothed = (1.0 - smoothing) * smoothed
+    smoothed.ravel()[links.flat[near]] += smoothing
+    return smoothed
 
 
-def believed_neighborhoods(smoothed):
+def believed_neighborhoods(smoothed, links=None):
     """Column support for aggregation: believed neighbors plus always self.
 
     Entry (l, k) of ``smoothed`` rounded to the nearest integer, ties at
-    0.5 rounding up, says whether k believes l observes its model.
+    0.5 rounding up, says whether k believes l observes its model. Given
+    ``links``, the support is one bool per link.
     """
+    if links is not None:
+        return (smoothed.ravel()[links.flat] >= 0.5) | (links.rows == links.cols)
     support = smoothed >= 0.5
     np.fill_diagonal(support, True)
     return support
 
 
-def combination_weights(support):
+def link_weights(links):
+    """Uniform column-stochastic weights over ``links``, one per link:
+    1 / (the number of links in its column)."""
+    counts = np.bincount(links.cols, minlength=links.n)
+    if (counts == 0).any():
+        raise ValueError("empty aggregation support column")
+    return 1.0 / counts[links.cols]
+
+
+def combination_weights(support, links=None):
     """Uniform column-stochastic weights over each column's support.
 
     Entry (l, k) is the weight agent k puts on neighbor l. Every column
     must be nonempty (guaranteed when support includes the diagonal).
+    Given ``links``, ``support`` holds one bool per link; the weights are
+    the same N x N array.
     """
+    if links is not None:
+        links = links.where(support)
+        return links.scatter(link_weights(links))
     counts = support.sum(axis=0)
     if (counts == 0).any():
         raise ValueError("empty aggregation support column")

@@ -82,19 +82,23 @@ def spread_anchor(anchors, sources, psi, adjacency, target):
     return anchors, sources
 
 
-def follow_matrices(anchors, sources, psi, adjacency, threshold):
+def follow_matrices(anchors, sources, psi, adjacency, threshold, links=None):
     """Split weight matrices ``(fresh, hold)`` driven by the relay instead
     of labels.
 
     Neighbors are linked when both ends are informed; uninformed agents
     keep a self-preserving link so their column stays stochastic. A linked
     neighbor's weight rides the fresh route when its adaptation output is
-    within ``threshold`` (squared norm) of the agent's anchor.
+    within ``threshold`` (squared norm) of the agent's anchor. Given
+    ``links``, the link index of ``adjacency``, the split runs on its links.
     """
     informed = sources > 0
-    linked = adjacency & informed[:, None] & informed[None, :]
-    np.fill_diagonal(linked, True)
-    return update_desired_matrices(linked, psi, anchors, threshold)
+    if links is None:
+        linked = adjacency & informed[:, None] & informed[None, :]
+        np.fill_diagonal(linked, True)
+    else:
+        linked = informed[links.rows] & informed[links.cols] | (links.rows == links.cols)
+    return update_desired_matrices(linked, psi, anchors, threshold, links)
 
 
 class AnchorRelay:
@@ -122,7 +126,7 @@ class AnchorRelay:
         self.ball = (np.arange(topology.n_agents) == self.target
                      if check_invariants else None)
 
-    def desired(self, t, w_prev, psi, close, p, adjacency):
+    def desired(self, t, w_prev, psi, close, p, adjacency, links):
         self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
                                                    adjacency, self.target)
         informed = self.sources > 0
@@ -133,7 +137,8 @@ class AnchorRelay:
                 raise InvariantViolation(
                     f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
         return (w_prev, close,
-                *follow_matrices(self.anchors, self.sources, psi, adjacency, self.beta))
+                *follow_matrices(self.anchors, self.sources, psi, adjacency, self.beta,
+                                 links))
 
     def track(self, t, w, models, assignment):
         self.deviations[t] = squared_distances(w, models[[assignment[self.target]]]).mean()

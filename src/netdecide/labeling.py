@@ -41,4 +41,4 @@ def view_from_closeness(close, views):
 
 def agreement_vector(close, adjacency, degrees):
     """All agreement degrees at once from a global closeness matrix."""
-    return (close & adjacency).sum(axis=1) / degrees
+    return np.count_nonzero(close & adjacency, axis=1) / degrees

@@ -10,6 +10,7 @@ the ground-truth model it is assigned to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,19 +23,71 @@ class DivergenceError(RuntimeError):
     """An agent's adaptive estimate left the sane region."""
 
 
-def squared_distances(x, y=None):
-    """Matrix of squared Euclidean distances D[i, j] = ||x_i - y_j||^2."""
+def _norms_and_gram(x, y):
+    """Row norms ``(xx, yy)`` and the Gram matrix ``x @ y.T`` of the
+    distance expansion; ``y`` None means ``x``, which takes the symmetric
+    (syrk) product."""
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    xx = (x * x).sum(axis=1)
-    yy = (y * y).sum(axis=1)
-    d2 = xx[:, None] + yy[None, :] - 2.0 * (x @ y.T)
+    return (x * x).sum(axis=1), (y * y).sum(axis=1), x @ y.T
+
+
+def squared_distances(x, y=None):
+    """Matrix of squared Euclidean distances D[i, j] = ||x_i - y_j||^2."""
+    xx, yy, gram = _norms_and_gram(x, y)
+    d2 = xx[:, None] + yy[None, :] - 2.0 * gram
+    return np.maximum(d2, 0.0)
+
+
+class Links(NamedTuple):
+    """The True entries of an N x N boolean matrix in row-major order:
+    ``flat`` holds l*N + k, ``rows`` l and ``cols`` k."""
+
+    n: int
+    flat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def where(self, mask):
+        """The links at which ``mask`` (one bool per link) is True."""
+        return Links(self.n, self.flat[mask], self.rows[mask], self.cols[mask])
+
+    def scatter(self, values):
+        """Dense N x N float array holding ``values`` at the links and 0
+        elsewhere."""
+        dense = np.zeros((self.n, self.n))
+        dense.ravel()[self.flat] = values
+        return dense
+
+
+def link_index(adjacency):
+    """:class:`Links` of a square boolean matrix, such as an adjacency."""
+    rows, cols = np.nonzero(adjacency)
+    n = adjacency.shape[0]
+    return Links(n, rows * n + cols, rows, cols)
+
+
+def link_distances(x, y, links):
+    """``squared_distances(x, y)`` at ``links`` only, bit for bit: the Gram
+    matrix is the same BLAS product, and the remaining steps are the same
+    elementwise operations in the same order."""
+    xx, yy, gram = _norms_and_gram(x, y)
+    d2 = xx[links.rows] + yy[links.cols] - 2.0 * gram.ravel()[links.flat]
     return np.maximum(d2, 0.0)
 
 
 def pairwise_close(points, threshold):
-    """Symmetric boolean matrix of the test ||p_a - p_b||^2 <= threshold."""
-    close = squared_distances(points) <= threshold
+    """Symmetric boolean matrix of the test ||p_a - p_b||^2 <= threshold.
+
+    The distances are those of :func:`squared_distances`, built in place
+    and without its clamp at 0, which changes no test at a threshold >= 0
+    (nor at NaN, which fails both ways).
+    """
+    sq, _, gram = _norms_and_gram(points, None)
+    gram *= 2.0
+    d2 = np.add.outer(sq, sq)
+    d2 -= gram
+    close = d2 <= threshold
     # the test is symmetric; guard against one-ulp asymmetry in the distances
     close &= close.T
     return close
@@ -84,7 +137,7 @@ class Topology:
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=bool)
         self.positions = np.asarray(self.positions, dtype=float)
-        self.degrees = self.adjacency.sum(axis=0)
+        self.degrees = np.count_nonzero(self.adjacency, axis=0)
 
     @property
     def n_agents(self):

@@ -246,6 +246,8 @@ def test_verify_round_accepts_consistent_state():
     lambda r: r["hold"].__setitem__((0, 0), 0.1),
     lambda r: r["fresh"].__setitem__((0, 0), 0.7),
     lambda r: r["phi"].__setitem__((0, 0), 99.0),
+    # just outside the hull, in one coordinate
+    lambda r: r["phi"].__setitem__((0, 1), r["psi"][:, 1].max() + 1e-8),
 ])
 def test_verify_round_rejects_corruption(corrupt):
     round_state = healthy_round()

@@ -94,3 +94,23 @@ def test_invariant_checks_leave_the_summary_unchanged(mode):
     config = ExperimentConfig.for_mode(mode, **overrides)
     checked = run_monte_carlo(config, check_invariants=True)
     assert checked.to_json() == run_monte_carlo(config).to_json()
+
+
+# N=160 at radius 0.15 links 3.6% of pairs, where the round runs its
+# neighborhood stages on the adjacency's link list; the digests were taken
+# with the dense N x N stages, so they hold the link-list stages to them
+SPARSE_RECORDS = {
+    "decide": (dict(seed=21),
+               "a20ccb972f79829630411df91f8ae05d8e3d5683382f1ad57140d5c9f536e057"),
+    "follow": (dict(seed=23, target_agent=5),
+               "4984d5e2fa00d7e9837135712781a4374519b13aa5c1368eff0ecbceebc808e8"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SPARSE_RECORDS))
+def test_sparse_record_digest_is_pinned(mode):
+    overrides, digest = SPARSE_RECORDS[mode]
+    config = ExperimentConfig.for_mode(mode, n_agents=160, radius=0.15, max_iters=60,
+                                       n_trials=2, **overrides)
+    summary = run_monte_carlo(config, keep_records=True)
+    assert records_digest(summary) == digest
