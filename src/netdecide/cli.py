@@ -21,7 +21,7 @@ from .network import TopologyError
 from .records import save_record
 
 
-def _add_common(parser):
+def _add_common(parser, trials=True):
     g = parser.add_argument_group("experiment")
     g.add_argument("--config", metavar="PATH",
                    help="JSON config file; flags override its values")
@@ -67,15 +67,17 @@ def _add_common(parser):
                    help="output directory (NETDECIDE_OUTPUT_DIR wins if set)")
     o.add_argument("--jobs", type=int, default=1,
                    help="worker processes; 1 runs serially")
+    o.add_argument("--print-config", action="store_true",
+                   help="print the effective config as JSON and exit")
+    o.add_argument("--quiet", action="store_true")
+    if not trials:  # sweep writes no per-trial output and checks nothing
+        return
     o.add_argument("--summary-only", action="store_true",
                    help="write summary.json but no per-trial files")
     o.add_argument("--export-networks", action="store_true",
                    help="also write each trial's topology and models as JSON")
     o.add_argument("--check-invariants", action="store_true",
                    help="verify per-round structural invariants (slow)")
-    o.add_argument("--print-config", action="store_true",
-                   help="print the effective config as JSON and exit")
-    o.add_argument("--quiet", action="store_true")
 
 
 def build_parser():
@@ -122,7 +124,7 @@ def build_parser():
     p.set_defaults(func=lambda a: _run_command("mobile", a))
 
     p = sub.add_parser("sweep", help="repeat a batch across model counts")
-    _add_common(p)
+    _add_common(p, trials=False)
     p.add_argument("--model-counts", type=int, nargs="+", required=True,
                    metavar="C", help="model counts to sweep over")
     p.set_defaults(func=_cmd_sweep, save_trajectories=False)

@@ -131,6 +131,7 @@ class ExperimentConfig:
         need(c.max_iters >= 1, "max_iters must be positive")
         need(1 <= c.t_hold <= c.max_iters, "need 1 <= t_hold <= max_iters")
         need(c.n_trials >= 1, "n_trials must be positive")
+        need(c.seed >= 0, "seed must be nonnegative")
         need(c.sigma_v2_range[0] > 0 and c.sigma_v2_range[1] >= c.sigma_v2_range[0],
              "sigma_v2_range must be positive and ordered")
         need(c.reg_power_range[0] > 0 and c.reg_power_range[1] >= c.reg_power_range[0],

@@ -31,7 +31,8 @@ adjacency's True entries) and the cluster, weight and split stages run on
 the links. The smoothed beliefs and the combination, fresh and hold
 weights, the BLAS operands of the aggregation and the estimate update,
 stay N x N, as does the closeness, whose every pair the desired-model
-count reads. Mobile swarms pass no index and take the dense path.
+count reads. Mobile swarms pass no index and take the dense path. Both
+read their distances from ``netdecide.network.squared_distances``.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -52,7 +53,7 @@ from .diffusion import (adapt, aggregate, believed_neighborhoods,
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
-from .network import (component_count, link_distances, link_index, pairwise_close,
+from .network import (component_count, link_index, pairwise_close,
                       random_assignment, squared_distances)
 from .records import RunRecord
 
@@ -73,13 +74,14 @@ def update_desired_matrices(linked, psi, anchors, threshold, links=None):
     """
     if links is None:
         weights = combination_weights(linked)
-        fresh = np.where(squared_distances(psi, anchors) <= threshold, weights, 0.0)
-        return fresh, weights - fresh
-    links = links.where(linked)
-    weights = link_weights(links)
-    near = link_distances(psi, anchors, links) <= threshold
-    return (links.where(near).scatter(weights[near]),
-            links.where(~near).scatter(weights[~near]))
+    else:
+        links = links.where(linked)
+        weights = link_weights(links)
+    fresh = np.where(squared_distances(psi, anchors, links) <= threshold, weights, 0.0)
+    hold = weights - fresh
+    if links is None:
+        return fresh, hold
+    return links.scatter(fresh), links.scatter(hold)
 
 
 def update_estimate(phi, w_prev, fresh, hold):

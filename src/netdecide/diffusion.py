@@ -16,14 +16,15 @@ Static networks pass the stages the adjacency's link index
 columns of its True entries), and the proximity test, the support and the
 weights run on the links. The smoothed state and the weights, the BLAS
 operand of :func:`aggregate`, stay N x N. Mobile swarms pass no index and
-take the same steps on N x N arrays, to the same bits.
+take the same steps on N x N arrays, to the same bits: both read the test's
+distances from ``netdecide.network.squared_distances``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import DivergenceError, link_distances, squared_distances
+from .network import DivergenceError, squared_distances
 
 
 def adapt(psi, u, d, step_size):
@@ -81,7 +82,7 @@ def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing
     if links is None:
         raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency
         return (1.0 - smoothing) * smoothed + smoothing * raw
-    near = link_distances(psi, phi_prev, links) <= alpha
+    near = squared_distances(psi, phi_prev, links) <= alpha
     smoothed = (1.0 - smoothing) * smoothed
     smoothed.ravel()[links.flat[near]] += smoothing
     return smoothed

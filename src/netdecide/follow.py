@@ -9,7 +9,9 @@ anchor replaces local labeling: informed agents link to their informed
 neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
-anchor. The relay state is two arrays, the anchors and their sources.
+anchor, on the links of the (never moving) adjacency, with distances from
+``netdecide.network.squared_distances``. The relay state is two arrays,
+the anchors and their sources.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -82,22 +84,17 @@ def spread_anchor(anchors, sources, psi, adjacency, target):
     return anchors, sources
 
 
-def follow_matrices(anchors, sources, psi, adjacency, threshold, links=None):
+def follow_matrices(anchors, sources, psi, links, threshold):
     """Split weight matrices ``(fresh, hold)`` driven by the relay instead
-    of labels.
+    of labels, on ``links``, the link index of the adjacency.
 
     Neighbors are linked when both ends are informed; uninformed agents
     keep a self-preserving link so their column stays stochastic. A linked
     neighbor's weight rides the fresh route when its adaptation output is
-    within ``threshold`` (squared norm) of the agent's anchor. Given
-    ``links``, the link index of ``adjacency``, the split runs on its links.
+    within ``threshold`` (squared norm) of the agent's anchor.
     """
     informed = sources > 0
-    if links is None:
-        linked = adjacency & informed[:, None] & informed[None, :]
-        np.fill_diagonal(linked, True)
-    else:
-        linked = informed[links.rows] & informed[links.cols] | (links.rows == links.cols)
+    linked = informed[links.rows] & informed[links.cols] | (links.rows == links.cols)
     return update_desired_matrices(linked, psi, anchors, threshold, links)
 
 
@@ -137,8 +134,7 @@ class AnchorRelay:
                 raise InvariantViolation(
                     f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
         return (w_prev, close,
-                *follow_matrices(self.anchors, self.sources, psi, adjacency, self.beta,
-                                 links))
+                *follow_matrices(self.anchors, self.sources, psi, links, self.beta))
 
     def track(self, t, w, models, assignment):
         self.deviations[t] = squared_distances(w, models[[assignment[self.target]]]).mean()

@@ -4,7 +4,8 @@ noise statistics, and the synthetic data streams the agents adapt on.
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
 self-loop. Each agent observes a scalar stream d = u . w + v generated from
-the ground-truth model it is assigned to.
+the ground-truth model it is assigned to. Every pair distance, as an N x N
+matrix or one value per link, comes from one kernel, :func:`squared_distances`.
 """
 
 from __future__ import annotations
@@ -21,22 +22,6 @@ class TopologyError(RuntimeError):
 
 class DivergenceError(RuntimeError):
     """An agent's adaptive estimate left the sane region."""
-
-
-def _norms_and_gram(x, y):
-    """Row norms ``(xx, yy)`` and the Gram matrix ``x @ y.T`` of the
-    distance expansion; ``y`` None means ``x``, which takes the symmetric
-    (syrk) product."""
-    x = np.asarray(x, dtype=float)
-    y = x if y is None else np.asarray(y, dtype=float)
-    return (x * x).sum(axis=1), (y * y).sum(axis=1), x @ y.T
-
-
-def squared_distances(x, y=None):
-    """Matrix of squared Euclidean distances D[i, j] = ||x_i - y_j||^2."""
-    xx, yy, gram = _norms_and_gram(x, y)
-    d2 = xx[:, None] + yy[None, :] - 2.0 * gram
-    return np.maximum(d2, 0.0)
 
 
 class Links(NamedTuple):
@@ -67,30 +52,32 @@ def link_index(adjacency):
     return Links(n, rows * n + cols, rows, cols)
 
 
-def link_distances(x, y, links):
-    """``squared_distances(x, y)`` at ``links`` only, bit for bit: the Gram
-    matrix is the same BLAS product, and the remaining steps are the same
-    elementwise operations in the same order."""
-    xx, yy, gram = _norms_and_gram(x, y)
-    d2 = xx[links.rows] + yy[links.cols] - 2.0 * gram.ravel()[links.flat]
-    return np.maximum(d2, 0.0)
+def squared_distances(x, y=None, links=None):
+    """Squared Euclidean distances ||x_i - y_j||^2: the N x N matrix, or
+    one value per link of ``links``, bit for bit the matrix's entries.
+
+    Both expand (||x_i||^2 + ||y_j||^2) - 2 x_i . y_j from one Gram product
+    ``x @ y.T`` (the syrk product when ``y`` is None) and clamp at 0.
+    """
+    x = np.asarray(x, dtype=float)
+    y = x if y is None else np.asarray(y, dtype=float)
+    xx = (x * x).sum(axis=1)
+    yy = (y * y).sum(axis=1)
+    gram = x @ y.T
+    if links is None:
+        d2 = np.add.outer(xx, yy)
+    else:
+        d2 = xx[links.rows] + yy[links.cols]
+        gram = gram.ravel()[links.flat]
+    gram *= 2.0
+    d2 -= gram
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def pairwise_close(points, threshold):
-    """Symmetric boolean matrix of the test ||p_a - p_b||^2 <= threshold.
-
-    The distances are those of :func:`squared_distances`, built in place
-    and without its clamp at 0, which changes no test at a threshold >= 0
-    (nor at NaN, which fails both ways).
-    """
-    sq, _, gram = _norms_and_gram(points, None)
-    gram *= 2.0
-    d2 = np.add.outer(sq, sq)
-    d2 -= gram
-    close = d2 <= threshold
-    # the test is symmetric; guard against one-ulp asymmetry in the distances
-    close &= close.T
-    return close
+    """Boolean matrix of the test ||p_a - p_b||^2 <= threshold, exactly
+    symmetric: norms add commutatively and syrk mirrors one triangle."""
+    return squared_distances(points) <= threshold
 
 
 def component_count(close):

@@ -35,6 +35,24 @@ def test_zero_goal_gain_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_negative_seed_exits_with_code_2(tmp_path, capsys):
+    code = main(["decide", *TINY, "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--summary-only", "--export-networks",
+                                  "--check-invariants"])
+def test_sweep_refuses_the_per_trial_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", *TINY, "--model-counts", "2", flag, "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not tmp_path.joinpath("sweep.json").exists()
+
+
 def written(path, text):
     path.write_text(text)
     return path

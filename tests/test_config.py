@@ -62,3 +62,9 @@ def test_mobile_rejects_a_goal_gain_that_is_not_positive(goal_gain):
     with pytest.raises(ConfigError, match="goal_gain"):
         ExperimentConfig.for_mode("mobile", goal_gain=goal_gain, n_agents=12,
                                   max_iters=40, t_hold=10, n_trials=1)
+
+
+def test_negative_seed_is_rejected():
+    # numpy's SeedSequence takes no negative entropy
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig.for_mode("decide", seed=-1)

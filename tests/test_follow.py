@@ -8,6 +8,7 @@ import netdecide.follow
 from netdecide.decision import InvariantViolation, update_desired_matrices
 from netdecide.diffusion import combination_weights
 from netdecide.follow import follow_matrices, run_follow, spread_anchor
+from netdecide.network import link_index
 from test_network import path_adjacency
 
 
@@ -108,7 +109,8 @@ def test_follow_matrices_columns():
     sources = np.array([1, 1, 2, 0])
     psi = np.zeros((n, 2))
     psi[1] = [9.0, 9.0]
-    fresh, hold = follow_matrices(anchors, sources, psi, adj, threshold=0.08)
+    fresh, hold = follow_matrices(anchors, sources, psi, link_index(adj),
+                                  threshold=0.08)
     weights = fresh + hold
     # uninformed agent 3 keeps a pure self column
     assert weights[:, 3].tolist() == [0, 0, 0, 1]

@@ -3,7 +3,8 @@
 Static runs take the neighborhood tests and weights on the adjacency's
 links; mobile runs take them on N x N arrays. Both must produce the same
 bits, including at a test's threshold, where a one-ulp difference in a
-distance would flip it.
+distance would flip it. Both read their distances from the one kernel,
+``squared_distances``: one value per link, or the N x N matrix.
 """
 
 import numpy as np
@@ -14,19 +15,18 @@ from netdecide.decision import update_desired_matrices
 from netdecide.diffusion import (believed_neighborhoods, combination_weights,
                                  update_cluster_matrices)
 from netdecide.follow import follow_matrices
-from netdecide.network import (link_distances, link_index, pairwise_close,
-                               squared_distances)
+from netdecide.network import link_index, pairwise_close, squared_distances
 
 
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def estimates(g, n):
-    """(n, 2) estimates: grid points a half apart, whose distances are
+def estimates(g, n, dim=2):
+    """(n, dim) estimates: grid points a half apart, whose distances are
     exact, mixed with normal draws, and some rows copied onto others."""
-    out = np.where(g.random((n, 1)) < 0.5, g.integers(-2, 3, size=(n, 2)) / 2,
-                   g.normal(size=(n, 2)) * 0.4)
+    out = np.where(g.random((n, 1)) < 0.5, g.integers(-2, 3, size=(n, dim)) / 2,
+                   g.normal(size=(n, dim)) * 0.4)
     copies = g.integers(0, n, size=n // 4)
     out[copies] = out[g.integers(0, n, size=copies.size)]
     return out
@@ -44,19 +44,20 @@ def threshold(g, d2, links):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.02, 1.0))
-def test_link_round_equals_dense_round(seed, n, density):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.02, 1.0),
+       st.integers(1, 4))
+def test_link_round_equals_dense_round(seed, n, density, dim):
     g = np.random.default_rng(seed)
     upper = np.triu(g.random((n, n)) < density, 1)
     adjacency = upper | upper.T | np.eye(n, dtype=bool)
     links = link_index(adjacency)
-    psi, phi, w_prev, anchors = (estimates(g, n) for _ in range(4))
+    psi, phi, w_prev, anchors = (estimates(g, n, dim) for _ in range(4))
 
     for x, y in ((psi, phi), (psi, anchors), (w_prev, w_prev)):
-        assert same_bits(link_distances(x, y, links),
+        assert same_bits(squared_distances(x, y, links),
                          squared_distances(x, y).ravel()[links.flat])
     # x is y takes the symmetric (syrk) product in both
-    assert same_bits(link_distances(psi, psi, links),
+    assert same_bits(squared_distances(psi, psi, links),
                      squared_distances(psi).ravel()[links.flat])
 
     # beliefs, some smoothed entries exactly on the 0.5 tie
@@ -80,16 +81,19 @@ def test_link_round_equals_dense_round(seed, n, density):
     # the follow split: links between informed agents, and every self-link
     sources = np.where(g.random(n) < 0.6, g.integers(1, n + 1, size=n), 0)
     beta = threshold(g, squared_distances(psi, anchors), links)
-    want = follow_matrices(anchors, sources, psi, adjacency, beta)
-    got = follow_matrices(anchors, sources, psi, adjacency, beta, links)
+    informed = sources > 0
+    linked = adjacency & informed[:, None] & informed[None, :]
+    np.fill_diagonal(linked, True)
+    want = update_desired_matrices(linked, psi, anchors, beta)
+    got = follow_matrices(anchors, sources, psi, links, beta)
     assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.booleans())
 def test_pairwise_close_equals_clamped_test(seed, n, with_nan):
-    # pairwise_close drops the clamp at 0 of squared_distances, which must
-    # change no test at a threshold of 0 or on a NaN estimate
+    # pairwise_close is the clamped kernel's test with no symmetry guard;
+    # the symmetrized test must agree, at a threshold of 0 and on a NaN row
     g = np.random.default_rng(seed)
     points = estimates(g, n)
     if with_nan:

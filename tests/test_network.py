@@ -13,6 +13,7 @@ from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
                                random_assignment, squared_distances)
 
 from conftest import NOISE_RANGES
+from test_links import estimates
 
 
 def two_clique_topology(clique_size=4):
@@ -59,6 +60,22 @@ def test_squared_distances_self_diagonal_zero(rng):
     d = squared_distances(x)
     assert np.allclose(np.diagonal(d), 0.0)
     assert np.allclose(d, d.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 5),
+       st.sampled_from(["C", "F", "strided"]))
+def test_squared_distances_is_exactly_symmetric(seed, n, dim, layout):
+    # pairwise_close relies on it: no guard makes its test symmetric
+    x = estimates(np.random.default_rng(seed), n, dim)
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 3 * dim))
+        wide[::2, ::3] = x
+        x = wide[::2, ::3]
+    d2 = squared_distances(x)
+    assert np.array_equal(d2, d2.T)
 
 
 def test_pairwise_close_matches_brute_force(rng):
