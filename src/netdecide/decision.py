@@ -28,11 +28,12 @@ weights.
 A static topology is fixed for the whole run, so :func:`run_rounds`
 builds its link index once (the flat indices, rows and columns of the
 adjacency's True entries) and the cluster, weight and split stages run on
-the links. The smoothed beliefs and the combination, fresh and hold
-weights, the BLAS operands of the aggregation and the estimate update,
-stay N x N, as does the closeness, whose every pair the desired-model
-count reads. Mobile swarms pass no index and take the dense path. Both
-read their distances from ``netdecide.network.squared_distances``.
+the links, as do the sums of the aggregation and the estimate update.
+The smoothed beliefs and the combination, fresh and hold weights stay
+N x N, as does the closeness, whose every pair the desired-model count
+reads. Mobile swarms pass no index and take the dense path, with BLAS
+products for the two sums. Both read their distances from
+``netdecide.network.squared_distances``.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -47,8 +48,8 @@ import time
 import numpy as np
 
 from .diffusion import (adapt, aggregate, believed_neighborhoods,
-                        check_divergence, combination_weights, link_weights,
-                        update_cluster_matrices)
+                        check_divergence, combination_weights, link_sums,
+                        link_weights, update_cluster_matrices)
 # benchmark/spans.py times the switch stage's labeling under this name, here
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
@@ -77,17 +78,27 @@ def update_desired_matrices(linked, psi, anchors, threshold, links=None):
     else:
         links = links.where(linked)
         weights = link_weights(links)
-    fresh = np.where(squared_distances(psi, anchors, links) <= threshold, weights, 0.0)
+    pairs = () if links is None else (links.rows, links.cols)
+    fresh = np.where(squared_distances(psi, anchors, *pairs) <= threshold, weights, 0.0)
     hold = weights - fresh
     if links is None:
         return fresh, hold
     return links.scatter(fresh), links.scatter(hold)
 
 
-def update_estimate(phi, w_prev, fresh, hold):
+def update_estimate(phi, w_prev, fresh, hold, links=None):
     """Desired-estimate update: fresh-route aggregates plus hold-route
-    previous estimates, columns normalized by construction."""
-    return fresh.T @ phi + hold.T @ w_prev
+    previous estimates, columns normalized by construction.
+
+    Given ``links``, each link contributes fresh * phi_l + hold * w_prev_l
+    to its column, summed in link order; otherwise the update is two BLAS
+    products.
+    """
+    if links is None:
+        return fresh.T @ phi + hold.T @ w_prev
+    f = fresh.ravel()[links.flat][:, None]
+    h = hold.ravel()[links.flat][:, None]
+    return link_sums(links, f * phi[links.rows] + h * w_prev[links.rows])
 
 
 def apply_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
@@ -266,7 +277,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         if links is None:
             support &= adjacency
         combination = combination_weights(support, links)
-        phi = aggregate(combination, psi)
+        phi = aggregate(combination, psi, links)
 
         close = pairwise_close(w_prev, config.beta)
         p = agreement_vector(close, adjacency, degrees)
@@ -276,7 +287,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p,
                                                     adjacency, links)
         n_desired[t] = component_count(close)
-        w = update_estimate(phi, w_prev, fresh, hold)
+        w = update_estimate(phi, w_prev, fresh, hold, links)
 
         msd_observed[t] = observed_msd(phi, models.models, assignment)
         policy.track(t, w, models.models, assignment)

@@ -13,11 +13,11 @@ is built.
 
 Static networks pass the stages the adjacency's link index
 (``netdecide.network.link_index``: the flat indices l*N + k, rows and
-columns of its True entries), and the proximity test, the support and the
-weights run on the links. The smoothed state and the weights, the BLAS
-operand of :func:`aggregate`, stay N x N. Mobile swarms pass no index and
-take the same steps on N x N arrays, to the same bits: both read the test's
-distances from ``netdecide.network.squared_distances``.
+columns of its True entries), and the proximity test, the support, the
+weights and the aggregation sums run on the links. The smoothed state and
+the weights stay N x N. Mobile swarms pass no index and take the same
+tests on N x N arrays, reading the same distances from
+``netdecide.network.squared_distances``, and aggregate by a BLAS product.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing
     if links is None:
         raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency
         return (1.0 - smoothing) * smoothed + smoothing * raw
-    near = squared_distances(psi, phi_prev, links) <= alpha
+    near = squared_distances(psi, phi_prev, links.rows, links.cols) <= alpha
     smoothed = (1.0 - smoothing) * smoothed
     smoothed.ravel()[links.flat[near]] += smoothing
     return smoothed
@@ -128,6 +128,21 @@ def combination_weights(support, links=None):
     return support.astype(float) / counts
 
 
-def aggregate(weights, psi):
-    """Aggregate per-agent estimates: row k is sum_l weights[l, k] psi_l."""
-    return weights.T @ psi
+def link_sums(links, terms):
+    """Per-column sums of ``terms``, one row per link of ``links``: row k
+    of the result adds the terms of the links in column k, in link order,
+    starting from +0.0."""
+    return np.stack([np.bincount(links.cols, weights=terms[:, c], minlength=links.n)
+                     for c in range(terms.shape[1])], axis=1)
+
+
+def aggregate(weights, psi, links=None):
+    """Aggregate per-agent estimates: row k is sum_l weights[l, k] psi_l.
+
+    Given ``links``, the sum runs over the links of each column in link
+    order (:func:`link_sums`); otherwise it is the BLAS product
+    ``weights.T @ psi``.
+    """
+    if links is None:
+        return weights.T @ psi
+    return link_sums(links, weights.ravel()[links.flat][:, None] * psi[links.rows])

@@ -10,6 +10,7 @@ matrix or one value per link, comes from one kernel, :func:`squared_distances`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,31 +53,34 @@ def link_index(adjacency):
     return Links(n, rows * n + cols, rows, cols)
 
 
-def squared_distances(x, y=None, links=None):
-    """Squared Euclidean distances ||x_i - y_j||^2: the N x N matrix, or
-    one value per link of ``links``, bit for bit the matrix's entries.
+def squared_distances(x, y=None, rows=None, cols=None):
+    """Squared Euclidean distances ||x_i - y_j||^2: the N x N matrix, or,
+    given index arrays ``rows`` and ``cols`` (broadcast together), the
+    distances ||x_rows - y_cols||^2 of their shape.
 
-    Both expand (||x_i||^2 + ||y_j||^2) - 2 x_i . y_j from one Gram product
-    ``x @ y.T`` (the syrk product when ``y`` is None) and clamp at 0.
+    Both take direct differences one coordinate at a time, square them
+    and add them in coordinate order, so a pair's distance has the same
+    bits wherever it is computed, and is exactly symmetric.
     """
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    xx = (x * x).sum(axis=1)
-    yy = (y * y).sum(axis=1)
-    gram = x @ y.T
-    if links is None:
-        d2 = np.add.outer(xx, yy)
-    else:
-        d2 = xx[links.rows] + yy[links.cols]
-        gram = gram.ravel()[links.flat]
-    gram *= 2.0
-    d2 -= gram
-    return np.maximum(d2, 0.0, out=d2)
+    d2 = None
+    for c in range(x.shape[1]):
+        if rows is None:
+            diff = np.subtract.outer(x[:, c], y[:, c])
+        else:
+            diff = x[rows, c] - y[cols, c]
+        diff *= diff
+        if d2 is None:
+            d2 = diff
+        else:
+            d2 += diff
+    return d2
 
 
 def pairwise_close(points, threshold):
     """Boolean matrix of the test ||p_a - p_b||^2 <= threshold, exactly
-    symmetric: norms add commutatively and syrk mirrors one triangle."""
+    symmetric as the distances are."""
     return squared_distances(points) <= threshold
 
 
@@ -332,16 +336,54 @@ def random_assignment(n_agents, n_models, rng):
             return assignment
 
 
+# ln 2 split Cody-Waite style: the high part's trailing bits are zero, so
+# k * _LN2_HI is exact for any |k| < 2**11
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+# 1/j! for j = 0..13, each an exact integer division rounded once
+_EXP_TAYLOR = [1.0 / math.factorial(j) for j in range(14)]
+
+
+def _exp(x):
+    """exp(x) from IEEE additions, multiplications and ``np.ldexp`` alone,
+    so the bits do not depend on the CPU or its math library.
+
+    x = k ln 2 + r with |r| <= ln 2 / 2 (Cody-Waite reduction), exp(r) by
+    its Taylor polynomial of degree 13 in Horner form, scaled by 2**k.
+    """
+    x = np.asarray(x, dtype=float)
+    k = np.rint(x * _INV_LN2)
+    r = (x - k * _LN2_HI) - k * _LN2_LO
+    poly = np.full_like(r, _EXP_TAYLOR[-1])
+    for coef in reversed(_EXP_TAYLOR[:-1]):
+        poly = poly * r + coef
+    return np.ldexp(poly, k.astype(int))
+
+
+def _log(y):
+    """log(y) for y > 0 by six Newton steps on :func:`_exp`, started from
+    y = m 2**e: e ln 2 + 2 (m - 1) / (m + 1)."""
+    y = np.asarray(y, dtype=float)
+    m, e = np.frexp(y)
+    x = e * (_LN2_HI + _LN2_LO) + 2.0 * (m - 1.0) / (m + 1.0)
+    for _ in range(6):
+        x = x + (y / _exp(x) - 1.0)
+    return x
+
+
 def draw_noise_profile(n_agents, dim, seed=None, *, sigma_v2_range, reg_power_range):
     """Per-agent signal and noise statistics ``(sigma_v2, reg_power)``.
 
     ``sigma_v2`` (N,) holds measurement-noise variances, log-uniform in
     ``sigma_v2_range``; ``reg_power`` (N, M) holds the diagonal entries of
     each agent's regressor covariance, uniform in ``reg_power_range``.
+    The logarithm and exponential are :func:`_log` and :func:`_exp`, whose
+    bits are the same on every CPU.
     """
     rng = np.random.default_rng(seed)
     lo, hi = sigma_v2_range
-    sigma_v2 = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n_agents))
+    sigma_v2 = _exp(rng.uniform(_log(lo), _log(hi), size=n_agents))
     reg_power = rng.uniform(*reg_power_range, size=(n_agents, dim))
     return sigma_v2, reg_power
 

@@ -5,6 +5,13 @@ One small config per mode, each run serially and on a two-process pool.
 The digests are SHA-256 of the text those files hold; they change
 only when a change to the simulation is meant to change its outputs, and
 such a change says so where it updates them.
+
+The decide and follow digests hold on every CPU: their rounds add,
+multiply and divide elementwise and sum over links in a fixed order, and
+the noise draw avoids the math library. The mobile digests also rest on
+three BLAS products (aggregation, the estimate update and the alignment
+term of the motion law), so they hold only where the BLAS kernel rounds
+as the one they were taken with.
 """
 
 import dataclasses
@@ -20,15 +27,15 @@ GOLDEN = {
     # N=20 at radius 0.4 sits over the degree cap, so world build prunes
     "decide": (dict(n_agents=20, n_models=2, radius=0.4, max_iters=300,
                     n_trials=4, seed=7),
-               "297ed813cf054e77e525319b47b2aa90df12be1a8dac26c281e19ce47434e11e"),
+               "6a5deba00f325abdd8ea2b93b5fdf3a3f46b50c4ea821c4c219444b5322020a8"),
     "follow": (dict(n_agents=20, n_models=3, radius=0.4, target_agent=3,
                     max_iters=200, n_trials=4, seed=11),
-               "b85b7eda798694f58911eae69d10336e000665f999408d41862e035c8a61ab12"),
+               "2dfea585d226c5aa01dc1099cf55e4908d252777834c08fd3d7dd949fe353acd"),
     # a degree cap of 5 makes every per-round rebuild prune without the
     # connectivity constraint
     "mobile": (dict(n_agents=20, max_iters=150, max_degree=5, comm_radius=30.0,
                     n_trials=4, seed=13),
-               "fa7492d5d67821c4a44a15c7ace885a79b82bf8e1c54ff9efdecb1cd4a75da9b"),
+               "d4fbc5949fdc83eb50e980317d8bc06d5b0f5db241d38fd4a9be44edd08f2895"),
 }
 
 
@@ -56,7 +63,7 @@ def records_digest(summary):
 
 # every mobile record's CSV, JSON sidecar and trajectory CSV, which pin
 # positions round by round rather than through summary.json alone
-MOBILE_RECORDS = "5ac3259e554b033bc1c4c02c350899b8cfb74571f66597088155fd62d32185f2"
+MOBILE_RECORDS = "bc15e476f21d692ddb29c4f10bd6920ea1cd5a5274a6a90266a7c49613014ab0"
 
 
 def test_mobile_record_digest_is_pinned():
@@ -71,8 +78,8 @@ def test_mobile_record_digest_is_pinned():
 # per-agent switch counts, the desired-model counts and the relay coverage
 # that summary.json only aggregates
 RECORDS = {
-    "decide": "9fe3de3f909e6d024ccadd54381e630ccd63b59b832499b81fcf66257379eb8c",
-    "follow": "1f59d6c33f2e13f2b5f3b50e5cf2195a262f03bd95793cc1ecf8f87fb720a8d2",
+    "decide": "b0e7979484932bf8e7eeed72620d7430540e513a49d86da88a11607433d011f1",
+    "follow": "aed88cc5549c98b9fa5dfdbc4fc06ecd2b2a98e0e2cc288969ef400c5e62e252",
 }
 
 
@@ -96,14 +103,13 @@ def test_invariant_checks_leave_the_summary_unchanged(mode):
     assert checked.to_json() == run_monte_carlo(config).to_json()
 
 
-# N=160 at radius 0.15 links 3.6% of pairs, where the round runs its
-# neighborhood stages on the adjacency's link list; the digests were taken
-# with the dense N x N stages, so they hold the link-list stages to them
+# N=160 at radius 0.15 links 3.6% of pairs, a sparse adjacency for the
+# link-list round
 SPARSE_RECORDS = {
     "decide": (dict(seed=21),
-               "a20ccb972f79829630411df91f8ae05d8e3d5683382f1ad57140d5c9f536e057"),
+               "984c868983e963484f7dfcc9ce9854d5761685d4dbd4394b5a90ac6f85c06c34"),
     "follow": (dict(seed=23, target_agent=5),
-               "4984d5e2fa00d7e9837135712781a4374519b13aa5c1368eff0ecbceebc808e8"),
+               "2d78ef547037ce7505213096e4ca4d68c9515d2cce00b678b1c690676a9ecf1b"),
 }
 
 

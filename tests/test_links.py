@@ -54,10 +54,9 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     psi, phi, w_prev, anchors = (estimates(g, n, dim) for _ in range(4))
 
     for x, y in ((psi, phi), (psi, anchors), (w_prev, w_prev)):
-        assert same_bits(squared_distances(x, y, links),
+        assert same_bits(squared_distances(x, y, links.rows, links.cols),
                          squared_distances(x, y).ravel()[links.flat])
-    # x is y takes the symmetric (syrk) product in both
-    assert same_bits(squared_distances(psi, psi, links),
+    assert same_bits(squared_distances(psi, None, links.rows, links.cols),
                      squared_distances(psi).ravel()[links.flat])
 
     # beliefs, some smoothed entries exactly on the 0.5 tie

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
+                               _exp, _log,
                                build_streams, component_count, corner_models,
                                draw_noise_profile, generate_models,
                                generate_topology, network_from_json,
@@ -295,6 +296,17 @@ def test_noise_profile_stays_in_ranges():
     assert reg_power.shape == (200, 2)
     assert (sigma_v2 >= 1e-3).all() and (sigma_v2 <= 1e-2).all()
     assert (reg_power >= 0.8).all() and (reg_power <= 1.2).all()
+
+
+def test_portable_exp_and_log_match_the_math_library():
+    # within two units in the last place over a range wider than any
+    # noise-variance range
+    x = np.linspace(-30.0, 30.0, 20001)
+    want = np.exp(x)
+    assert (np.abs(_exp(x) - want) <= 2 * np.spacing(want)).all()
+    y = np.geomspace(1e-6, 1e6, 20001)
+    assert np.allclose(_log(y), np.log(y), rtol=0.0, atol=4e-15)
+    assert _log(1.0) == 0.0
 
 
 def test_data_stream_observation_algebra():
