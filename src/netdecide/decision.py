@@ -26,14 +26,18 @@ The two are all the loop keeps of the split; their sum is the linked
 weights.
 
 A static topology is fixed for the whole run, so :func:`run_rounds`
-builds its link index once (the flat indices, rows and columns of the
-adjacency's True entries) and the cluster, weight and split stages run on
-the links, as do the sums of the aggregation and the estimate update.
-The smoothed beliefs and the combination, fresh and hold weights stay
-N x N, as does the closeness, whose every pair the desired-model count
-reads. Mobile swarms pass no index and take the dense path, with BLAS
-products for the two sums. Both read their distances from
-``netdecide.network.squared_distances``.
+builds its link index once (the rows and columns of the adjacency's True
+entries) and the round is link-only. The smoothed beliefs, the
+combination, fresh and hold weights and the closeness of the desired
+estimates hold one value per link; the aggregation and the estimate
+update add each column's link terms in link order. The switch stage
+computes closeness on its pending agents' views, and the desired-model
+count comes from ``netdecide.network.close_component_count``'s cell grid.
+Every distance is per-pair elementwise arithmetic
+(``netdecide.network.squared_distances``), so wherever a pair is tested
+it reads the same bits, on any CPU. Mobile swarms rebuild their topology
+every round and keep N x N arrays, the closeness matrix and its component
+count, and BLAS products for the two sums.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -49,13 +53,13 @@ import numpy as np
 
 from .diffusion import (adapt, aggregate, believed_neighborhoods,
                         check_divergence, combination_weights, link_sums,
-                        link_weights, update_cluster_matrices)
+                        update_cluster_matrices)
 # benchmark/spans.py times the switch stage's labeling under this name, here
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
-from .network import (component_count, link_index, pairwise_close,
-                      random_assignment, squared_distances)
+from .network import (close_component_count, component_count, link_index,
+                      pairwise_close, random_assignment, squared_distances)
 from .records import RunRecord
 
 
@@ -64,26 +68,19 @@ class InvariantViolation(AssertionError):
 
 
 def update_desired_matrices(linked, psi, anchors, threshold, links=None):
-    """Split weight matrices ``(fresh, hold)`` for one round.
+    """Split weights ``(fresh, hold)`` for one round.
 
     The uniform column-stochastic weights over ``linked`` are split by
     neighbor: a weight rides the fresh route when the neighbor's
     adaptation output is within ``threshold`` (squared norm) of the
     agent's anchor, and the hold route otherwise. Given ``links``,
-    ``linked`` holds one bool per link, and the weights and the distance
-    test are taken on the linked links only.
+    ``linked`` and both splits hold one value per link; otherwise they
+    are N x N matrices.
     """
-    if links is None:
-        weights = combination_weights(linked)
-    else:
-        links = links.where(linked)
-        weights = link_weights(links)
+    weights = combination_weights(linked, links)
     pairs = () if links is None else (links.rows, links.cols)
     fresh = np.where(squared_distances(psi, anchors, *pairs) <= threshold, weights, 0.0)
-    hold = weights - fresh
-    if links is None:
-        return fresh, hold
-    return links.scatter(fresh), links.scatter(hold)
+    return fresh, weights - fresh
 
 
 def update_estimate(phi, w_prev, fresh, hold, links=None):
@@ -96,28 +93,29 @@ def update_estimate(phi, w_prev, fresh, hold, links=None):
     """
     if links is None:
         return fresh.T @ phi + hold.T @ w_prev
-    f = fresh.ravel()[links.flat][:, None]
-    h = hold.ravel()[links.flat][:, None]
-    return link_sums(links, f * phi[links.rows] + h * w_prev[links.rows])
+    terms = fresh[:, None] * phi[links.rows] + hold[:, None] * w_prev[links.rows]
+    return link_sums(links, terms)
 
 
-def apply_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
+def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
     """Run the switch stage for every non-unanimous agent (p_k < 1) and
     return ``(updated, adopted, drawn)``: the estimates after it and the
     ids of the agents that adopted a majority or drew a neighbor.
 
-    An agent outside its local majority class (the largest, ties going to
-    its own class, then to the smallest leading member) adopts the
-    majority's smallest member. With ``equilibrium_break`` a majority
-    member of a two-class view copies a neighbor drawn uniformly by its
-    own generator, which defuses evenly split standoffs. All decisions
-    read the pre-switch estimates; the copies are applied together, which
-    is the intra-round re-send barrier.
+    Neighbors are of one class when their previous desired estimates
+    ``w_prev`` are close (``threshold``, squared norm) to the same members
+    of the view. An agent outside its local majority class (the largest,
+    ties going to its own class, then to the smallest leading member)
+    adopts the majority's smallest member. With ``equilibrium_break`` a
+    majority member of a two-class view copies a neighbor drawn uniformly
+    by its own generator, which defuses evenly split standoffs. All
+    decisions read the pre-switch estimates; the copies are applied
+    together, which is the intra-round re-send barrier.
     """
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
         return w_prev, pending, pending
-    slots, same = view_from_closeness(close, adjacency[pending])
+    slots, same = view_from_closeness(w_prev, threshold, adjacency[pending])
     size = same.sum(axis=2)
     best = size.max(axis=1)
     # each view holds its viewer in exactly one slot
@@ -137,27 +135,40 @@ def apply_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
     return updated, pending[adopt], pending[draw]
 
 
-def verify_round(*, combination, support, smoothed, fresh, hold, close, adjacency,
-                 phi, psi, tol=1e-12):
-    """Structural checks applied after each round when instrumentation is on."""
-    colsum = combination.sum(axis=0)
-    if np.abs(colsum - 1.0).max() > tol:
+def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
+                 adjacency, w_prev, threshold, n_desired, phi, psi, tol=1e-12):
+    """Structural checks applied after each round when instrumentation is on.
+
+    Every per-pair argument holds one value per link of ``links``, as the
+    round of a static network keeps them; ``close`` is the closeness of
+    the desired estimates ``w_prev`` there. It is held to the dense N x N
+    relation, and ``n_desired`` to that relation's component count.
+    """
+    def column_sums(values):
+        return np.bincount(links.cols, weights=values, minlength=links.n)
+
+    if np.abs(column_sums(combination) - 1.0).max() > tol:
         raise InvariantViolation("aggregation weights are not column-stochastic")
     if ((combination > 0) & ~support).any():
         raise InvariantViolation("aggregation weight outside believed support")
-    if not np.array_equal(close, close.T) or not close.diagonal().all():
+    dense = pairwise_close(w_prev, threshold)
+    if not np.array_equal(dense, dense.T) or not dense.diagonal().all():
         raise InvariantViolation("desired-model closeness must be symmetric with unit diagonal")
+    if not np.array_equal(close, dense[links.rows, links.cols]):
+        raise InvariantViolation("link closeness differs from the dense relation")
+    if n_desired != component_count(dense):
+        raise InvariantViolation("desired-model count differs from the dense relation's")
     if smoothed.min() < 0.0 or smoothed.max() > 1.0:
         raise InvariantViolation("smoothed indicators left [0, 1]")
     if ((fresh > 0) & (hold > 0)).any():
         raise InvariantViolation("fresh and hold supports overlap")
     total = fresh + hold
-    if np.abs(total.sum(axis=0) - 1.0).max() > tol:
+    if np.abs(column_sums(total) - 1.0).max() > tol:
         raise InvariantViolation("split weights are not column-stochastic")
-    if ((total > 0) & ~adjacency).any():
+    if ((total > 0) & ~adjacency[links.rows, links.cols]).any():
         raise InvariantViolation("desired weights outside the adjacency")
     # aggregates stay in the convex hull of the estimates they combine
-    rows, cols = np.nonzero(support)
+    rows, cols = links.rows[support], links.cols[support]
     lo = np.full_like(phi, np.inf)
     hi = np.full_like(phi, -np.inf)
     np.minimum.at(lo, cols, psi[rows])
@@ -188,12 +199,12 @@ class MajoritySwitching:
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         w_prev, adopted, drawn = apply_switching(
-            w_prev, close, adjacency, p, self.rngs, self.equilibrium_break)
+            w_prev, self.beta, adjacency, p, self.rngs, self.equilibrium_break)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1
-            close = pairwise_close(w_prev, self.beta)
-        linked = close & adjacency if links is None else close.ravel()[links.flat]
+            close = pairwise_close(w_prev, self.beta, links)
+        linked = close & adjacency if links is None else close
         fresh, hold = update_desired_matrices(linked, psi, w_prev, self.beta, links)
         return w_prev, close, fresh, hold
 
@@ -241,7 +252,7 @@ def run_rounds(config, topology, models, streams, policy, *,
 
     psi = np.zeros((n, models.dim))
     phi = np.zeros((n, models.dim))
-    smoothed = np.eye(n)
+    smoothed = np.eye(n) if links is None else (links.rows == links.cols).astype(float)
     w_prev = None
 
     msd_observed = np.full((n_iters, n_models), np.nan)
@@ -279,26 +290,28 @@ def run_rounds(config, topology, models, streams, policy, *,
         combination = combination_weights(support, links)
         phi = aggregate(combination, psi, links)
 
-        close = pairwise_close(w_prev, config.beta)
-        p = agreement_vector(close, adjacency, degrees)
+        close = pairwise_close(w_prev, config.beta, links)
+        p = agreement_vector(close & adjacency if links is None else close, degrees, links)
         agreed[t] = bool((p == 1.0).all())
         streak = streak + 1 if agreed[t] else 0
 
         w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p,
                                                     adjacency, links)
-        n_desired[t] = component_count(close)
+        n_desired[t] = (component_count(close) if links is None
+                        else close_component_count(w_prev, config.beta))
         w = update_estimate(phi, w_prev, fresh, hold, links)
 
         msd_observed[t] = observed_msd(phi, models.models, assignment)
         policy.track(t, w, models.models, assignment)
 
         if check_invariants:
-            # on links, the dense support holds the link path to the dense one
-            if links is not None:
-                support = believed_neighborhoods(smoothed) & adjacency
-            verify_round(combination=combination, support=support,
-                         smoothed=smoothed, fresh=fresh, hold=hold, close=close,
-                         adjacency=adjacency, phi=phi, psi=psi)
+            # mobile's N x N arrays are read as one value per pair of agents
+            pairs = links if links is not None else link_index(np.ones((n, n), dtype=bool))
+            verify_round(links=pairs, combination=combination.ravel(),
+                         support=support.ravel(), smoothed=smoothed.ravel(),
+                         fresh=fresh.ravel(), hold=hold.ravel(), close=close.ravel(),
+                         adjacency=adjacency, w_prev=w_prev, threshold=config.beta,
+                         n_desired=n_desired[t], phi=phi, psi=psi)
 
         if motion is not None:
             topology = motion.step(i, w, topology)

@@ -6,18 +6,19 @@ believes observe the same model. Beliefs come from a smoothed proximity
 test between a neighbor's fresh estimate and the agent's previous
 aggregate, so cooperation links form and dissolve as the estimates move.
 
-The belief state is one N x N array of smoothed indicators in [0, 1],
-the identity before any data (each agent believes only in itself). A
-belief is its entry rounded half up, read where the aggregation support
-is built.
+The belief state holds smoothed indicators in [0, 1], the identity before
+any data (each agent believes only in itself). A belief is its entry
+rounded half up, read where the aggregation support is built.
 
 Static networks pass the stages the adjacency's link index
-(``netdecide.network.link_index``: the flat indices l*N + k, rows and
-columns of its True entries), and the proximity test, the support, the
-weights and the aggregation sums run on the links. The smoothed state and
-the weights stay N x N. Mobile swarms pass no index and take the same
-tests on N x N arrays, reading the same distances from
-``netdecide.network.squared_distances``, and aggregate by a BLAS product.
+(``netdecide.network.link_index``: the rows and columns of its True
+entries), and the belief state, the support and the weights hold one
+value per link. Aggregation adds each column's terms in link order with
+``np.bincount`` (:func:`link_sums`), so no N x N array and no BLAS product
+enters a static round, and its bits do not depend on the CPU. Mobile
+swarms pass no index and keep these as N x N arrays, with the same
+proximity test (the distances of ``netdecide.network.squared_distances``)
+and a BLAS product for the aggregation.
 """
 
 from __future__ import annotations
@@ -75,16 +76,16 @@ def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing
     1/smoothing rounds. That lag is what keeps transient proximity during
     the early adaptation phase from ever being believed.
 
-    Given ``links``, the link index of ``adjacency``, the test runs on the
-    links only and ``smoothing`` is added where it passes, which rounds
-    exactly as adding ``smoothing`` times the 0/1 indicator.
+    Given ``links``, the link index of ``adjacency``, ``smoothed`` holds
+    one value per link and ``smoothing`` is added where the test passes,
+    which rounds exactly as adding ``smoothing`` times the 0/1 indicator.
     """
     if links is None:
         raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency
         return (1.0 - smoothing) * smoothed + smoothing * raw
     near = squared_distances(psi, phi_prev, links.rows, links.cols) <= alpha
     smoothed = (1.0 - smoothing) * smoothed
-    smoothed.ravel()[links.flat[near]] += smoothing
+    smoothed[near] += smoothing
     return smoothed
 
 
@@ -93,22 +94,13 @@ def believed_neighborhoods(smoothed, links=None):
 
     Entry (l, k) of ``smoothed`` rounded to the nearest integer, ties at
     0.5 rounding up, says whether k believes l observes its model. Given
-    ``links``, the support is one bool per link.
+    ``links``, ``smoothed`` and the support hold one value per link.
     """
     if links is not None:
-        return (smoothed.ravel()[links.flat] >= 0.5) | (links.rows == links.cols)
+        return (smoothed >= 0.5) | (links.rows == links.cols)
     support = smoothed >= 0.5
     np.fill_diagonal(support, True)
     return support
-
-
-def link_weights(links):
-    """Uniform column-stochastic weights over ``links``, one per link:
-    1 / (the number of links in its column)."""
-    counts = np.bincount(links.cols, minlength=links.n)
-    if (counts == 0).any():
-        raise ValueError("empty aggregation support column")
-    return 1.0 / counts[links.cols]
 
 
 def combination_weights(support, links=None):
@@ -116,16 +108,17 @@ def combination_weights(support, links=None):
 
     Entry (l, k) is the weight agent k puts on neighbor l. Every column
     must be nonempty (guaranteed when support includes the diagonal).
-    Given ``links``, ``support`` holds one bool per link; the weights are
-    the same N x N array.
+    Given ``links``, ``support`` and the weights hold one value per link.
     """
-    if links is not None:
-        links = links.where(support)
-        return links.scatter(link_weights(links))
-    counts = support.sum(axis=0)
+    if links is None:
+        counts = support.sum(axis=0)
+    else:
+        counts = np.bincount(links.cols[support], minlength=links.n)
     if (counts == 0).any():
         raise ValueError("empty aggregation support column")
-    return support.astype(float) / counts
+    if links is None:
+        return support.astype(float) / counts
+    return np.where(support, 1.0 / counts[links.cols], 0.0)
 
 
 def link_sums(links, terms):
@@ -139,10 +132,10 @@ def link_sums(links, terms):
 def aggregate(weights, psi, links=None):
     """Aggregate per-agent estimates: row k is sum_l weights[l, k] psi_l.
 
-    Given ``links``, the sum runs over the links of each column in link
-    order (:func:`link_sums`); otherwise it is the BLAS product
-    ``weights.T @ psi``.
+    Given ``links``, ``weights`` holds one value per link and the sum runs
+    over the links of each column in link order (:func:`link_sums`);
+    otherwise it is the BLAS product ``weights.T @ psi``.
     """
     if links is None:
         return weights.T @ psi
-    return link_sums(links, weights.ravel()[links.flat][:, None] * psi[links.rows])
+    return link_sums(links, weights[:, None] * psi[links.rows])

@@ -9,9 +9,11 @@ anchor replaces local labeling: informed agents link to their informed
 neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
-anchor, on the links of the (never moving) adjacency, with distances from
-``netdecide.network.squared_distances``. The relay state is two arrays,
-the anchors and their sources.
+anchor. Like every stage of the round on a static network, the split
+holds one value per link of the (never moving) adjacency, with per-pair
+distances from ``netdecide.network.squared_distances``; only the relay's
+scan for informed neighbors reads the boolean adjacency. The relay state
+is two arrays, the anchors and their sources.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -85,8 +87,9 @@ def spread_anchor(anchors, sources, psi, adjacency, target):
 
 
 def follow_matrices(anchors, sources, psi, links, threshold):
-    """Split weight matrices ``(fresh, hold)`` driven by the relay instead
-    of labels, on ``links``, the link index of the adjacency.
+    """Split weights ``(fresh, hold)`` driven by the relay instead of
+    labels, one value per link of ``links``, the link index of the
+    adjacency.
 
     Neighbors are linked when both ends are informed; uninformed agents
     keep a self-preserving link so their column stays stochastic. A linked

@@ -9,9 +9,12 @@ local model class. The classes depend on the viewing agent's neighborhood
 only, and only the induced classes are meaningful network-wide.
 
 :func:`view_from_closeness` labels many views at once: it gathers every
-view's matrix into one padded block, packs each column into a byte string
-label (a mobile neighborhood of 80 agents needs 10 bytes) and compares
-the labels pairwise.
+view's members into one padded block, tests each pair of members' desired
+estimates for closeness, packs each column into a byte string label (a
+mobile neighborhood of 80 agents needs 10 bytes) and compares the labels
+pairwise. The closeness is computed on the views' member pairs only, with
+the per-pair arithmetic of ``netdecide.network.squared_distances``, so it
+has the bits of the N x N relation without building it.
 
 The agreement degree p_k of an agent is the share of its closed
 neighborhood whose desired estimates are close to its own;
@@ -20,25 +23,36 @@ neighborhood whose desired estimates are close to its own;
 
 import numpy as np
 
+from .network import squared_distances
 
-def view_from_closeness(close, views):
+
+def view_from_closeness(points, threshold, views):
     """Local model classes of the (P, N) boolean ``views``, one row of
     members per view, as ``(slots, same)``: (P, W) member ids ascending,
     padded with -1, and (P, W, W) ``same[v, a, b]``, true when slots ``a``
-    and ``b`` of view ``v`` carry equal labels and neither is padding."""
+    and ``b`` of view ``v`` carry equal labels and neither is padding.
+
+    Members are close when their ``points`` (the desired estimates) lie
+    within ``threshold`` (squared norm) of each other.
+    """
     width = views.sum(axis=1)
     valid = np.arange(width.max()) < width[:, None]
     slots = np.full(valid.shape, -1)
     slots[valid] = np.nonzero(views)[1]
-    # the -1 padding gathers the last agent's row and column; masking the
-    # padded rows keeps it out of every label
-    block = close[slots[:, :, None], slots[:, None, :]] & valid[:, :, None]
+    # the -1 padding reads the last agent's estimate; masking the padded
+    # rows keeps it out of every label
+    block = (squared_distances(points[slots]) <= threshold) & valid[:, :, None]
     packed = np.packbits(block, axis=1).transpose(0, 2, 1)
     labels = np.ascontiguousarray(packed).view(f"V{packed.shape[2]}")[..., 0]
     same = labels[:, :, None] == labels[:, None, :]
     return slots, same & valid[:, :, None] & valid[:, None, :]
 
 
-def agreement_vector(close, adjacency, degrees):
-    """All agreement degrees at once from a global closeness matrix."""
-    return np.count_nonzero(close & adjacency, axis=1) / degrees
+def agreement_vector(close, degrees, links=None):
+    """All agreement degrees at once: the number of close agents in each
+    closed neighborhood over its size. ``close`` is the closeness of the
+    desired estimates restricted to the adjacency, an N x N matrix, or one
+    bool per link of ``links``."""
+    if links is None:
+        return np.count_nonzero(close, axis=1) / degrees
+    return np.bincount(links.rows[close], minlength=links.n) / degrees

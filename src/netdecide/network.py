@@ -4,8 +4,17 @@ noise statistics, and the synthetic data streams the agents adapt on.
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
 self-loop. Each agent observes a scalar stream d = u . w + v generated from
-the ground-truth model it is assigned to. Every pair distance, as an N x N
-matrix or one value per link, comes from one kernel, :func:`squared_distances`.
+the ground-truth model it is assigned to.
+
+Every pair distance comes from one kernel, :func:`squared_distances`: direct
+differences one coordinate at a time, squared and added in coordinate
+order, as an N x N matrix or at given index pairs (the links of an
+adjacency, the member pairs of a view). A pair's distance therefore has
+the same bits wherever it is computed, and elementwise IEEE arithmetic
+gives the same bits on every CPU. :func:`close_component_count` counts
+the components of the closeness relation from a cell grid without
+building the relation, and the noise draw takes its exponential and
+logarithm from :func:`_exp` and :func:`_log`, which use no math library.
 """
 
 from __future__ import annotations
@@ -27,47 +36,36 @@ class DivergenceError(RuntimeError):
 
 class Links(NamedTuple):
     """The True entries of an N x N boolean matrix in row-major order:
-    ``flat`` holds l*N + k, ``rows`` l and ``cols`` k."""
+    link i joins row ``rows[i]`` to column ``cols[i]``. A per-link array
+    holds one value for each."""
 
     n: int
-    flat: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-
-    def where(self, mask):
-        """The links at which ``mask`` (one bool per link) is True."""
-        return Links(self.n, self.flat[mask], self.rows[mask], self.cols[mask])
-
-    def scatter(self, values):
-        """Dense N x N float array holding ``values`` at the links and 0
-        elsewhere."""
-        dense = np.zeros((self.n, self.n))
-        dense.ravel()[self.flat] = values
-        return dense
 
 
 def link_index(adjacency):
     """:class:`Links` of a square boolean matrix, such as an adjacency."""
     rows, cols = np.nonzero(adjacency)
-    n = adjacency.shape[0]
-    return Links(n, rows * n + cols, rows, cols)
+    return Links(adjacency.shape[0], rows, cols)
 
 
 def squared_distances(x, y=None, rows=None, cols=None):
-    """Squared Euclidean distances ||x_i - y_j||^2: the N x N matrix, or,
-    given index arrays ``rows`` and ``cols`` (broadcast together), the
-    distances ||x_rows - y_cols||^2 of their shape.
+    """Squared Euclidean distances ||x_i - y_j||^2.
 
-    Both take direct differences one coordinate at a time, square them
-    and add them in coordinate order, so a pair's distance has the same
-    bits wherever it is computed, and is exactly symmetric.
+    For ``x`` of shape (..., N, M) and ``y`` of shape (..., K, M), the
+    (..., N, K) matrices; given index arrays ``rows`` and ``cols``
+    (broadcast together), the distances ||x_rows - y_cols||^2 of their
+    shape. Both take direct differences one coordinate at a time, square
+    them and add them in coordinate order, so a pair's distance has the
+    same bits wherever it is computed, and is exactly symmetric.
     """
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
     d2 = None
-    for c in range(x.shape[1]):
+    for c in range(x.shape[-1]):
         if rows is None:
-            diff = np.subtract.outer(x[:, c], y[:, c])
+            diff = x[..., :, None, c] - y[..., None, :, c]
         else:
             diff = x[rows, c] - y[cols, c]
         diff *= diff
@@ -78,10 +76,13 @@ def squared_distances(x, y=None, rows=None, cols=None):
     return d2
 
 
-def pairwise_close(points, threshold):
-    """Boolean matrix of the test ||p_a - p_b||^2 <= threshold, exactly
-    symmetric as the distances are."""
-    return squared_distances(points) <= threshold
+def pairwise_close(points, threshold, links=None):
+    """The test ||p_a - p_b||^2 <= threshold: an N x N boolean matrix,
+    exactly symmetric as the distances are, or one bool per link of
+    ``links``."""
+    if links is None:
+        return squared_distances(points) <= threshold
+    return squared_distances(points, None, links.rows, links.cols) <= threshold
 
 
 def component_count(close):
@@ -104,6 +105,138 @@ def component_count(close):
             frontier = close[frontier].any(axis=0) & unreached
         count += 1
     return count
+
+
+def _box_d2(extents):
+    """The kernel's sum over the last axis of ``extents`` squared, in
+    coordinate order; it bounds the distance of every pair of points whose
+    coordinate differences are at most (or at least) these extents."""
+    d2 = extents[..., 0] * extents[..., 0]
+    for c in range(1, extents.shape[-1]):
+        d2 = d2 + extents[..., c] * extents[..., c]
+    return d2
+
+
+def _labels(n, a, b):
+    """Component labels of n nodes joined by the edges ``a[i]``-``b[i]``:
+    each node ends with the smallest node of its component, by hooking
+    onto the smallest neighboring label and pointer jumping."""
+    labels = np.arange(n)
+    while True:
+        low = np.minimum(labels[a], labels[b])
+        hooked = labels.copy()
+        np.minimum.at(hooked, a, low)
+        np.minimum.at(hooked, b, low)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            return labels
+        labels = hooked
+
+
+def _ranges(starts, stops):
+    """Concatenated ``range(start, stop)`` of each pair, and the index of
+    the pair each entry came from."""
+    counts = stops - starts
+    owner = np.repeat(np.arange(len(starts)), counts)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return starts[owner] + offset, owner
+
+
+# every step of at most two cells in each coordinate, for dims 1 to 3
+_CELL_STEPS = {dim: np.stack(np.meshgrid(*[np.arange(-2, 3)] * dim, indexing="ij"),
+                             axis=-1).reshape(-1, dim)
+               for dim in (1, 2, 3)}
+
+
+def close_component_count(points, threshold):
+    """``component_count(pairwise_close(points, threshold))``, exactly,
+    without the N x N relation when the points have at most three
+    coordinates.
+
+    A cloud whose bounding box passes the kernel's test (its extents
+    squared and added in coordinate order, ``<= threshold``) is one
+    component: rounding is monotone, so no pair of points computes a
+    larger distance. Otherwise the points are binned into cells of side
+    sqrt(threshold / dim). A cell whose box passes the test is a clique
+    and one group; a cell that fails gives one group per point. Two groups
+    can hold a close pair only if their cells lie at most two apart in
+    every coordinate. Each such pair of groups is settled by their boxes
+    (the gaps between them bound every member pair's distance from below,
+    the spans from above), by one witness pair (the members nearest their
+    box centers), and only if still apart by testing every member pair.
+    Points that are not finite, have more coordinates, or a threshold
+    that is not positive take the dense relation.
+    """
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    if n == 0:
+        return 0
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    if _box_d2(hi - lo) <= threshold:
+        return 1
+    side = np.sqrt(threshold / dim) if dim <= 3 and threshold > 0 else 0.0
+    # past 2**20 cells a coordinate the keys could overflow; NaN fails too
+    if not np.all(hi - lo < side * 2.0 ** 20):
+        return component_count(pairwise_close(points, threshold))
+
+    # cell indices shifted by 2, and a base wide enough that a neighbor
+    # two cells away in any coordinate keeps its own key
+    cell = np.floor((points - lo) / side).astype(np.int64) + 2
+    base = cell.max(axis=0) + 5
+    key = cell[:, 0]
+    for c in range(1, dim):
+        key = key * base[c] + cell[:, c]
+    order = np.argsort(key, kind="stable")
+    pts, key = points[order], key[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    cells = np.flatnonzero(first)
+    clique = _box_d2(np.maximum.reduceat(pts, cells) - np.minimum.reduceat(pts, cells)) <= threshold
+    # groups: each clique cell, and each point of a cell that is not one
+    group_start = first | ~clique[np.cumsum(first) - 1]
+    starts = np.flatnonzero(group_start)
+    stops = np.append(starts[1:], n)
+    glo = np.minimum.reduceat(pts, starts)
+    ghi = np.maximum.reduceat(pts, starts)
+    gkey = key[starts]
+
+    # candidate pairs: groups of one cell, then groups in every neighbor
+    # cell that comes later in key order
+    strides = np.append(np.cumprod(base[:0:-1])[::-1], 1)
+    koff = _CELL_STEPS[dim] @ strides
+    koff = koff[koff > 0]
+    g = np.arange(len(starts))
+    target = (gkey[:, None] + koff[None, :]).ravel()
+    same_b, same_a = _ranges(g + 1, np.searchsorted(gkey, gkey, side="right"))
+    near_b, near_i = _ranges(np.searchsorted(gkey, target, side="left"),
+                             np.searchsorted(gkey, target, side="right"))
+    a = np.concatenate([same_a, near_i // len(koff)])
+    b = np.concatenate([same_b, near_b])
+
+    gap = np.maximum(np.maximum(glo[b] - ghi[a], glo[a] - ghi[b]), 0.0)
+    keep = _box_d2(gap) <= threshold
+    a, b = a[keep], b[keep]
+    joined = _box_d2(np.maximum(ghi[b] - glo[a], ghi[a] - glo[b])) <= threshold
+    center = 0.5 * (glo + ghi)
+    owner = np.repeat(g, stops - starts)
+    nearest = np.lexsort((squared_distances(pts, center, np.arange(n), owner), owner))[starts]
+    joined |= squared_distances(pts, None, nearest[a], nearest[b]) <= threshold
+    labels = _labels(len(starts), a[joined], b[joined])
+
+    # every member pair of the pairs still apart
+    open_ = ~joined & (labels[a] != labels[b])
+    if not open_.any():
+        return int(np.count_nonzero(labels == g))
+    a_open, b_open = a[open_], b[open_]
+    size = stops - starts
+    k, pair = _ranges(np.zeros(len(a_open), dtype=np.int64), size[a_open] * size[b_open])
+    p = starts[a_open][pair] + k // size[b_open][pair]
+    q = starts[b_open][pair] + k % size[b_open][pair]
+    hit = np.zeros(len(a_open), dtype=bool)
+    hit[pair[squared_distances(pts, None, p, q) <= threshold]] = True
+    labels = _labels(len(starts), np.concatenate([a[joined], a_open[hit]]),
+                     np.concatenate([b[joined], b_open[hit]]))
+    return int(np.count_nonzero(labels == g))
 
 
 @dataclass(eq=False)

@@ -11,8 +11,9 @@ from netdecide.decision import (InvariantViolation, apply_switching,
                                 update_estimate, verify_round)
 from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
-from netdecide.network import pairwise_close
-from test_labeling import block_matrix, switch_sources
+from netdecide.network import link_index, pairwise_close
+from test_labeling import THRESHOLD, block_points, switch_sources
+from test_links import estimates
 
 
 def desired_split(w_prev, psi, adjacency, threshold):
@@ -81,29 +82,27 @@ def test_update_estimate_mixed_routes_hand_value():
 
 def test_switch_keeps_estimate_when_view_is_unanimous():
     # the stage itself keeps a one-class view, whatever p_k reads
-    assert switch_sources(np.ones((4, 4), dtype=bool), [1]) == ([0, 1, 2, 3], [], [])
+    assert switch_sources([range(4)], 4, [1]) == ([0, 1, 2, 3], [], [])
 
 
 def test_switch_adopts_lowest_indexed_majority_member():
-    close = block_matrix([[0, 2, 3], [1], [4]], 5)
-    assert switch_sources(close, [1, 4]) == ([0, 0, 2, 3, 0], [1, 4], [])
+    assert switch_sources([[0, 2, 3], [1], [4]], 5, [1, 4]) == ([0, 0, 2, 3, 0], [1, 4], [])
 
 
 def test_switch_majority_member_stays_with_three_classes():
-    close = block_matrix([[0, 1, 2], [3, 4], [5]], 6)
-    assert switch_sources(close, [0]) == ([0, 1, 2, 3, 4, 5], [], [])
+    assert switch_sources([[0, 1, 2], [3, 4], [5]], 6, [0]) == ([0, 1, 2, 3, 4, 5], [], [])
 
 
 def test_switch_even_split_draw_matches_member_frequencies():
     # majority members in a 4-vs-2 split: uniform draws over all six
     # members, so the majority block is hit with probability 2/3; the four
     # members share one generator and draw in ascending order
-    close = block_matrix([[0, 1, 2, 3], [4, 5]], 6)
+    blocks = [[0, 1, 2, 3], [4, 5]]
     rng = np.random.default_rng(99)
     n_calls = 2_500
     hits = np.zeros(6, dtype=int)
     for _ in range(n_calls):
-        sources, adopted, drawn = switch_sources(close, range(4), rngs=[rng] * 6)
+        sources, adopted, drawn = switch_sources(blocks, 6, range(4), rngs=[rng] * 6)
         assert drawn == [0, 1, 2, 3] and adopted == []
         np.add.at(hits, sources[:4], 1)
     n_draws = 4 * n_calls
@@ -114,9 +113,9 @@ def test_switch_even_split_draw_matches_member_frequencies():
 
 
 def test_switch_even_split_respects_equilibrium_flag():
-    close = block_matrix([[0, 1], [2, 3]], 4)
-    assert switch_sources(close, [0], equilibrium_break=False) == ([0, 1, 2, 3], [], [])
-    sources, adopted, drawn = switch_sources(close, [0], equilibrium_break=True)
+    blocks = [[0, 1], [2, 3]]
+    assert switch_sources(blocks, 4, [0], equilibrium_break=False) == ([0, 1, 2, 3], [], [])
+    sources, adopted, drawn = switch_sources(blocks, 4, [0], equilibrium_break=True)
     assert drawn == [0] and adopted == [] and sources[0] in range(4)
 
 
@@ -127,11 +126,10 @@ def test_apply_switching_reads_pre_switch_estimates():
     adjacency = np.eye(n, dtype=bool)
     for a, b in [(0, 1), (0, 2), (1, 3)]:
         adjacency[a, b] = adjacency[b, a] = True
-    close = block_matrix([[1, 2], [0, 3]], n)
-    w_prev = np.arange(n * 2, dtype=float).reshape(n, 2)
+    w_prev = block_points([[1, 2], [0, 3]], n)
     rngs = [np.random.default_rng(s) for s in range(n)]
     p = np.array([0.5, 0.5, 1.0, 1.0])
-    updated, adopted, drawn = apply_switching(w_prev.copy(), close, adjacency, p,
+    updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD, adjacency, p,
                                               rngs, True)
     assert np.array_equal(updated[0], w_prev[1])
     assert np.array_equal(updated[1], w_prev[0])
@@ -142,10 +140,9 @@ def test_apply_switching_reads_pre_switch_estimates():
 
 def test_apply_switching_skips_agreeing_agents():
     n = 3
-    close = block_matrix([[0], [1], [2]], n)
-    w_prev = np.arange(n * 2, dtype=float).reshape(n, 2)
+    w_prev = block_points([[0], [1], [2]], n)
     rngs = [np.random.default_rng(s) for s in range(n)]
-    updated, adopted, drawn = apply_switching(w_prev.copy(), close,
+    updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD,
                                               np.ones((n, n), dtype=bool),
                                               np.ones(n), rngs, True)
     assert adopted.size == 0 and drawn.size == 0
@@ -188,25 +185,32 @@ def per_agent_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
        link=st.floats(0.0, 1.0), groups=st.integers(1, 5),
-       flips=st.floats(0.0, 0.3), pending=st.floats(0.0, 1.0),
+       spread=st.floats(0.0, 0.3), grid=st.booleans(), pending=st.floats(0.0, 1.0),
        equilibrium_break=st.booleans())
-@example(seed=0, n=80, link=1.0, groups=2, flips=0.0, pending=1.0,
+@example(seed=0, n=80, link=1.0, groups=2, spread=0.0, grid=False, pending=1.0,
          equilibrium_break=True)
-def test_apply_switching_matches_per_agent_path(seed, n, link, groups, flips,
+def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, grid,
                                                 pending, equilibrium_break):
-    # views up to 80 wide, so labels span up to 10 bytes
+    # views up to 80 wide, so labels span up to 10 bytes. Estimates sit
+    # around group centers 0.3 apart, scattered so that closeness need not
+    # be transitive, or on a grid whose distances meet the threshold exactly
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < link, 1)
     adjacency = upper | upper.T | np.eye(n, dtype=bool)
-    label = rng.integers(0, groups, size=n)
-    flipped = np.triu(rng.random((n, n)) < flips, 1)
-    close = (label[:, None] == label[None, :]) ^ flipped ^ flipped.T
+    if grid:
+        w_prev = estimates(rng, n)
+        threshold = 0.25
+    else:
+        label = rng.integers(0, groups, size=n)
+        w_prev = np.column_stack([0.3 * label, np.zeros(n)])
+        w_prev += rng.normal(size=(n, 2)) * spread
+        threshold = THRESHOLD
+    close = pairwise_close(w_prev, threshold)
     p = np.where(rng.random(n) < pending, 0.5, 1.0)
-    w_prev = rng.normal(size=(n, 2))
     rngs = [np.random.default_rng([seed, k]) for k in range(n)]
     ref_rngs = [np.random.default_rng([seed, k]) for k in range(n)]
 
-    updated, adopted, drawn = apply_switching(w_prev, close, adjacency, p, rngs,
+    updated, adopted, drawn = apply_switching(w_prev, threshold, adjacency, p, rngs,
                                               equilibrium_break)
     ref, ref_adopted, ref_drawn = per_agent_switching(w_prev, close, adjacency, p,
                                                       ref_rngs, equilibrium_break)
@@ -218,18 +222,22 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, flips,
 
 
 def healthy_round(n=4, seed=0):
+    """One consistent round on the complete graph, in the link forms
+    :func:`verify_round` takes; link l*n + k joins l to k."""
     rng = np.random.default_rng(seed)
     adjacency = np.ones((n, n), dtype=bool)
+    links = link_index(adjacency)
     psi = rng.normal(size=(n, 2)) * 0.01
     w_prev = psi.copy()
-    smoothed = np.ones((n, n)) * 0.9
-    support = believed_neighborhoods(smoothed)
-    combination = combination_weights(support)
-    phi = aggregate(combination, psi)
-    close = pairwise_close(w_prev, 0.5)
-    fresh, hold = update_desired_matrices(close & adjacency, psi, w_prev, 0.5)
-    return dict(combination=combination, support=support, smoothed=smoothed,
-                fresh=fresh, hold=hold, close=close, adjacency=adjacency,
+    smoothed = np.full(n * n, 0.9)
+    support = believed_neighborhoods(smoothed, links)
+    combination = combination_weights(support, links)
+    phi = aggregate(combination, psi, links)
+    close = pairwise_close(w_prev, 0.5, links)
+    fresh, hold = update_desired_matrices(close, psi, w_prev, 0.5, links)
+    return dict(links=links, combination=combination, support=support,
+                smoothed=smoothed, fresh=fresh, hold=hold, close=close,
+                adjacency=adjacency, w_prev=w_prev, threshold=0.5, n_desired=1,
                 phi=phi, psi=psi)
 
 
@@ -238,16 +246,19 @@ def test_verify_round_accepts_consistent_state():
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda r: r["combination"].__setitem__((0, 0), 2.0),
-    lambda r: r["support"].__setitem__((0, 1), False),
-    lambda r: r["close"].__setitem__((0, 1), False),
+    lambda r: r["combination"].__setitem__(0, 2.0),
+    lambda r: r["support"].__setitem__(1, False),
+    lambda r: r["close"].__setitem__(1, False),
     lambda r: r["adjacency"].__setitem__((0, 1), False),
-    lambda r: r["smoothed"].__setitem__((0, 0), 1.5),
-    lambda r: r["hold"].__setitem__((0, 0), 0.1),
-    lambda r: r["fresh"].__setitem__((0, 0), 0.7),
+    lambda r: r["smoothed"].__setitem__(0, 1.5),
+    lambda r: r["hold"].__setitem__(0, 0.1),
+    lambda r: r["fresh"].__setitem__(0, 0.7),
     lambda r: r["phi"].__setitem__((0, 0), 99.0),
     # just outside the hull, in one coordinate
     lambda r: r["phi"].__setitem__((0, 1), r["psi"][:, 1].max() + 1e-8),
+    lambda r: r.__setitem__("n_desired", 2),
+    # the links read closeness of other estimates than the dense relation
+    lambda r: r["w_prev"].__setitem__((0, 0), 5.0),
 ])
 def test_verify_round_rejects_corruption(corrupt):
     round_state = healthy_round()

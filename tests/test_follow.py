@@ -102,6 +102,13 @@ def test_sources_latch_lowest_index_and_never_reset():
         assert s.tolist() == seen[1].tolist()
 
 
+def on_matrix(links, values):
+    """The N x N matrix holding one value per link of ``links``, 0 elsewhere."""
+    matrix = np.zeros((links.n, links.n))
+    matrix[links.rows, links.cols] = values
+    return matrix
+
+
 def test_follow_matrices_columns():
     n = 4
     adj = np.ones((n, n), dtype=bool)
@@ -109,8 +116,9 @@ def test_follow_matrices_columns():
     sources = np.array([1, 1, 2, 0])
     psi = np.zeros((n, 2))
     psi[1] = [9.0, 9.0]
-    fresh, hold = follow_matrices(anchors, sources, psi, link_index(adj),
-                                  threshold=0.08)
+    links = link_index(adj)
+    fresh, hold = (on_matrix(links, a) for a in
+                   follow_matrices(anchors, sources, psi, links, threshold=0.08))
     weights = fresh + hold
     # uninformed agent 3 keeps a pure self column
     assert weights[:, 3].tolist() == [0, 0, 0, 1]

@@ -6,6 +6,11 @@ import pytest
 from netdecide.decision import apply_switching
 from netdecide.labeling import agreement_vector, view_from_closeness
 from netdecide.network import pairwise_close
+from test_links import estimates
+
+
+# the closeness threshold of the label tests
+THRESHOLD = 0.08
 
 
 def block_matrix(blocks, n):
@@ -14,6 +19,17 @@ def block_matrix(blocks, n):
     for block in blocks:
         m[np.ix_(block, block)] = True
     return m
+
+
+def block_points(blocks, n):
+    """Desired estimates whose closeness at ``THRESHOLD`` is
+    ``block_matrix(blocks, n)``: block j sits at x = 3 j, and agent k at
+    y = k / 1000, which names the agent."""
+    points = np.zeros((n, 2))
+    points[:, 1] = np.arange(n) / 1000
+    for j, block in enumerate(blocks):
+        points[block, 0] = 3.0 * j
+    return points
 
 
 def column_labels(matrix):
@@ -29,62 +45,69 @@ def view_classes(slots, same, v):
     return sorted({tuple(slots[v][same[v, a]]) for a in valid})
 
 
-def whole_view(close):
-    """The classes of one view holding every agent of ``close``."""
-    slots, same = view_from_closeness(close, np.ones((1, len(close)), dtype=bool))
+def whole_view(points, threshold=THRESHOLD):
+    """The classes of one view holding every agent of ``points``."""
+    slots, same = view_from_closeness(points, threshold,
+                                      np.ones((1, len(points)), dtype=bool))
     return view_classes(slots, same, 0)
 
 
-def switch_sources(close, pending, adjacency=None, equilibrium_break=True, rngs=None):
-    """Run the switch stage with ``pending`` agents (p_k < 1) on estimates
-    that name their agent, and return ``(sources, adopted, drawn)``:
+def switch_sources(blocks, n, pending, adjacency=None, equilibrium_break=True,
+                   rngs=None):
+    """Run the switch stage with ``pending`` agents (p_k < 1) on
+    ``block_points(blocks, n)`` and return ``(sources, adopted, drawn)``:
     whose pre-switch estimate each agent holds afterwards, and the ids
     :func:`apply_switching` reports."""
-    n = len(close)
     if adjacency is None:
         adjacency = np.ones((n, n), dtype=bool)
     if rngs is None:
         rngs = [np.random.default_rng(k) for k in range(n)]
     p = np.ones(n)
     p[pending] = 0.5
-    w_prev = np.arange(n, dtype=float)[:, None]
-    updated, adopted, drawn = apply_switching(w_prev, close, adjacency, p, rngs,
+    w_prev = block_points(blocks, n)
+    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, adjacency, p, rngs,
                                               equilibrium_break)
-    return updated[:, 0].astype(int).tolist(), adopted.tolist(), drawn.tolist()
+    sources = np.rint(updated[:, 1] * 1000).astype(int)
+    return sources.tolist(), adopted.tolist(), drawn.tolist()
+
+
+def test_block_points_realize_the_block_matrix():
+    blocks = [[0, 3, 5], [1, 2], [4]]
+    assert np.array_equal(pairwise_close(block_points(blocks, 6), THRESHOLD),
+                          block_matrix(blocks, 6))
 
 
 def test_six_member_view_worked_example():
     # three classes {0,3,5}, {1,2}, {4}: columns read 37, 24, 24, 37, 2, 37
-    close = block_matrix([[0, 3, 5], [1, 2], [4]], 6)
-    labels = column_labels(close)
+    blocks = [[0, 3, 5], [1, 2], [4]]
+    labels = column_labels(block_matrix(blocks, 6))
     assert labels == [37, 24, 24, 37, 2, 37]
-    slots, same = view_from_closeness(close, np.ones((1, 6), dtype=bool))
+    slots, same = view_from_closeness(block_points(blocks, 6), THRESHOLD,
+                                      np.ones((1, 6), dtype=bool))
     assert slots.tolist() == [[0, 1, 2, 3, 4, 5]]
     assert np.array_equal(same[0], np.equal.outer(labels, labels))
     assert view_classes(slots, same, 0) == [(0, 3, 5), (1, 2), (4,)]
     # {0, 3, 5} is the majority: its members stay (three classes, no
     # draw) and the others adopt agent 0's estimate
-    sources, adopted, drawn = switch_sources(close, range(6))
+    sources, adopted, drawn = switch_sources(blocks, 6, range(6))
     assert sources == [0, 0, 0, 3, 0, 5]
     assert adopted == [1, 2, 4] and drawn == []
 
 
 def test_unanimous_view_has_one_class():
-    close = np.ones((6, 6), dtype=bool)
-    assert whole_view(close) == [tuple(range(6))]
-    assert switch_sources(close, [2]) == (list(range(6)), [], [])
+    assert whole_view(block_points([range(6)], 6)) == [tuple(range(6))]
+    assert switch_sources([range(6)], 6, [2]) == (list(range(6)), [], [])
 
 
 def test_all_distinct_view():
-    close = np.eye(4, dtype=bool)
-    assert whole_view(close) == [(0,), (1,), (2,), (3,)]
+    singles = [[0], [1], [2], [3]]
+    assert whole_view(block_points(singles, 4)) == [(0,), (1,), (2,), (3,)]
     # four singleton classes tie; the viewer's own class wins
-    assert switch_sources(close, [1]) == ([0, 1, 2, 3], [], [])
+    assert switch_sources(singles, 4, [1]) == ([0, 1, 2, 3], [], [])
 
 
 def test_majority_tie_without_viewer_prefers_first_class():
-    close = block_matrix([[0, 1], [2, 3], [4]], 5)
-    assert switch_sources(close, [4]) == ([0, 1, 2, 3, 0], [4], [])
+    assert switch_sources([[0, 1], [2, 3], [4]], 5, [4]) == ([0, 1, 2, 3, 0], [4], [])
 
 
 def test_same_class_members_share_labels():
@@ -95,9 +118,9 @@ def test_same_class_members_share_labels():
         blocks = [[] for _ in range(n_blocks)]
         for member, b in enumerate(rng.integers(0, n_blocks, size=n)):
             blocks[b].append(member)
-        close = block_matrix([b for b in blocks if b], n)
-        classes = whole_view(close)
-        labels = column_labels(close)
+        blocks = [b for b in blocks if b]
+        classes = whole_view(block_points(blocks, n))
+        labels = column_labels(block_matrix(blocks, n))
         for c in classes:
             assert len({labels[m] for m in c}) == 1
         flat = sorted(m for c in classes for m in c)
@@ -106,15 +129,15 @@ def test_same_class_members_share_labels():
 
 def test_classes_match_pairwise_equality_oracle():
     """Class structure equals the brute-force relation "columns identical",
-    checked member by member with nested loops."""
+    checked member by member with nested loops, on closeness relations of
+    grid and normal estimates, which need not be transitive."""
     rng = np.random.default_rng(31)
     for _ in range(1000):
         n = int(rng.integers(1, 7))
-        close = np.eye(n, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                close[i, j] = close[j, i] = rng.random() < 0.5
-        classes = whole_view(close)
+        points = estimates(rng, n)
+        threshold = float(rng.choice([0.25, 0.5, 1.0]))
+        close = pairwise_close(points, threshold)
+        classes = whole_view(points, threshold)
         labels = column_labels(close)
         cls_of = {}
         for idx, c in enumerate(classes):
@@ -131,14 +154,14 @@ def test_views_see_members_through_adjacency_gate():
     adj = np.ones((4, 4), dtype=bool)
     adj[0, 3] = adj[3, 0] = False
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
-    close = pairwise_close(w_prev, 0.08)
-    slots, same = view_from_closeness(close, adj[[1, 0]])
+    slots, same = view_from_closeness(w_prev, 0.08, adj[[1, 0]])
     assert slots.tolist() == [[0, 1, 2, 3], [0, 1, 2, -1]]
     assert view_classes(slots, same, 0) == [(0, 1), (2,), (3,)]
     # agent 0 sees only members {0, 1, 2}; its padding slot is in no class
     assert view_classes(slots, same, 1) == [(0, 1), (2,)]
     assert not same[1, 3].any() and not same[1, :, 3].any()
-    p = agreement_vector(close, adj, adj.sum(axis=0))
+    close = pairwise_close(w_prev, 0.08)
+    p = agreement_vector(close & adj, adj.sum(axis=0))
     assert p[1] == pytest.approx(0.5) and p[0] == pytest.approx(2 / 3)
 
 
@@ -154,7 +177,7 @@ def test_agreement_vector_matches_per_view_values():
     for i in range(n):
         for j in range(n):
             close[i, j] = ((w_prev[i] - w_prev[j]) ** 2).sum() <= 0.5
-    got = agreement_vector(close, adj, adj.sum(axis=0))
+    got = agreement_vector(close & adj, adj.sum(axis=0))
     for k in range(n):
         # the share of k's closed neighborhood close to k
         assert got[k] == pytest.approx(close[k, np.flatnonzero(adj[k])].mean())

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
-                               _exp, _log,
-                               build_streams, component_count, corner_models,
+                               _exp, _log, build_streams, close_component_count,
+                               component_count, corner_models,
                                draw_noise_profile, generate_models,
                                generate_topology, network_from_json,
                                network_to_json, pairwise_close,
@@ -157,6 +157,54 @@ def test_component_count_matches_graph_search_oracle(close):
     assert component_count(close) == want
     # self-loops do not join anything: the count holds without them
     assert component_count(close & ~np.eye(len(close), dtype=bool)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), dim=st.integers(1, 4),
+       cloud=st.sampled_from(["grid", "bunched", "clusters", "spread"]),
+       coincident=st.floats(0.0, 0.5), exact=st.booleans())
+@example(seed=0, n=1, dim=2, cloud="spread", coincident=0.0, exact=False)
+@example(seed=0, n=40, dim=2, cloud="grid", coincident=0.5, exact=True)
+@example(seed=3, n=60, dim=3, cloud="bunched", coincident=0.0, exact=True)
+def test_close_component_count_matches_the_dense_relation(seed, n, dim, cloud,
+                                                          coincident, exact):
+    # half-grid points meet an exact threshold in many pairs; bunched
+    # clouds fill few cells, spread ones many; dim 4 takes the dense path
+    g = np.random.default_rng(seed)
+    if cloud == "grid":
+        points = g.integers(-3, 4, size=(n, dim)) / 2
+    elif cloud == "bunched":
+        points = g.normal(size=(n, dim)) * 0.15
+    elif cloud == "clusters":
+        points = g.uniform(-1, 1, size=(3, dim))[g.integers(0, 3, n)]
+        points += g.normal(size=(n, dim)) * 0.1
+    else:
+        points = g.uniform(-3, 3, size=(n, dim))
+    copies = g.random(n) < coincident
+    points[copies] = points[g.integers(0, n, size=copies.sum())]
+    d2 = squared_distances(points)
+    positive = d2[d2 > 0]
+    threshold = float(g.choice(positive)) if exact and positive.size else 0.08
+    want = component_count(pairwise_close(points, threshold))
+    assert close_component_count(points, threshold) == want
+
+
+def test_close_component_count_splits_a_cell_that_is_not_a_clique():
+    # the last two points fall in one cell of side 0.1 once (x - lo) / 0.1
+    # is rounded, yet lie just over the threshold apart: the cell's box
+    # fails the test and its points are settled one by one
+    lo, a, b = -4.071587881110587, 3.4284121188894128, 3.528412118889413
+    points = np.array([[lo, lo], [a, a], [b, b]])
+    assert squared_distances(points)[1, 2] > 0.02
+    assert close_component_count(points, 0.02) == 3
+
+
+def test_close_component_count_takes_the_dense_path_off_the_grid():
+    points = np.array([[0.0, 0.0], [0.1, 0.0], [np.nan, 0.0], [5.0, 5.0]])
+    assert close_component_count(points, 0.08) == 3
+    assert close_component_count(points[[0, 1, 3]], 0.0) == 3
+    assert close_component_count(np.zeros((3, 2)), 0.0) == 1
+    assert close_component_count(np.zeros((0, 2)), 0.08) == 0
 
 
 def test_topology_validate_rejects_bad_shapes():
