@@ -212,6 +212,12 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
 
 
 def run_sweep(config, model_counts, n_jobs=1):
-    """Monte Carlo batches across model counts, same master seed each."""
-    return {int(c): run_monte_carlo(config.replace(n_models=int(c)), n_jobs=n_jobs)
-            for c in model_counts}
+    """Monte Carlo batches across model counts, same master seed each.
+    A count given twice raises :class:`ConfigError`: its batch would run
+    twice and keep one result."""
+    counts = [int(c) for c in model_counts]
+    repeated = sorted({c for c in counts if counts.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"model counts repeat: {repeated}")
+    return {c: run_monte_carlo(config.replace(n_models=c), n_jobs=n_jobs)
+            for c in counts}

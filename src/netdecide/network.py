@@ -495,12 +495,12 @@ def _exp(x):
 
 
 def _log(y):
-    """log(y) for y > 0 by six Newton steps on :func:`_exp`, started from
-    y = m 2**e: e ln 2 + 2 (m - 1) / (m + 1)."""
+    """log(y) for y > 0 by five Newton steps on :func:`_exp`, started from
+    y = m 2**e: e ln 2 + 2 (m - 1) / (m + 1), which is off by at most 0.03."""
     y = np.asarray(y, dtype=float)
     m, e = np.frexp(y)
     x = e * (_LN2_HI + _LN2_LO) + 2.0 * (m - 1.0) / (m + 1.0)
-    for _ in range(6):
+    for _ in range(5):
         x = x + (y / _exp(x) - 1.0)
     return x
 
@@ -515,8 +515,8 @@ def draw_noise_profile(n_agents, dim, seed=None, *, sigma_v2_range, reg_power_ra
     bits are the same on every CPU.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = sigma_v2_range
-    sigma_v2 = _exp(rng.uniform(_log(lo), _log(hi), size=n_agents))
+    lo, hi = _log(sigma_v2_range)
+    sigma_v2 = _exp(rng.uniform(lo, hi, size=n_agents))
     reg_power = rng.uniform(*reg_power_range, size=(n_agents, dim))
     return sigma_v2, reg_power
 

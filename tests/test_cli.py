@@ -35,6 +35,15 @@ def test_zero_goal_gain_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_repeated_sweep_count_exits_with_code_2(tmp_path, capsys):
+    code = main(["sweep", *TINY, "--model-counts", "2", "3", "2",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "model counts repeat: [2]" in err and "Traceback" not in err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_negative_seed_exits_with_code_2(tmp_path, capsys):
     code = main(["decide", *TINY, "--seed", "-1", "--out-dir", str(tmp_path)])
     assert code == 2
