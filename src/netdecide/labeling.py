@@ -25,6 +25,9 @@ import numpy as np
 
 from .network import squared_distances
 
+# member pairs whose distances one step of view_from_closeness computes
+_PAIRS_PER_STEP = 2 ** 13
+
 
 def view_from_closeness(points, threshold, views):
     """Local model classes of the (P, N) boolean ``views``, one row of
@@ -39,13 +42,20 @@ def view_from_closeness(points, threshold, views):
     valid = np.arange(width.max()) < width[:, None]
     slots = np.full(valid.shape, -1)
     slots[valid] = np.nonzero(views)[1]
-    # the -1 padding reads the last agent's estimate; masking the padded
-    # rows keeps it out of every label
-    block = (squared_distances(points[slots]) <= threshold) & valid[:, :, None]
+    # a few views at a time, so the float distances stay small beside the
+    # boolean block; the -1 padding reads the last agent's estimate, and
+    # masking the padded rows keeps it out of every label
+    block = np.empty(slots.shape + slots.shape[1:], dtype=bool)
+    step = max(1, _PAIRS_PER_STEP // slots.shape[1] ** 2)
+    for i in range(0, len(slots), step):
+        block[i:i + step] = squared_distances(points[slots[i:i + step]]) <= threshold
+    block &= valid[:, :, None]
     packed = np.packbits(block, axis=1).transpose(0, 2, 1)
     labels = np.ascontiguousarray(packed).view(f"V{packed.shape[2]}")[..., 0]
     same = labels[:, :, None] == labels[:, None, :]
-    return slots, same & valid[:, :, None] & valid[:, None, :]
+    same &= valid[:, :, None]
+    same &= valid[:, None, :]
+    return slots, same
 
 
 def agreement_vector(close, degrees, links=None):
