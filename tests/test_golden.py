@@ -6,10 +6,11 @@ The digests are SHA-256 of the text those files hold; they change
 only when a change to the simulation is meant to change its outputs, and
 such a change says so where it updates them.
 
-The decide and follow digests hold on every CPU: their rounds add,
-multiply and divide elementwise and sum over links in a fixed order, and
-the noise draw avoids the math library. The mobile digests also rest on
-three BLAS products (aggregation, the estimate update and the alignment
+The decide and follow digests do not depend on the CPU's instruction set:
+their rounds add, multiply and divide elementwise and sum over links in a
+fixed order, and the noise draw avoids the math library; CI runs them
+under an SSE-only and an AVX2-only profile. The mobile digests also rest
+on three BLAS products (aggregation, the estimate update and the alignment
 term of the motion law), so they hold only where the BLAS kernel rounds
 as the one they were taken with.
 """
