@@ -97,7 +97,8 @@ def update_estimate(phi, w_prev, fresh, hold, links=None):
     return link_sums(links, terms)
 
 
-def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
+def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break,
+                    links=None):
     """Run the switch stage for every non-unanimous agent (p_k < 1) and
     return ``(updated, adopted, drawn)``: the estimates after it and the
     ids of the agents that adopted a majority or drew a neighbor.
@@ -110,12 +111,20 @@ def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
     majority member of a two-class view copies a neighbor drawn uniformly
     by its own generator, which defuses evenly split standoffs. All
     decisions read the pre-switch estimates; the copies are applied
-    together, which is the intra-round re-send barrier.
+    together, which is the intra-round re-send barrier. Given ``links``,
+    the link index of ``adjacency``, the views are read from the pending
+    agents' links.
     """
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
         return w_prev, pending, pending
-    slots, same = view_from_closeness(w_prev, threshold, adjacency[pending])
+    if links is None:
+        rows, members = np.nonzero(adjacency[pending])
+    else:
+        in_view = p[links.rows] < 1.0
+        rows = np.searchsorted(pending, links.rows[in_view])
+        members = links.cols[in_view]
+    slots, same = view_from_closeness(w_prev, threshold, rows, members)
     size = same.sum(axis=2)
     best = size.max(axis=1)
     # each view holds its viewer in exactly one slot
@@ -199,7 +208,7 @@ class MajoritySwitching:
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         w_prev, adopted, drawn = apply_switching(
-            w_prev, self.beta, adjacency, p, self.rngs, self.equilibrium_break)
+            w_prev, self.beta, adjacency, p, self.rngs, self.equilibrium_break, links)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1

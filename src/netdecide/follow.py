@@ -9,11 +9,11 @@ anchor replaces local labeling: informed agents link to their informed
 neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
-anchor. Like every stage of the round on a static network, the split
-holds one value per link of the (never moving) adjacency, with per-pair
-distances from ``netdecide.network.squared_distances``; only the relay's
-scan for informed neighbors reads the boolean adjacency. The relay state
-is two arrays, the anchors and their sources.
+anchor. Like every stage of the round on a static network, the relay
+reads the links of the (never moving) adjacency, and the split holds one
+value per link, with per-pair distances from
+``netdecide.network.squared_distances``. The relay state is two arrays,
+the anchors and their sources.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -40,7 +40,7 @@ from .decision import (adapt, aggregate, agreement_vector,  # noqa: F401
                        update_estimate)
 
 
-def spread_anchor(anchors, sources, psi, adjacency, target):
+def spread_anchor(anchors, sources, psi, links, target):
     """Advance the relay by one synchronous round and return the new
     ``(anchors, sources)``.
 
@@ -54,29 +54,40 @@ def spread_anchor(anchors, sources, psi, adjacency, target):
     anchor of its lowest-indexed informed neighbor and records that
     neighbor as its source; an informed agent refreshes from its recorded
     source's previous-round anchor whenever that source is still a
-    neighbor, and otherwise keeps its stale copy.
+    neighbor, and otherwise keeps its stale copy. Neighbors are the links
+    of ``links``, the link index of the adjacency.
     """
-    n = adjacency.shape[0]
+    n = links.n
     prev_anchors, prev_sources = anchors, sources
     anchors = anchors.copy()
     sources = sources.copy()
 
-    direct = adjacency[:, target]
+    direct = np.zeros(n, dtype=bool)
+    direct[links.cols[links.rows == target]] = True
     informed_prev = prev_sources > 0
 
-    # uninformed agents scan neighbors for anyone informed last round
-    candidates = adjacency & informed_prev[:, None]
-    has_candidate = candidates.any(axis=0)
-    first_candidate = candidates.argmax(axis=0)
-    latch = ~direct & ~informed_prev & has_candidate
+    # uninformed agents scan neighbors for anyone informed last round: the
+    # adjacency is symmetric, so the first informed link of row k, in
+    # row-major order, leads to k's lowest-indexed informed neighbor
+    heard = np.flatnonzero(informed_prev[links.cols])
+    rows = links.rows[heard]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    first_candidate = np.full(n, n)
+    first_candidate[rows[first]] = links.cols[heard[first]]
+    latch = ~direct & ~informed_prev & (first_candidate < n)
     anchors[latch] = prev_anchors[first_candidate[latch]]
     sources[latch] = first_candidate[latch] + 1
 
-    # informed agents refresh from their recorded source while it stays nearby
+    # informed agents refresh from their recorded source while it stays a
+    # neighbor; in row-major order the link keys l*N + k come sorted
     refresh = ~direct & informed_prev
     src = prev_sources - 1
+    keys = links.rows * n + links.cols
+    asked = src[refresh] * n + np.flatnonzero(refresh)
+    found = np.minimum(np.searchsorted(keys, asked), len(keys) - 1)
     still_linked = np.zeros(n, dtype=bool)
-    still_linked[refresh] = adjacency[src[refresh], np.flatnonzero(refresh)]
+    still_linked[refresh] = keys[found] == asked
     refresh &= still_linked
     anchors[refresh] = prev_anchors[src[refresh]]
 
@@ -128,7 +139,7 @@ class AnchorRelay:
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
-                                                   adjacency, self.target)
+                                                   links, self.target)
         informed = self.sources > 0
         self.coverage[t] = int(informed.sum())
         if self.ball is not None:

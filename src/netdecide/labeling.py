@@ -29,19 +29,22 @@ from .network import squared_distances
 _PAIRS_PER_STEP = 2 ** 13
 
 
-def view_from_closeness(points, threshold, views):
-    """Local model classes of the (P, N) boolean ``views``, one row of
-    members per view, as ``(slots, same)``: (P, W) member ids ascending,
-    padded with -1, and (P, W, W) ``same[v, a, b]``, true when slots ``a``
-    and ``b`` of view ``v`` carry equal labels and neither is padding.
+def view_from_closeness(points, threshold, rows, members):
+    """Local model classes of P views as ``(slots, same)``: (P, W) member
+    ids ascending, padded with -1, and (P, W, W) ``same[v, a, b]``, true
+    when slots ``a`` and ``b`` of view ``v`` carry equal labels and neither
+    is padding.
 
+    View ``rows[i]`` holds agent ``members[i]``; the pairs come sorted by
+    view, then by member, and every view holds at least one member, as
+    the True entries of a (P, N) boolean matrix do in row-major order.
     Members are close when their ``points`` (the desired estimates) lie
     within ``threshold`` (squared norm) of each other.
     """
-    width = views.sum(axis=1)
+    width = np.bincount(rows)
     valid = np.arange(width.max()) < width[:, None]
     slots = np.full(valid.shape, -1)
-    slots[valid] = np.nonzero(views)[1]
+    slots[valid] = members
     # a few views at a time, so the float distances stay small beside the
     # boolean block; the -1 padding reads the last agent's estimate, and
     # masking the padded rows keeps it out of every label

@@ -40,13 +40,13 @@ def test_anchor_chain_walkthrough():
     adj = path_adjacency(3)
     anchors, sources = initial_relay(3, 2)
     psi1 = np.array([[1.0, 1.0], [7.0, 7.0], [8.0, 8.0]])
-    anchors, sources = spread_anchor(anchors, sources, psi1, adj, target=0)
+    anchors, sources = spread_anchor(anchors, sources, psi1, link_index(adj), target=0)
     assert np.array_equal(anchors[0], psi1[0])
     assert np.array_equal(anchors[1], psi1[0])
     assert np.array_equal(anchors[2], [0.0, 0.0])
     assert sources.tolist() == [1, 1, 0]
     psi2 = np.array([[2.0, 2.0], [7.0, 7.0], [8.0, 8.0]])
-    anchors, sources = spread_anchor(anchors, sources, psi2, adj, target=0)
+    anchors, sources = spread_anchor(anchors, sources, psi2, link_index(adj), target=0)
     assert np.array_equal(anchors[1], psi2[0])
     assert np.array_equal(anchors[2], psi1[0])
     assert sources.tolist() == [1, 1, 2]
@@ -62,7 +62,7 @@ def test_anchor_staleness_on_chain():
         psi = np.full((n, 2), -1.0)
         psi[0] = [float(i), float(i)]
         history[i] = psi[0].copy()
-        anchors, sources = spread_anchor(anchors, sources, psi, adj, target=0)
+        anchors, sources = spread_anchor(anchors, sources, psi, link_index(adj), target=0)
         for depth in range(1, n):
             if i >= depth:
                 assert np.array_equal(anchors[depth], history[i - depth + 1])
@@ -79,9 +79,26 @@ def test_informed_set_is_bfs_ball(rng):
     anchors, sources = initial_relay(n, 2)
     psi = rng.normal(size=(n, 2))
     for i in range(1, n + 2):
-        anchors, sources = spread_anchor(anchors, sources, psi, adj, target=4)
+        anchors, sources = spread_anchor(anchors, sources, psi, link_index(adj), target=4)
         informed = sources > 0
         assert np.array_equal(informed, (depths >= 0) & (depths <= i))
+
+
+def test_relay_keeps_a_stale_copy_once_its_source_is_gone():
+    # chain 0 - 1 - 2 with target 0; once the link 1 - 2 is gone, agent 2
+    # keeps the anchor it last copied from agent 1
+    adj = path_adjacency(3)
+    anchors, sources = initial_relay(3, 2)
+    for i in (1, 2):
+        psi = np.full((3, 2), float(i))
+        anchors, sources = spread_anchor(anchors, sources, psi, link_index(adj), target=0)
+    assert sources.tolist() == [1, 1, 2]
+    held = anchors[2].copy()
+    adj[1, 2] = adj[2, 1] = False
+    anchors, sources = spread_anchor(anchors, sources, np.full((3, 2), 9.0),
+                                     link_index(adj), target=0)
+    assert np.array_equal(anchors[2], held) and sources[2] == 2
+    assert np.array_equal(anchors[1], [9.0, 9.0])
 
 
 def test_sources_latch_lowest_index_and_never_reset():
@@ -94,7 +111,7 @@ def test_sources_latch_lowest_index_and_never_reset():
     psi = np.zeros((n, 2))
     seen = []
     for _ in range(5):
-        anchors, sources = spread_anchor(anchors, sources, psi, adj, target=0)
+        anchors, sources = spread_anchor(anchors, sources, psi, link_index(adj), target=0)
         seen.append(sources.copy())
     assert seen[0].tolist() == [1, 1, 1, 0]
     assert seen[1][3] == 2

@@ -47,8 +47,8 @@ def view_classes(slots, same, v):
 
 def whole_view(points, threshold=THRESHOLD):
     """The classes of one view holding every agent of ``points``."""
-    slots, same = view_from_closeness(points, threshold,
-                                      np.ones((1, len(points)), dtype=bool))
+    slots, same = view_from_closeness(points, threshold, np.zeros(len(points), dtype=int),
+                                      np.arange(len(points)))
     return view_classes(slots, same, 0)
 
 
@@ -83,7 +83,7 @@ def test_six_member_view_worked_example():
     labels = column_labels(block_matrix(blocks, 6))
     assert labels == [37, 24, 24, 37, 2, 37]
     slots, same = view_from_closeness(block_points(blocks, 6), THRESHOLD,
-                                      np.ones((1, 6), dtype=bool))
+                                      np.zeros(6, dtype=int), np.arange(6))
     assert slots.tolist() == [[0, 1, 2, 3, 4, 5]]
     assert np.array_equal(same[0], np.equal.outer(labels, labels))
     assert view_classes(slots, same, 0) == [(0, 3, 5), (1, 2), (4,)]
@@ -154,7 +154,7 @@ def test_views_see_members_through_adjacency_gate():
     adj = np.ones((4, 4), dtype=bool)
     adj[0, 3] = adj[3, 0] = False
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
-    slots, same = view_from_closeness(w_prev, 0.08, adj[[1, 0]])
+    slots, same = view_from_closeness(w_prev, 0.08, *np.nonzero(adj[[1, 0]]))
     assert slots.tolist() == [[0, 1, 2, 3], [0, 1, 2, -1]]
     assert view_classes(slots, same, 0) == [(0, 1), (2,), (3,)]
     # agent 0 sees only members {0, 1, 2}; its padding slot is in no class
