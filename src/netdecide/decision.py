@@ -31,8 +31,9 @@ entries) and the round is link-only. The smoothed beliefs, the
 combination, fresh and hold weights and the closeness of the desired
 estimates hold one value per link; the aggregation and the estimate
 update add each column's link terms in link order. The switch stage
-computes closeness on its pending agents' views, and the desired-model
-count comes from ``netdecide.network.close_component_count``'s cell grid.
+reads its pending agents' views from their links and computes closeness
+at the views' member pairs, and the desired-model count comes from
+``netdecide.network.close_component_count``'s cell grid.
 Every distance is per-pair elementwise arithmetic
 (``netdecide.network.squared_distances``), so wherever a pair is tested
 it reads the same bits, on any CPU. Mobile swarms rebuild their topology

@@ -69,15 +69,17 @@ def spread_anchor(anchors, sources, psi, links, target):
     # uninformed agents scan neighbors for anyone informed last round: the
     # adjacency is symmetric, so the first informed link of row k, in
     # row-major order, leads to k's lowest-indexed informed neighbor
-    heard = np.flatnonzero(informed_prev[links.cols])
-    rows = links.rows[heard]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows[1:] != rows[:-1]
-    first_candidate = np.full(n, n)
-    first_candidate[rows[first]] = links.cols[heard[first]]
-    latch = ~direct & ~informed_prev & (first_candidate < n)
-    anchors[latch] = prev_anchors[first_candidate[latch]]
-    sources[latch] = first_candidate[latch] + 1
+    uninformed = ~direct & ~informed_prev
+    if uninformed.any():
+        heard = np.flatnonzero(informed_prev[links.cols])
+        rows = links.rows[heard]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        first_candidate = np.full(n, n)
+        first_candidate[rows[first]] = links.cols[heard[first]]
+        latch = uninformed & (first_candidate < n)
+        anchors[latch] = prev_anchors[first_candidate[latch]]
+        sources[latch] = first_candidate[latch] + 1
 
     # informed agents refresh from their recorded source while it stays a
     # neighbor; in row-major order the link keys l*N + k come sorted
