@@ -31,9 +31,9 @@ entries) and the round is link-only. The smoothed beliefs, the
 combination, fresh and hold weights and the closeness of the desired
 estimates hold one value per link; the aggregation and the estimate
 update add each column's link terms in link order. The switch stage
-reads its pending agents' views from their links and computes closeness
-at the views' member pairs, and the desired-model count comes from
-``netdecide.network.close_component_count``'s cell grid.
+reads its pending agents' views from their adjacency rows and computes
+closeness at the views' member pairs only, and the desired-model count
+comes from ``netdecide.network.close_component_count``'s cell grid.
 Every distance is per-pair elementwise arithmetic
 (``netdecide.network.squared_distances``), so wherever a pair is tested
 it reads the same bits, on any CPU. Mobile swarms rebuild their topology
@@ -98,8 +98,7 @@ def update_estimate(phi, w_prev, fresh, hold, links=None):
     return link_sums(links, terms)
 
 
-def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break,
-                    links=None):
+def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
     """Run the switch stage for every non-unanimous agent (p_k < 1) and
     return ``(updated, adopted, drawn)``: the estimates after it and the
     ids of the agents that adopted a majority or drew a neighbor.
@@ -112,20 +111,12 @@ def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break,
     majority member of a two-class view copies a neighbor drawn uniformly
     by its own generator, which defuses evenly split standoffs. All
     decisions read the pre-switch estimates; the copies are applied
-    together, which is the intra-round re-send barrier. Given ``links``,
-    the link index of ``adjacency``, the views are read from the pending
-    agents' links.
+    together, which is the intra-round re-send barrier.
     """
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
         return w_prev, pending, pending
-    if links is None:
-        rows, members = np.nonzero(adjacency[pending])
-    else:
-        in_view = p[links.rows] < 1.0
-        rows = np.searchsorted(pending, links.rows[in_view])
-        members = links.cols[in_view]
-    slots, same = view_from_closeness(w_prev, threshold, rows, members)
+    slots, same = view_from_closeness(w_prev, threshold, adjacency[pending])
     size = same.sum(axis=2)
     best = size.max(axis=1)
     # each view holds its viewer in exactly one slot
@@ -150,21 +141,30 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
     """Structural checks applied after each round when instrumentation is on.
 
     Every per-pair argument holds one value per link of ``links``, as the
-    round of a static network keeps them; ``close`` is the closeness of
-    the desired estimates ``w_prev`` there. It is held to the dense N x N
-    relation, and ``n_desired`` to that relation's component count.
+    round of a static network keeps them. The round's results are held to
+    dense N x N references: ``support`` and the weights' support to the
+    believed neighborhoods of ``smoothed`` within the adjacency, ``close``
+    (the closeness of the desired estimates ``w_prev`` at the links) to
+    the dense relation, and ``n_desired`` to that relation's component
+    count.
     """
     def column_sums(values):
         return np.bincount(links.cols, weights=values, minlength=links.n)
 
+    at = (links.rows, links.cols)
     if np.abs(column_sums(combination) - 1.0).max() > tol:
         raise InvariantViolation("aggregation weights are not column-stochastic")
-    if ((combination > 0) & ~support).any():
+    beliefs = np.zeros((links.n, links.n))
+    beliefs[at] = smoothed
+    believed = (believed_neighborhoods(beliefs) & adjacency)[at]
+    if not np.array_equal(support, believed):
+        raise InvariantViolation("aggregation support differs from the believed neighborhoods")
+    if not np.array_equal(combination > 0, believed):
         raise InvariantViolation("aggregation weight outside believed support")
     dense = pairwise_close(w_prev, threshold)
     if not np.array_equal(dense, dense.T) or not dense.diagonal().all():
         raise InvariantViolation("desired-model closeness must be symmetric with unit diagonal")
-    if not np.array_equal(close, dense[links.rows, links.cols]):
+    if not np.array_equal(close, dense[at]):
         raise InvariantViolation("link closeness differs from the dense relation")
     if n_desired != component_count(dense):
         raise InvariantViolation("desired-model count differs from the dense relation's")
@@ -175,7 +175,7 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
     total = fresh + hold
     if np.abs(column_sums(total) - 1.0).max() > tol:
         raise InvariantViolation("split weights are not column-stochastic")
-    if ((total > 0) & ~adjacency[links.rows, links.cols]).any():
+    if ((total > 0) & ~adjacency[at]).any():
         raise InvariantViolation("desired weights outside the adjacency")
     # aggregates stay in the convex hull of the estimates they combine
     rows, cols = links.rows[support], links.cols[support]
@@ -209,7 +209,7 @@ class MajoritySwitching:
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         w_prev, adopted, drawn = apply_switching(
-            w_prev, self.beta, adjacency, p, self.rngs, self.equilibrium_break, links)
+            w_prev, self.beta, adjacency, p, self.rngs, self.equilibrium_break)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1

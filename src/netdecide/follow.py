@@ -82,14 +82,13 @@ def spread_anchor(anchors, sources, psi, links, target):
         sources[latch] = first_candidate[latch] + 1
 
     # informed agents refresh from their recorded source while it stays a
-    # neighbor; in row-major order the link keys l*N + k come sorted
+    # neighbor, found among the sorted link keys
     refresh = ~direct & informed_prev
     src = prev_sources - 1
-    keys = links.rows * n + links.cols
     asked = src[refresh] * n + np.flatnonzero(refresh)
-    found = np.minimum(np.searchsorted(keys, asked), len(keys) - 1)
+    found = np.minimum(np.searchsorted(links.flat, asked), len(links.flat) - 1)
     still_linked = np.zeros(n, dtype=bool)
-    still_linked[refresh] = keys[found] == asked
+    still_linked[refresh] = links.flat[found] == asked
     refresh &= still_linked
     anchors[refresh] = prev_anchors[src[refresh]]
 

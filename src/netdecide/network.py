@@ -36,18 +36,21 @@ class DivergenceError(RuntimeError):
 
 class Links(NamedTuple):
     """The True entries of an N x N boolean matrix in row-major order:
-    link i joins row ``rows[i]`` to column ``cols[i]``. A per-link array
-    holds one value for each."""
+    link i joins row ``rows[i]`` to column ``cols[i]``, and its key
+    ``flat[i] = rows[i] * n + cols[i]`` is its row-major position, so the
+    keys come sorted. A per-link array holds one value for each."""
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
+    flat: np.ndarray
 
 
 def link_index(adjacency):
     """:class:`Links` of a square boolean matrix, such as an adjacency."""
+    n = adjacency.shape[0]
     rows, cols = np.nonzero(adjacency)
-    return Links(adjacency.shape[0], rows, cols)
+    return Links(n, rows, cols, rows * n + cols)
 
 
 def squared_distances(x, y=None, rows=None, cols=None):
@@ -160,10 +163,11 @@ def close_component_count(points, threshold):
     sqrt(threshold / dim). A cell whose box passes the test is a clique
     and one group; a cell that fails gives one group per point. Two groups
     can hold a close pair only if their cells lie at most two apart in
-    every coordinate. Each such pair of groups is settled by their boxes
-    (the gaps between them bound every member pair's distance from below,
-    the spans from above), by one witness pair (the members nearest their
-    box centers), and only if still apart by testing every member pair.
+    every coordinate. Each such pair of groups is dropped when the gaps
+    between their boxes (a lower bound on every member pair's distance)
+    fail the test, joined when one witness pair (the members nearest their
+    box centers) passes it, and only if still apart settled by testing
+    every member pair.
     Points that are not finite, have more coordinates, or a threshold
     that is not positive take the dense relation.
     """
@@ -216,11 +220,10 @@ def close_component_count(points, threshold):
     gap = np.maximum(np.maximum(glo[b] - ghi[a], glo[a] - ghi[b]), 0.0)
     keep = _box_d2(gap) <= threshold
     a, b = a[keep], b[keep]
-    joined = _box_d2(np.maximum(ghi[b] - glo[a], ghi[a] - glo[b])) <= threshold
     center = 0.5 * (glo + ghi)
     owner = np.repeat(g, stops - starts)
     nearest = np.lexsort((squared_distances(pts, center, np.arange(n), owner), owner))[starts]
-    joined |= squared_distances(pts, None, nearest[a], nearest[b]) <= threshold
+    joined = squared_distances(pts, None, nearest[a], nearest[b]) <= threshold
     labels = _labels(len(starts), a[joined], b[joined])
 
     # every member pair of the pairs still apart

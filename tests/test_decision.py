@@ -1,5 +1,8 @@
 """Switching logic, split-weight estimates, and the round verifier."""
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,7 @@ from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
 from netdecide.network import link_index, pairwise_close
 from test_labeling import THRESHOLD, block_points, switch_sources
-from test_links import estimates
+from test_links import dense_view, estimates
 
 
 def desired_split(w_prev, psi, adjacency, threshold):
@@ -185,15 +188,18 @@ def per_agent_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
        link=st.floats(0.0, 1.0), groups=st.integers(1, 5),
-       spread=st.floats(0.0, 0.3), grid=st.booleans(), pending=st.floats(0.0, 1.0),
+       spread=st.floats(0.0, 0.3), grid=st.booleans(),
+       flips=st.one_of(st.just(0.0), st.floats(0.0, 0.3)), pending=st.floats(0.0, 1.0),
        equilibrium_break=st.booleans())
-@example(seed=0, n=80, link=1.0, groups=2, spread=0.0, grid=False, pending=1.0,
+@example(seed=0, n=80, link=1.0, groups=2, spread=0.0, grid=False, flips=0.0, pending=1.0,
          equilibrium_break=True)
 def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, grid,
-                                                pending, equilibrium_break):
+                                                flips, pending, equilibrium_break):
     # views up to 80 wide, so labels span up to 10 bytes. Estimates sit
     # around group centers 0.3 apart, scattered so that closeness need not
-    # be transitive, or on a grid whose distances meet the threshold exactly
+    # be transitive, or on a grid whose distances meet the threshold
+    # exactly. Flipped pairs give relations no estimates need realize; the
+    # switch stage then reads its views from that relation
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((n, n)) < link, 1)
     adjacency = upper | upper.T | np.eye(n, dtype=bool)
@@ -205,13 +211,18 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, g
         w_prev = np.column_stack([0.3 * label, np.zeros(n)])
         w_prev += rng.normal(size=(n, 2)) * spread
         threshold = THRESHOLD
-    close = pairwise_close(w_prev, threshold)
+    flipped = np.triu(rng.random((n, n)) < flips, 1)
+    close = pairwise_close(w_prev, threshold) ^ flipped ^ flipped.T
     p = np.where(rng.random(n) < pending, 0.5, 1.0)
     rngs = [np.random.default_rng([seed, k]) for k in range(n)]
     ref_rngs = [np.random.default_rng([seed, k]) for k in range(n)]
 
-    updated, adopted, drawn = apply_switching(w_prev, threshold, adjacency, p, rngs,
-                                              equilibrium_break)
+    relation = (mock.patch("netdecide.decision.view_from_closeness",
+                           lambda points, threshold, views: dense_view(close, views))
+                if flipped.any() else nullcontext())
+    with relation:
+        updated, adopted, drawn = apply_switching(w_prev, threshold, adjacency, p, rngs,
+                                                  equilibrium_break)
     ref, ref_adopted, ref_drawn = per_agent_switching(w_prev, close, adjacency, p,
                                                       ref_rngs, equilibrium_break)
     assert np.array_equal(updated, ref)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netdecide.decision import apply_switching
-from netdecide.labeling import agreement_vector, view_from_closeness
+from netdecide.labeling import agreement_vector, label_classes, view_from_closeness
 from netdecide.network import pairwise_close
 from test_links import estimates
 
@@ -47,9 +47,16 @@ def view_classes(slots, same, v):
 
 def whole_view(points, threshold=THRESHOLD):
     """The classes of one view holding every agent of ``points``."""
-    slots, same = view_from_closeness(points, threshold, np.zeros(len(points), dtype=int),
-                                      np.arange(len(points)))
+    slots, same = view_from_closeness(points, threshold, np.ones((1, len(points)), dtype=bool))
     return view_classes(slots, same, 0)
+
+
+def relation_classes(close):
+    """The classes of one view holding every agent, labeled from the
+    symmetric relation ``close`` itself rather than from estimates."""
+    n = len(close)
+    same = label_classes(close[None].copy(), np.ones((1, n), dtype=bool))
+    return view_classes(np.arange(n)[None], same, 0)
 
 
 def switch_sources(blocks, n, pending, adjacency=None, equilibrium_break=True,
@@ -83,7 +90,7 @@ def test_six_member_view_worked_example():
     labels = column_labels(block_matrix(blocks, 6))
     assert labels == [37, 24, 24, 37, 2, 37]
     slots, same = view_from_closeness(block_points(blocks, 6), THRESHOLD,
-                                      np.zeros(6, dtype=int), np.arange(6))
+                                      np.ones((1, 6), dtype=bool))
     assert slots.tolist() == [[0, 1, 2, 3, 4, 5]]
     assert np.array_equal(same[0], np.equal.outer(labels, labels))
     assert view_classes(slots, same, 0) == [(0, 3, 5), (1, 2), (4,)]
@@ -129,15 +136,23 @@ def test_same_class_members_share_labels():
 
 def test_classes_match_pairwise_equality_oracle():
     """Class structure equals the brute-force relation "columns identical",
-    checked member by member with nested loops, on closeness relations of
-    grid and normal estimates, which need not be transitive."""
+    checked member by member with nested loops: on every kind of symmetric
+    relation with a unit diagonal, labeled as given, and on the closeness
+    of grid and normal estimates, which need not be transitive."""
     rng = np.random.default_rng(31)
-    for _ in range(1000):
+    for trial in range(2000):
         n = int(rng.integers(1, 7))
-        points = estimates(rng, n)
-        threshold = float(rng.choice([0.25, 0.5, 1.0]))
-        close = pairwise_close(points, threshold)
-        classes = whole_view(points, threshold)
+        if trial % 2:
+            close = np.eye(n, dtype=bool)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    close[i, j] = close[j, i] = rng.random() < 0.5
+            classes = relation_classes(close)
+        else:
+            points = estimates(rng, n)
+            threshold = float(rng.choice([0.25, 0.5, 1.0]))
+            close = pairwise_close(points, threshold)
+            classes = whole_view(points, threshold)
         labels = column_labels(close)
         cls_of = {}
         for idx, c in enumerate(classes):
@@ -154,7 +169,7 @@ def test_views_see_members_through_adjacency_gate():
     adj = np.ones((4, 4), dtype=bool)
     adj[0, 3] = adj[3, 0] = False
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
-    slots, same = view_from_closeness(w_prev, 0.08, *np.nonzero(adj[[1, 0]]))
+    slots, same = view_from_closeness(w_prev, 0.08, adj[[1, 0]])
     assert slots.tolist() == [[0, 1, 2, 3], [0, 1, 2, -1]]
     assert view_classes(slots, same, 0) == [(0, 1), (2,), (3,)]
     # agent 0 sees only members {0, 1, 2}; its padding slot is in no class

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdecide.config import ExperimentConfig
-from netdecide.decision import (apply_switching, run_decision, update_desired_matrices,
-                                update_estimate)
+from netdecide.decision import run_decision, update_desired_matrices, update_estimate
 from netdecide.diffusion import (aggregate, believed_neighborhoods, combination_weights,
                                  update_cluster_matrices)
 from netdecide.follow import follow_matrices
@@ -128,14 +127,6 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     assert same_bits(update_estimate(phi, w_prev, *got, links),
                      dense_update(fresh, hold, phi, w_prev))
 
-    # the switch stage reads its views from the pending agents' links
-    p = np.where(g.random(n) < 0.5, 0.5, 1.0)
-    rngs = [[np.random.default_rng([seed, k]) for k in range(n)] for _ in range(2)]
-    got = apply_switching(w_prev, beta, adjacency, p, rngs[0], True, links)
-    want = apply_switching(w_prev, beta, adjacency, p, rngs[1], True)
-    assert all(same_bits(a, b) for a, b in zip(got, want))
-    assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(*rngs))
-
     # the follow split: links between informed agents, and every self-link
     sources = np.where(g.random(n) < 0.6, g.integers(1, n + 1, size=n), 0)
     beta = threshold(g, squared_distances(psi, anchors), links)
@@ -160,7 +151,7 @@ def test_views_read_the_dense_relation(seed, n, density, dim):
     views = adjacency[g.random(n) < 0.7]
     if not len(views):
         views = adjacency[:1]
-    got = view_from_closeness(points, t, *np.nonzero(views))
+    got = view_from_closeness(points, t, views)
     want = dense_view(pairwise_close(points, t), views)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
