@@ -32,13 +32,14 @@ combination, fresh and hold weights and the closeness of the desired
 estimates hold one value per link; the aggregation and the estimate
 update add each column's link terms in link order. The switch stage
 reads its pending agents' views from their adjacency rows and computes
-closeness at the views' member pairs only, and the desired-model count
-comes from ``netdecide.network.close_component_count``'s cell grid.
-Every distance is per-pair elementwise arithmetic
-(``netdecide.network.squared_distances``), so wherever a pair is tested
-it reads the same bits, on any CPU. Mobile swarms rebuild their topology
-every round and keep N x N arrays, the closeness matrix and its component
-count, and BLAS products for the two sums.
+closeness at the views' member pairs only. Every distance is per-pair
+elementwise arithmetic (``netdecide.network.squared_distances``), so
+wherever a pair is tested it reads the same bits, on any CPU. Mobile
+swarms rebuild their topology every round and keep N x N arrays, the
+closeness matrix among them, and BLAS products for the two sums. In
+every mode the desired-model count comes from
+``netdecide.network.close_component_count``, a frontier sweep over the
+desired estimates that never builds the N x N relation.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -307,8 +308,7 @@ def run_rounds(config, topology, models, streams, policy, *,
 
         w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p,
                                                     adjacency, links)
-        n_desired[t] = (component_count(close) if links is None
-                        else close_component_count(w_prev, config.beta))
+        n_desired[t] = close_component_count(w_prev, config.beta)
         w = update_estimate(phi, w_prev, fresh, hold, links)
 
         msd_observed[t] = observed_msd(phi, models.models, assignment)

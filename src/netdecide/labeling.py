@@ -24,10 +24,7 @@ neighborhood whose desired estimates are close to its own;
 
 import numpy as np
 
-from .network import squared_distances
-
-# member pairs whose distances one step of view_from_closeness computes
-_PAIRS_PER_STEP = 2 ** 13
+from .network import _PAIRS_PER_STEP, squared_distances
 
 
 def view_from_closeness(points, threshold, views):

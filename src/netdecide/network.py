@@ -12,7 +12,8 @@ order, as an N x N matrix or at given index pairs (the links of an
 adjacency, the member pairs of a view). A pair's distance therefore has
 the same bits wherever it is computed, and elementwise IEEE arithmetic
 gives the same bits on every CPU. :func:`close_component_count` counts
-the components of the closeness relation from a cell grid without
+the components of the closeness relation by a frontier sweep that
+computes the distances of a few frontier rows at a time, without
 building the relation, and the noise draw takes its exponential and
 logarithm from :func:`_exp` and :func:`_log`, which use no math library.
 """
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .config import ConfigError
 
 
 class TopologyError(RuntimeError):
@@ -79,6 +82,10 @@ def squared_distances(x, y=None, rows=None, cols=None):
     return d2
 
 
+# pairs whose distances one step of a blocked computation holds
+_PAIRS_PER_STEP = 2 ** 13
+
+
 def pairwise_close(points, threshold, links=None):
     """The test ||p_a - p_b||^2 <= threshold: an N x N boolean matrix,
     exactly symmetric as the distances are, or one bool per link of
@@ -110,136 +117,41 @@ def component_count(close):
     return count
 
 
-def _box_d2(extents):
-    """The kernel's sum over the last axis of ``extents`` squared, in
-    coordinate order; it bounds the distance of every pair of points whose
-    coordinate differences are at most (or at least) these extents."""
-    d2 = extents[..., 0] * extents[..., 0]
-    for c in range(1, extents.shape[-1]):
-        d2 = d2 + extents[..., c] * extents[..., c]
-    return d2
-
-
-def _labels(n, a, b):
-    """Component labels of n nodes joined by the edges ``a[i]``-``b[i]``:
-    each node ends with the smallest node of its component, by hooking
-    onto the smallest neighboring label and pointer jumping."""
-    labels = np.arange(n)
-    while True:
-        low = np.minimum(labels[a], labels[b])
-        hooked = labels.copy()
-        np.minimum.at(hooked, a, low)
-        np.minimum.at(hooked, b, low)
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, labels):
-            return labels
-        labels = hooked
-
-
-def _ranges(starts, stops):
-    """Concatenated ``range(start, stop)`` of each pair, and the index of
-    the pair each entry came from."""
-    counts = stops - starts
-    owner = np.repeat(np.arange(len(starts)), counts)
-    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return starts[owner] + offset, owner
-
-
-# every step of at most two cells in each coordinate, for dims 1 to 3
-_CELL_STEPS = {dim: np.stack(np.meshgrid(*[np.arange(-2, 3)] * dim, indexing="ij"),
-                             axis=-1).reshape(-1, dim)
-               for dim in (1, 2, 3)}
-
-
 def close_component_count(points, threshold):
     """``component_count(pairwise_close(points, threshold))``, exactly,
-    without the N x N relation when the points have at most three
-    coordinates.
+    without the N x N relation.
 
     A cloud whose bounding box passes the kernel's test (its extents
     squared and added in coordinate order, ``<= threshold``) is one
     component: rounding is monotone, so no pair of points computes a
-    larger distance. Otherwise the points are binned into cells of side
-    sqrt(threshold / dim). A cell whose box passes the test is a clique
-    and one group; a cell that fails gives one group per point. Two groups
-    can hold a close pair only if their cells lie at most two apart in
-    every coordinate. Each such pair of groups is dropped when the gaps
-    between their boxes (a lower bound on every member pair's distance)
-    fail the test, joined when one witness pair (the members nearest their
-    box centers) passes it, and only if still apart settled by testing
-    every member pair.
-    Points that are not finite, have more coordinates, or a threshold
-    that is not positive take the dense relation.
+    larger distance. Otherwise the frontier sweep of
+    :func:`component_count` runs on the points: each level tests the
+    frontier against the agents not yet reached, a block of at most
+    ``_PAIRS_PER_STEP`` pairs at a time. The kernel gives each pair the
+    bits it has in the N x N matrix, so the count is the same, for any
+    number of coordinates and for points that are not finite.
     """
     points = np.asarray(points, dtype=float)
-    n, dim = points.shape
+    n = points.shape[0]
     if n == 0:
         return 0
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    if _box_d2(hi - lo) <= threshold:
+    if squared_distances(points.max(axis=0)[None], points.min(axis=0)[None])[0, 0] <= threshold:
         return 1
-    side = np.sqrt(threshold / dim) if dim <= 3 and threshold > 0 else 0.0
-    # past 2**20 cells a coordinate the keys could overflow; NaN fails too
-    if not np.all(hi - lo < side * 2.0 ** 20):
-        return component_count(pairwise_close(points, threshold))
-
-    # cell indices shifted by 2, and a base wide enough that a neighbor
-    # two cells away in any coordinate keeps its own key
-    cell = np.floor((points - lo) / side).astype(np.int64) + 2
-    base = cell.max(axis=0) + 5
-    key = cell[:, 0]
-    for c in range(1, dim):
-        key = key * base[c] + cell[:, c]
-    order = np.argsort(key, kind="stable")
-    pts, key = points[order], key[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    cells = np.flatnonzero(first)
-    clique = _box_d2(np.maximum.reduceat(pts, cells) - np.minimum.reduceat(pts, cells)) <= threshold
-    # groups: each clique cell, and each point of a cell that is not one
-    group_start = first | ~clique[np.cumsum(first) - 1]
-    starts = np.flatnonzero(group_start)
-    stops = np.append(starts[1:], n)
-    glo = np.minimum.reduceat(pts, starts)
-    ghi = np.maximum.reduceat(pts, starts)
-    gkey = key[starts]
-
-    # candidate pairs: groups of one cell, then groups in every neighbor
-    # cell that comes later in key order
-    strides = np.append(np.cumprod(base[:0:-1])[::-1], 1)
-    koff = _CELL_STEPS[dim] @ strides
-    koff = koff[koff > 0]
-    g = np.arange(len(starts))
-    target = (gkey[:, None] + koff[None, :]).ravel()
-    same_b, same_a = _ranges(g + 1, np.searchsorted(gkey, gkey, side="right"))
-    near_b, near_i = _ranges(np.searchsorted(gkey, target, side="left"),
-                             np.searchsorted(gkey, target, side="right"))
-    a = np.concatenate([same_a, near_i // len(koff)])
-    b = np.concatenate([same_b, near_b])
-
-    gap = np.maximum(np.maximum(glo[b] - ghi[a], glo[a] - ghi[b]), 0.0)
-    keep = _box_d2(gap) <= threshold
-    a, b = a[keep], b[keep]
-    center = 0.5 * (glo + ghi)
-    owner = np.repeat(g, stops - starts)
-    nearest = np.lexsort((squared_distances(pts, center, np.arange(n), owner), owner))[starts]
-    joined = squared_distances(pts, None, nearest[a], nearest[b]) <= threshold
-    labels = _labels(len(starts), a[joined], b[joined])
-
-    # every member pair of the pairs still apart
-    open_ = ~joined & (labels[a] != labels[b])
-    if not open_.any():
-        return int(np.count_nonzero(labels == g))
-    a_open, b_open = a[open_], b[open_]
-    size = stops - starts
-    k, pair = _ranges(np.zeros(len(a_open), dtype=np.int64), size[a_open] * size[b_open])
-    p = starts[a_open][pair] + k // size[b_open][pair]
-    q = starts[b_open][pair] + k % size[b_open][pair]
-    hit = np.zeros(len(a_open), dtype=bool)
-    hit[pair[squared_distances(pts, None, p, q) <= threshold]] = True
-    labels = _labels(len(starts), np.concatenate([a[joined], a_open[hit]]),
-                     np.concatenate([b[joined], b_open[hit]]))
-    return int(np.count_nonzero(labels == g))
+    unreached = np.ones(n, dtype=bool)
+    count = 0
+    while unreached.any():
+        frontier = unreached.argmax(keepdims=True)
+        while frontier.size:
+            unreached[frontier] = False
+            rest = np.flatnonzero(unreached)
+            hit = np.zeros(rest.size, dtype=bool)
+            step = max(1, _PAIRS_PER_STEP // max(rest.size, 1))
+            for i in range(0, frontier.size, step):
+                d2 = squared_distances(points, None, frontier[i:i + step, None], rest)
+                hit |= (d2 <= threshold).any(axis=0)
+            frontier = rest[hit]
+        count += 1
+    return count
 
 
 @dataclass(eq=False)
@@ -430,8 +342,8 @@ def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0
 
     The whole set is redrawn until every pair is strictly farther apart
     than ``min_separation_sq`` (squared Euclidean), so that downstream
-    proximity tests cannot confuse two models.
-    """
+    proximity tests cannot confuse two models; :class:`ConfigError` if
+    ``max_tries`` draws all fail."""
     rng = np.random.default_rng(seed)
     lo, hi = value_range
     if not hi > lo:
@@ -444,10 +356,9 @@ def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0
         np.fill_diagonal(sep, np.inf)
         if sep.min() > min_separation_sq:
             return ModelSet(models)
-    raise RuntimeError(
-        f"could not draw {n_models} models separated by more than "
-        f"{min_separation_sq} (squared) in {max_tries} tries"
-    )
+    raise ConfigError(f"could not draw n_models={n_models} models in model_range "
+                      f"{tuple(value_range)} more than {min_separation_sq} (squared) apart "
+                      f"in {max_tries} tries; lower n_models or beta, or widen model_range")
 
 
 def corner_models(value_range):

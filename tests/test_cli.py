@@ -44,6 +44,17 @@ def test_repeated_sweep_count_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "sweep.json").exists()
 
 
+def test_unreachable_model_spacing_exits_with_code_2(tmp_path, capsys):
+    # five models more than sqrt(8) apart do not fit in the default range
+    code = main(["decide", *TINY, "--beta", "2", "--models", "5",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("n_models", "beta", "model_range"))
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_negative_seed_exits_with_code_2(tmp_path, capsys):
     code = main(["decide", *TINY, "--seed", "-1", "--out-dir", str(tmp_path)])
     assert code == 2

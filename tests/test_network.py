@@ -1,10 +1,13 @@
 """Geometry, graph generation, model placement, and data streams."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netdecide.config import ConfigError
 from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
                                _exp, _log, build_streams, close_component_count,
                                component_count, corner_models,
@@ -160,17 +163,22 @@ def test_component_count_matches_graph_search_oracle(close):
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), dim=st.integers(1, 4),
-       cloud=st.sampled_from(["grid", "bunched", "clusters", "spread"]),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), dim=st.integers(1, 5),
+       cloud=st.sampled_from(["grid", "bunched", "clusters", "spread", "chain", "far"]),
        coincident=st.floats(0.0, 0.5), exact=st.booleans())
 @example(seed=0, n=1, dim=2, cloud="spread", coincident=0.0, exact=False)
 @example(seed=0, n=40, dim=2, cloud="grid", coincident=0.5, exact=True)
 @example(seed=3, n=60, dim=3, cloud="bunched", coincident=0.0, exact=True)
+@example(seed=1, n=60, dim=5, cloud="chain", coincident=0.0, exact=False)
+@example(seed=2, n=60, dim=4, cloud="far", coincident=0.0, exact=False)
 def test_close_component_count_matches_the_dense_relation(seed, n, dim, cloud,
                                                           coincident, exact):
     # half-grid points meet an exact threshold in many pairs; bunched
-    # clouds fill few cells, spread ones many; dim 4 takes the dense path
+    # clouds pass the whole-cloud box test often, spread ones never; a
+    # chain spaced exactly the threshold apart takes many sweep levels,
+    # and far clusters fail the box test with 2-4 components
     g = np.random.default_rng(seed)
+    threshold = 0.08
     if cloud == "grid":
         points = g.integers(-3, 4, size=(n, dim)) / 2
     elif cloud == "bunched":
@@ -178,33 +186,62 @@ def test_close_component_count_matches_the_dense_relation(seed, n, dim, cloud,
     elif cloud == "clusters":
         points = g.uniform(-1, 1, size=(3, dim))[g.integers(0, 3, n)]
         points += g.normal(size=(n, dim)) * 0.1
-    else:
+    elif cloud == "chain":
+        # steps of one or two half units along the first axis, visited in
+        # a shuffled order; a step of one half unit is exactly close
+        points = np.tile(g.uniform(-1, 1, size=dim), (n, 1))
+        points[:, 0] = g.permutation(np.cumsum(g.integers(1, 3, n))) / 2
+        threshold = 0.25
+    elif cloud == "spread":
         points = g.uniform(-3, 3, size=(n, dim))
+    else:
+        # each cluster fits in a box whose diagonal passes the test
+        k = int(g.integers(2, 5))
+        centers = 10.0 * np.arange(k)[:, None] + g.uniform(-1, 1, size=(k, dim))
+        points = centers[np.arange(n) % k] + g.uniform(0, 0.2, size=(n, dim)) / np.sqrt(dim)
     copies = g.random(n) < coincident
     points[copies] = points[g.integers(0, n, size=copies.sum())]
     d2 = squared_distances(points)
     positive = d2[d2 > 0]
-    threshold = float(g.choice(positive)) if exact and positive.size else 0.08
+    if exact and positive.size:
+        threshold = float(g.choice(positive))
     want = component_count(pairwise_close(points, threshold))
     assert close_component_count(points, threshold) == want
+    if cloud == "far" and not exact and not copies.any() and n >= k:
+        assert want == k
 
 
-def test_close_component_count_splits_a_cell_that_is_not_a_clique():
-    # the last two points fall in one cell of side 0.1 once (x - lo) / 0.1
-    # is rounded, yet lie just over the threshold apart: the cell's box
-    # fails the test and its points are settled one by one
+def test_close_component_count_separates_points_just_over_the_threshold():
+    # the last two points differ by 0.1 in each coordinate up to rounding,
+    # and their squared distance computes just over the threshold 0.02
     lo, a, b = -4.071587881110587, 3.4284121188894128, 3.528412118889413
     points = np.array([[lo, lo], [a, a], [b, b]])
     assert squared_distances(points)[1, 2] > 0.02
     assert close_component_count(points, 0.02) == 3
 
 
-def test_close_component_count_takes_the_dense_path_off_the_grid():
+def test_close_component_count_takes_non_finite_points_and_a_zero_threshold():
     points = np.array([[0.0, 0.0], [0.1, 0.0], [np.nan, 0.0], [5.0, 5.0]])
     assert close_component_count(points, 0.08) == 3
     assert close_component_count(points[[0, 1, 3]], 0.0) == 3
     assert close_component_count(np.zeros((3, 2)), 0.0) == 1
     assert close_component_count(np.zeros((0, 2)), 0.08) == 0
+
+
+def test_close_component_count_of_far_clusters_stays_small_in_memory():
+    # two clusters of 640 points, too far apart for the whole-cloud box
+    # test; one N x N float64 array would take 13.1 MB
+    g = np.random.default_rng(0)
+    points = np.concatenate([g.uniform(0, 0.1, size=(640, 2)),
+                             g.uniform(5, 5.1, size=(640, 2))])
+    tracemalloc.start()
+    try:
+        count = close_component_count(points, 0.08)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2
+    assert peak < 1.3e6
 
 
 def test_topology_validate_rejects_bad_shapes():
@@ -318,7 +355,7 @@ def test_generate_models_respects_separation_and_range():
         assert sep[~np.eye(3, dtype=bool)].min() >= 0.32
     with pytest.raises(ValueError):
         generate_models(2, dim=2, value_range=(1.0, -1.0), seed=0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ConfigError, match="n_models=5"):
         # cannot fit this separation inside the unit box
         generate_models(5, dim=2, value_range=(-1.0, 1.0), seed=0,
                         min_separation_sq=50.0, max_tries=10)
