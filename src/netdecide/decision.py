@@ -233,14 +233,15 @@ class MajoritySwitching:
                     switch_adopt=self.adopt_counts, switch_random=self.random_counts)
 
 
-def run_rounds(config, topology, models, streams, policy, *,
+def run_rounds(config, topology, models, assignment, streams, policy, *,
                check_invariants=False, motion=None):
     """Run the round loop with ``policy`` as its desired-estimate stage and
     return the run's :class:`RunRecord`.
 
-    ``models`` must carry an assignment. When ``motion`` is given (mobile
-    swarms) it is stepped at the end of every round and returns the
-    topology for the next one.
+    ``models`` is the (C, M) array of model vectors and ``assignment`` the
+    (N,) array of each agent's 0-based model. When ``motion`` is given
+    (mobile swarms) it is stepped at the end of every round and returns
+    the topology for the next one.
 
     Raises
     ------
@@ -250,19 +251,19 @@ def run_rounds(config, topology, models, streams, policy, *,
     """
     started = time.perf_counter()
     n = topology.n_agents
-    n_models = models.n_models
+    n_models, dim = models.shape
     n_iters = config.max_iters
-    assignment = models.assignment.copy()
-    observed = models.models[assignment]
+    assignment = assignment.copy()
+    observed = models[assignment]
     adjacency = topology.adjacency
     degrees = topology.degrees
     # a static network's links, on which the neighborhood stages run
     links = link_index(adjacency) if motion is None else None
-    bound = 1e3 * max(np.linalg.norm(models.models, axis=1).max(), 1.0)
+    bound = 1e3 * max(np.linalg.norm(models, axis=1).max(), 1.0)
     reassign_at = set(config.reassign_at)
 
-    psi = np.zeros((n, models.dim))
-    phi = np.zeros((n, models.dim))
+    psi = np.zeros((n, dim))
+    phi = np.zeros((n, dim))
     smoothed = np.eye(n) if links is None else (links.rows == links.cols).astype(float)
     w_prev = None
 
@@ -285,7 +286,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         t = i - 1
         if i in reassign_at:
             assignment = random_assignment(n, n_models, streams.reassign)
-            observed = models.models[assignment]
+            observed = models[assignment]
 
         d, u = streams.data.round(i, observed)
         psi = adapt(psi, u, d, config.step_size)
@@ -311,8 +312,8 @@ def run_rounds(config, topology, models, streams, policy, *,
         n_desired[t] = close_component_count(w_prev, config.beta)
         w = update_estimate(phi, w_prev, fresh, hold, links)
 
-        msd_observed[t] = observed_msd(phi, models.models, assignment)
-        policy.track(t, w, models.models, assignment)
+        msd_observed[t] = observed_msd(phi, models, assignment)
+        policy.track(t, w, models, assignment)
 
         if check_invariants:
             # mobile's N x N arrays are read as one value per pair of agents
@@ -330,7 +331,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         w_prev = w
 
         if (may_stop and streak >= config.t_hold and i >= last_reassign
-                and common_model(w, models.models, config.beta) is not None):
+                and common_model(w, models, config.beta) is not None):
             n_ran = i
             break
 
@@ -340,7 +341,7 @@ def run_rounds(config, topology, models, streams, policy, *,
         msd_observed=msd_observed[:n_ran],
         all_agreed=agreed[:n_ran],
         n_desired_models=n_desired[:n_ran],
-        models=models.models.copy(),
+        models=models.copy(),
         assignment=assignment,
         final_w=w_prev.copy(),
         final_agreement=p.copy(),
@@ -358,11 +359,10 @@ def run_rounds(config, topology, models, streams, policy, *,
     return record
 
 
-def run_decision(config, topology, models, streams, *, check_invariants=False,
-                 motion=None):
+def run_decision(config, topology, models, assignment, streams, *,
+                 check_invariants=False, motion=None):
     """Run decision-making (mobile swarms when ``motion`` is given) and
     return its :class:`RunRecord`; see :func:`run_rounds`."""
-    policy = MajoritySwitching(config, topology.n_agents, models.n_models,
-                               streams.decision)
-    return run_rounds(config, topology, models, streams, policy,
+    policy = MajoritySwitching(config, topology.n_agents, len(models), streams.decision)
+    return run_rounds(config, topology, models, assignment, streams, policy,
                       check_invariants=check_invariants, motion=motion)

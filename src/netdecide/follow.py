@@ -10,10 +10,11 @@ neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
 anchor. Like every stage of the round on a static network, the relay
-reads the links of the (never moving) adjacency, and the split holds one
-value per link, with per-pair distances from
-``netdecide.network.squared_distances``. The relay state is two arrays,
-the anchors and their sources.
+reads the links of the adjacency, and the split holds one value per
+link, with per-pair distances from ``netdecide.network.squared_distances``.
+The relay state is two arrays, the anchors and their sources. A follow
+graph never moves, so an agent's source stays its neighbor, which
+``check_invariants`` checks.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -53,9 +54,9 @@ def spread_anchor(anchors, sources, psi, links, target):
     adaptation output. An uninformed agent adopts the previous-round
     anchor of its lowest-indexed informed neighbor and records that
     neighbor as its source; an informed agent refreshes from its recorded
-    source's previous-round anchor whenever that source is still a
-    neighbor, and otherwise keeps its stale copy. Neighbors are the links
-    of ``links``, the link index of the adjacency.
+    source's previous-round anchor. Neighbors are the links of ``links``,
+    the link index of the adjacency, which must be the one every earlier
+    round read, so that each recorded source is still a neighbor.
     """
     n = links.n
     prev_anchors, prev_sources = anchors, sources
@@ -81,16 +82,9 @@ def spread_anchor(anchors, sources, psi, links, target):
         anchors[latch] = prev_anchors[first_candidate[latch]]
         sources[latch] = first_candidate[latch] + 1
 
-    # informed agents refresh from their recorded source while it stays a
-    # neighbor, found among the sorted link keys
+    # informed agents refresh from their recorded source
     refresh = ~direct & informed_prev
-    src = prev_sources - 1
-    asked = src[refresh] * n + np.flatnonzero(refresh)
-    found = np.minimum(np.searchsorted(links.flat, asked), len(links.flat) - 1)
-    still_linked = np.zeros(n, dtype=bool)
-    still_linked[refresh] = links.flat[found] == asked
-    refresh &= still_linked
-    anchors[refresh] = prev_anchors[src[refresh]]
+    anchors[refresh] = prev_anchors[prev_sources[refresh] - 1]
 
     # a direct link to the target dominates everything
     anchors[direct] = psi[target]
@@ -121,7 +115,7 @@ class AnchorRelay:
     never switched. The desired deviation is measured against the target's
     current observed model. With ``check_invariants`` each round also
     checks that the informed agents are exactly the ball of radius i hops
-    around the target.
+    around the target, and that each one's source is its neighbor.
     """
 
     mode = "follow"
@@ -148,6 +142,9 @@ class AnchorRelay:
             if not np.array_equal(informed, self.ball):
                 raise InvariantViolation(
                     f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
+            if not adjacency[informed, self.sources[informed] - 1].all():
+                raise InvariantViolation(
+                    f"an informed agent's source at round {t + 1} is not its neighbor")
         return (w_prev, close,
                 *follow_matrices(self.anchors, self.sources, psi, links, self.beta))
 
@@ -162,12 +159,13 @@ class AnchorRelay:
                     switch_random=np.zeros(n, dtype=int))
 
 
-def run_follow(config, topology, models, streams, *, check_invariants=False):
-    """Run the follow-the-target loop and return its :class:`RunRecord`.
+def run_follow(config, topology, models, assignment, streams, *, check_invariants=False):
+    """Run the follow-the-target loop and return its :class:`RunRecord`;
+    see ``netdecide.decision.run_rounds``.
 
     The target agent is ``config.target_agent`` (1-based). Success demands
     network-wide agreement on the target's observed model.
     """
-    policy = AnchorRelay(config, topology, models.dim, check_invariants)
-    return run_rounds(config, topology, models, streams, policy,
+    policy = AnchorRelay(config, topology, models.shape[1], check_invariants)
+    return run_rounds(config, topology, models, assignment, streams, policy,
                       check_invariants=check_invariants)

@@ -22,7 +22,7 @@ from .config import ConfigError, ExperimentConfig
 from .decision import run_decision
 from .follow import run_follow
 from .mobility import MotionDriver, rebuild_topology
-from .network import (DivergenceError, ModelSet, build_streams, corner_models,
+from .network import (DivergenceError, build_streams, corner_models,
                       draw_noise_profile, generate_models, generate_topology,
                       network_to_json, random_assignment)
 from .records import RunRecord, jsonable
@@ -61,32 +61,32 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
     else:
         models = generate_models(config.n_models, config.dim, config.model_range,
                                  seed=model_ss, min_separation_sq=4.0 * config.beta)
-    models = ModelSet(models.models, random_assignment(
-        config.n_agents, models.n_models, np.random.default_rng(assign_ss)))
+    assignment = random_assignment(config.n_agents, len(models),
+                                   np.random.default_rng(assign_ss))
     sigma_v2, reg_power = draw_noise_profile(config.n_agents, config.dim, seed=noise_ss,
                                              sigma_v2_range=config.sigma_v2_range,
                                              reg_power_range=config.reg_power_range)
     streams = build_streams(sigma_v2, reg_power, config.max_iters, sim_ss)
-    network_doc = network_to_json(topology, models) if export_network else None
+    network_doc = network_to_json(topology, models, assignment) if export_network else None
 
     try:
         if config.mode == "decide":
-            record = run_decision(config, topology, models, streams,
+            record = run_decision(config, topology, models, assignment, streams,
                                   check_invariants=check_invariants)
         elif config.mode == "follow":
-            record = run_follow(config, topology, models, streams,
+            record = run_follow(config, topology, models, assignment, streams,
                                 check_invariants=check_invariants)
         else:
             driver = MotionDriver(
-                config, topology.positions, models.models,
+                config, topology.positions, models,
                 snapshot_iters=config.snapshot_iters if trajectories else (),
             )
-            record = run_decision(config, topology, models, streams,
+            record = run_decision(config, topology, models, assignment, streams,
                                   check_invariants=check_invariants,
                                   motion=driver)
     except DivergenceError:
         record = RunRecord.failed(
-            config.mode, config.max_iters, models.models, models.assignment,
+            config.mode, config.max_iters, models, assignment,
             config.beta, config.t_hold,
             target_agent=config.target_agent - 1 if config.mode == "follow" else None,
         )

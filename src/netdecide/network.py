@@ -39,21 +39,17 @@ class DivergenceError(RuntimeError):
 
 class Links(NamedTuple):
     """The True entries of an N x N boolean matrix in row-major order:
-    link i joins row ``rows[i]`` to column ``cols[i]``, and its key
-    ``flat[i] = rows[i] * n + cols[i]`` is its row-major position, so the
-    keys come sorted. A per-link array holds one value for each."""
+    link i joins row ``rows[i]`` to column ``cols[i]``. A per-link array
+    holds one value for each."""
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
-    flat: np.ndarray
 
 
 def link_index(adjacency):
     """:class:`Links` of a square boolean matrix, such as an adjacency."""
-    n = adjacency.shape[0]
-    rows, cols = np.nonzero(adjacency)
-    return Links(n, rows, cols, rows * n + cols)
+    return Links(adjacency.shape[0], *np.nonzero(adjacency))
 
 
 def squared_distances(x, y=None, rows=None, cols=None):
@@ -311,34 +307,10 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     )
 
 
-@dataclass(eq=False)
-class ModelSet:
-    """Ground-truth model vectors and the agent-to-model assignment.
-
-    ``models`` has one row per model; ``assignment`` maps each agent to a
-    row index (None until agents are assigned).
-    """
-
-    models: np.ndarray
-    assignment: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.models = np.atleast_2d(np.asarray(self.models, dtype=float))
-        if self.assignment is not None:
-            self.assignment = np.asarray(self.assignment, dtype=int)
-
-    @property
-    def n_models(self):
-        return self.models.shape[0]
-
-    @property
-    def dim(self):
-        return self.models.shape[1]
-
-
 def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0,
                     max_tries=1000):
-    """Draw model vectors with entries uniform in ``value_range``.
+    """Draw ``n_models`` model vectors, a (C, M) array with entries uniform
+    in ``value_range``.
 
     The whole set is redrawn until every pair is strictly farther apart
     than ``min_separation_sq`` (squared Euclidean), so that downstream
@@ -351,18 +323,18 @@ def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0
     for _ in range(max_tries):
         models = rng.uniform(lo, hi, size=(n_models, dim))
         if n_models < 2:
-            return ModelSet(models)
+            return models
         sep = squared_distances(models)
         np.fill_diagonal(sep, np.inf)
         if sep.min() > min_separation_sq:
-            return ModelSet(models)
+            return models
     raise ConfigError(f"could not draw n_models={n_models} models in model_range "
                       f"{tuple(value_range)} more than {min_separation_sq} (squared) apart "
                       f"in {max_tries} tries; lower n_models or beta, or widen model_range")
 
 
 def corner_models(value_range):
-    """The four corners of the square box, as a :class:`ModelSet`.
+    """The four corners of the square box, as a (4, 2) model array.
 
     Row order is (lo,lo), (lo,hi), (hi,lo), (hi,hi). Used by mobile
     swarms, where sources double as locations to fly to.
@@ -370,7 +342,7 @@ def corner_models(value_range):
     lo, hi = value_range
     if not hi > lo:
         raise ValueError("value_range must be increasing")
-    return ModelSet(np.array([[lo, lo], [lo, hi], [hi, lo], [hi, hi]]))
+    return np.array([[lo, lo], [lo, hi], [hi, lo], [hi, hi]], dtype=float)
 
 
 def random_assignment(n_agents, n_models, rng):
@@ -483,8 +455,9 @@ def build_streams(sigma_v2, reg_power, n_iters, seed):
                         reassign=np.random.default_rng(children[2 * n]))
 
 
-def network_to_json(topology, models):
-    """Export a topology and model set as one JSON-ready document.
+def network_to_json(topology, models, assignment=None):
+    """Export a topology, its (C, M) model array and, when given, the
+    agents' 0-based model assignment as one JSON-ready document.
 
     Agents and model labels are 1-based; self-loops are implicit and the
     link list holds each undirected pair once.
@@ -501,46 +474,53 @@ def network_to_json(topology, models):
         "schema": "netdecide.network/1",
         "agents": agents,
         "links": links,
-        "models": [[float(x) for x in row] for row in models.models],
+        "models": [[float(x) for x in row] for row in models],
     }
-    if models.assignment is not None:
-        doc["assignment"] = [int(j) + 1 for j in models.assignment]
+    if assignment is not None:
+        doc["assignment"] = [int(j) + 1 for j in assignment]
     return doc
 
 
-def _check_ids(kind, ids, upper):
-    """Raise :class:`TopologyError` naming the first of ``ids`` outside
-    1..upper."""
-    outside = ids[(ids < 1) | (ids > upper)]
-    if outside.size:
-        raise TopologyError(f"{kind} {outside[0]} is outside 1..{upper}")
+def _ids(kind, values, upper):
+    """0-based ints of a flat list of 1-based ids; :class:`TopologyError`
+    names the first that is not a whole number in 1..upper."""
+    ids = np.asarray(values, dtype=float)
+    valid = (ids == np.floor(ids)) & (ids >= 1) & (ids <= upper)
+    if not valid.all():
+        raise TopologyError(f"{kind} {values[np.argmin(valid)]} is not one of 1..{upper}")
+    return ids.astype(int) - 1
 
 
 def network_from_json(doc):
-    """Inverse of :func:`network_to_json`. Raises :class:`TopologyError`
-    naming the first agent id that repeats or lies outside 1..N, the first
-    link that is not a pair, the first assignment label outside 1..M, or an
-    assignment that is not one label per agent."""
+    """Inverse of :func:`network_to_json`: ``(topology, models,
+    assignment)``, the assignment None when the document has none. Raises
+    :class:`TopologyError` naming the first agent id that repeats, the
+    first id or label that is not a whole number in 1..N (1..M for
+    labels), the first link that is not a pair, models that are not rows
+    of one positive length, or an assignment that is not one label per
+    agent."""
     agents = sorted(doc["agents"], key=lambda a: a["id"])
     n = len(agents)
-    ids = np.array([a["id"] for a in agents], dtype=int)
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if repeated.size:
+    ids = [a["id"] for a in agents]
+    repeated = [b for a, b in zip(ids, ids[1:]) if a == b]
+    if repeated:
         raise TopologyError(f"agent id {repeated[0]} repeats")
-    _check_ids("agent id", ids, n)
+    _ids("agent id", ids, n)
     for link in doc["links"]:
         if not isinstance(link, (list, tuple)) or len(link) != 2:
             raise TopologyError(f"link {link!r} is not a pair of agent ids")
-    links = np.array(doc["links"], dtype=int).reshape(-1, 2)
-    _check_ids("link agent id", links.ravel(), n)
+    ends = _ids("link agent id", [k for link in doc["links"] for k in link], n)
     adjacency = np.eye(n, dtype=bool)
-    adjacency[links[:, 0] - 1, links[:, 1] - 1] = True
-    models = ModelSet(doc["models"], doc.get("assignment"))
-    if models.assignment is not None:
-        if models.assignment.shape != (n,):
-            raise TopologyError(f"assignment has {models.assignment.size} labels "
+    adjacency[ends[0::2], ends[1::2]] = True
+    widths = {len(row) if isinstance(row, (list, tuple)) else 0 for row in doc["models"]}
+    if len(widths) != 1 or 0 in widths:
+        raise TopologyError(f"models {doc['models']!r} are not rows of one positive length")
+    models = np.array(doc["models"], dtype=float)
+    assignment = doc.get("assignment")
+    if assignment is not None:
+        if np.shape(assignment) != (n,):
+            raise TopologyError(f"assignment has {np.size(assignment)} labels "
                                 f"for {n} agents")
-        _check_ids("assignment label", models.assignment, models.n_models)
-        models.assignment = models.assignment - 1
+        assignment = _ids("assignment label", assignment, len(models))
     positions = np.array([[a["x"], a["y"]] for a in agents])
-    return Topology(adjacency | adjacency.T, positions).validate(), models
+    return Topology(adjacency | adjacency.T, positions).validate(), models, assignment

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from netdecide.config import ExperimentConfig
-from netdecide.network import (ModelSet, build_streams, draw_noise_profile,
-                               generate_models, generate_topology,
-                               random_assignment)
+from netdecide.network import (build_streams, draw_noise_profile, generate_models,
+                               generate_topology, random_assignment)
 
 
 # the noise ranges of the default config
@@ -25,17 +24,17 @@ def tiny_config(**overrides):
 
 
 def build_world(cfg, seed=0):
-    """Topology, assigned models and streams for one seeded run."""
+    """Topology, models, assignment and streams for one seeded run."""
     topo = generate_topology(cfg.n_agents, cfg.max_degree, cfg.radius, seed=seed)
     models = generate_models(cfg.n_models, cfg.dim, cfg.model_range,
                              seed=seed + 1, min_separation_sq=4.0 * cfg.beta)
-    models = ModelSet(models.models, random_assignment(
-        cfg.n_agents, models.n_models, np.random.default_rng(seed + 2)))
+    assignment = random_assignment(cfg.n_agents, len(models),
+                                   np.random.default_rng(seed + 2))
     noise = draw_noise_profile(cfg.n_agents, cfg.dim, seed=seed + 3,
                                sigma_v2_range=cfg.sigma_v2_range,
                                reg_power_range=cfg.reg_power_range)
     streams = build_streams(*noise, cfg.max_iters, seed + 4)
-    return topo, models, streams
+    return topo, models, assignment, streams
 
 
 def strict_json(text):

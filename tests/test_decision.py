@@ -280,8 +280,7 @@ def test_verify_round_rejects_corruption(corrupt):
 
 def test_run_decision_smoke_with_invariants():
     cfg = tiny_config(max_iters=250, early_stop=False)
-    topo, models, streams = build_world(cfg, seed=1)
-    record = run_decision(cfg, topo, models, streams,
+    record = run_decision(cfg, *build_world(cfg, seed=1),
                           check_invariants=True)
     assert record.n_iters == 250
     assert record.msd_observed.shape == (250, 2)
@@ -291,8 +290,7 @@ def test_run_decision_smoke_with_invariants():
 
 def test_single_model_network_never_switches():
     cfg = tiny_config(n_models=1, max_iters=400)
-    topo, models, streams = build_world(cfg, seed=5)
-    record = run_decision(cfg, topo, models, streams)
+    record = run_decision(cfg, *build_world(cfg, seed=5))
     assert record.success
     assert record.switch_adopt.sum() == 0
     assert record.switch_random.sum() == 0

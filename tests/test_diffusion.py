@@ -217,7 +217,7 @@ def test_beliefs_recover_cluster_structure(seed):
     models = generate_models(2, 2, (-1.0, 1.0), seed=seed + 100,
                              min_separation_sq=0.32)
     assignment = np.arange(n) % 2
-    observed = models.models[assignment]
+    observed = models[assignment]
     noise = draw_noise_profile(n, 2, seed=seed + 200, **NOISE_RANGES)
     streams = build_streams(*noise, n_rounds, seed + 300)
     psi = np.zeros((n, 2))

@@ -84,23 +84,6 @@ def test_informed_set_is_bfs_ball(rng):
         assert np.array_equal(informed, (depths >= 0) & (depths <= i))
 
 
-def test_relay_keeps_a_stale_copy_once_its_source_is_gone():
-    # chain 0 - 1 - 2 with target 0; once the link 1 - 2 is gone, agent 2
-    # keeps the anchor it last copied from agent 1
-    adj = path_adjacency(3)
-    anchors, sources = initial_relay(3, 2)
-    for i in (1, 2):
-        psi = np.full((3, 2), float(i))
-        anchors, sources = spread_anchor(anchors, sources, psi, link_index(adj), target=0)
-    assert sources.tolist() == [1, 1, 2]
-    held = anchors[2].copy()
-    adj[1, 2] = adj[2, 1] = False
-    anchors, sources = spread_anchor(anchors, sources, np.full((3, 2), 9.0),
-                                     link_index(adj), target=0)
-    assert np.array_equal(anchors[2], held) and sources[2] == 2
-    assert np.array_equal(anchors[1], [9.0, 9.0])
-
-
 def test_sources_latch_lowest_index_and_never_reset():
     # agent 3 can hear both 1 and 2; it must record 1 (lower index)
     n = 4
@@ -154,8 +137,8 @@ def test_follow_matrices_columns():
 
 def test_run_follow_converges_to_target_model():
     cfg = tiny_config(mode="follow", n_models=2, max_iters=600, target_agent=3)
-    topo, models, streams = build_world(cfg, seed=2)
-    record = run_follow(cfg, topo, models, streams,
+    topo, models, assignment, streams = build_world(cfg, seed=2)
+    record = run_follow(cfg, topo, models, assignment, streams,
                         check_invariants=True)
     assert record.n_iters == 600
     assert record.mode == "follow"
@@ -165,8 +148,8 @@ def test_run_follow_converges_to_target_model():
     depth_max = hop_depths(topo.adjacency, 2).max()
     assert coverage[depth_max - 1] == cfg.n_agents
     assert record.success
-    assert record.final_model == models.assignment[2]
-    target_model = models.models[models.assignment[2]]
+    assert record.final_model == assignment[2]
+    target_model = models[assignment[2]]
     assert ((record.final_w - target_model) ** 2).sum(axis=1).max() < cfg.beta
 
 
@@ -182,10 +165,31 @@ def test_invariant_check_catches_a_stalled_relay(monkeypatch):
 
     monkeypatch.setattr(netdecide.follow, "spread_anchor", stalled)
     cfg = tiny_config(mode="follow", n_models=2, max_iters=40, target_agent=3)
-    topo, models, streams = build_world(cfg, seed=2)
     with pytest.raises(InvariantViolation, match="at round 3 "):
-        run_follow(cfg, topo, models, streams, check_invariants=True)
+        run_follow(cfg, *build_world(cfg, seed=2), check_invariants=True)
     assert len(calls) == 3
+
+
+def test_invariant_check_catches_a_source_that_is_no_neighbor(monkeypatch):
+    # in its fourth round the relay records a non-neighbor as the source of
+    # its first informed agent; the informed set is still the hop ball
+    cfg = tiny_config(mode="follow", n_models=2, max_iters=40, target_agent=3)
+    world = build_world(cfg, seed=2)
+    adjacency = world[0].adjacency
+    calls = []
+
+    def misrouted(*args):
+        calls.append(None)
+        anchors, sources = spread_anchor(*args)
+        if len(calls) == 4:
+            k = np.flatnonzero(sources)[0]
+            sources[k] = np.flatnonzero(~adjacency[k])[0] + 1
+        return anchors, sources
+
+    monkeypatch.setattr(netdecide.follow, "spread_anchor", misrouted)
+    with pytest.raises(InvariantViolation, match="source at round 4 is not its neighbor"):
+        run_follow(cfg, *world, check_invariants=True)
+    assert len(calls) == 4
 
 
 def test_run_follow_reassignment_perturbs_only_the_suffix():

@@ -9,6 +9,7 @@ import pytest
 from netdecide.cli import main
 from netdecide.config import ConfigError
 from netdecide.harness import _nan_stats, _pad_stack, run_monte_carlo
+from netdecide.network import network_from_json
 from netdecide.records import record_to_json
 
 from conftest import strict_json, tiny_config
@@ -65,6 +66,17 @@ def test_nan_stats_all_nan_columns_are_nan_without_warning():
 def test_run_monte_carlo_rejects_fewer_than_one_job(n_jobs):
     with pytest.raises(ConfigError, match="n_jobs"):
         run_monte_carlo(tiny_config(), n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize("mode", ["decide", "follow"])
+def test_exported_networks_match_their_trials(mode):
+    config = tiny_config(mode=mode, max_iters=60, target_agent=3, n_trials=3)
+    summary = run_monte_carlo(config, keep_records=True, export_networks=True)
+    assert len(summary.networks) == len(summary.records) == 3
+    for record, doc in zip(summary.records, summary.networks):
+        _, models, assignment = network_from_json(json.loads(json.dumps(doc)))
+        assert np.array_equal(models, record.models)
+        assert np.array_equal(assignment, record.assignment)
 
 
 # a step size this large makes every agent's estimate blow up

@@ -21,7 +21,7 @@ from netdecide.diffusion import (aggregate, believed_neighborhoods, combination_
                                  update_cluster_matrices)
 from netdecide.follow import follow_matrices
 from netdecide.labeling import agreement_vector, view_from_closeness
-from netdecide.network import (ModelSet, build_streams, draw_noise_profile,
+from netdecide.network import (build_streams, draw_noise_profile,
                                generate_models, generate_topology, link_index,
                                pairwise_close, random_assignment, squared_distances)
 
@@ -181,14 +181,13 @@ def test_decide_round_holds_no_n_by_n_float_array():
     topology = generate_topology(n, config.max_degree, config.radius, seed=0)
     models = generate_models(config.n_models, config.dim, config.model_range, seed=1,
                              min_separation_sq=4.0 * config.beta)
-    models = ModelSet(models.models, random_assignment(n, models.n_models,
-                                                       np.random.default_rng(2)))
+    assignment = random_assignment(n, len(models), np.random.default_rng(2))
     noise = draw_noise_profile(n, config.dim, seed=3, sigma_v2_range=config.sigma_v2_range,
                                reg_power_range=config.reg_power_range)
     streams = build_streams(*noise, config.max_iters, 4)
     tracemalloc.start()
     try:
-        record = run_decision(config, topology, models, streams)
+        record = run_decision(config, topology, models, assignment, streams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide.config import ConfigError
-from netdecide.network import (DataStream, ModelSet, TopologyError, Topology,
+from netdecide.network import (DataStream, TopologyError, Topology,
                                _exp, _log, build_streams, close_component_count,
                                component_count, corner_models,
                                draw_noise_profile, generate_models,
@@ -347,11 +347,11 @@ def test_two_clique_topology_structure():
 
 def test_generate_models_respects_separation_and_range():
     for seed in range(6):
-        ms = generate_models(3, dim=2, value_range=(-1.0, 1.0), seed=seed,
-                             min_separation_sq=0.32)
-        assert ms.models.shape == (3, 2)
-        assert (np.abs(ms.models) <= 1.0).all()
-        sep = squared_distances(ms.models)
+        models = generate_models(3, dim=2, value_range=(-1.0, 1.0), seed=seed,
+                                 min_separation_sq=0.32)
+        assert models.shape == (3, 2)
+        assert (np.abs(models) <= 1.0).all()
+        sep = squared_distances(models)
         assert sep[~np.eye(3, dtype=bool)].min() >= 0.32
     with pytest.raises(ValueError):
         generate_models(2, dim=2, value_range=(1.0, -1.0), seed=0)
@@ -362,9 +362,8 @@ def test_generate_models_respects_separation_and_range():
 
 
 def test_corner_models_rows():
-    ms = corner_models((-50.0, 50.0))
     want = [[-50, -50], [-50, 50], [50, -50], [50, 50]]
-    assert np.array_equal(ms.models, np.array(want, dtype=float))
+    assert np.array_equal(corner_models((-50.0, 50.0)), np.array(want, dtype=float))
 
 
 def test_random_assignment_covers_every_model(rng):
@@ -419,25 +418,25 @@ def test_build_streams_is_seed_deterministic():
 def test_network_json_round_trip():
     topo = generate_topology(12, max_degree=7, radius=0.5, seed=2)
     models = generate_models(2, 2, (-1.0, 1.0), seed=3, min_separation_sq=0.32)
-    models = ModelSet(models.models, random_assignment(12, 2, np.random.default_rng(4)))
-    doc = network_to_json(topo, models)
+    assignment = random_assignment(12, 2, np.random.default_rng(4))
+    doc = network_to_json(topo, models, assignment)
     assert doc["schema"] == "netdecide.network/1"
     assert min(a["id"] for a in doc["agents"]) == 1
     assert all(1 <= a <= 12 and 1 <= b <= 12 for a, b in doc["links"])
     assert min(doc["assignment"]) >= 1
-    topo2, models2 = network_from_json(doc)
+    topo2, models2, assignment2 = network_from_json(doc)
     assert np.array_equal(topo2.adjacency, topo.adjacency)
     assert np.allclose(topo2.positions, topo.positions)
-    assert np.allclose(models2.models, models.models)
-    assert np.array_equal(models2.assignment, models.assignment)
+    assert np.allclose(models2, models)
+    assert np.array_equal(assignment2, assignment)
 
 
 def test_network_json_without_assignment():
     topo = two_clique_topology(3)
-    doc = network_to_json(topo, ModelSet(np.zeros((2, 2)), None))
+    doc = network_to_json(topo, np.zeros((2, 2)))
     assert "assignment" not in doc
-    _, models = network_from_json(doc)
-    assert models.assignment is None
+    _, _, assignment = network_from_json(doc)
+    assert assignment is None
 
 
 def small_network_doc(**changes):
@@ -460,8 +459,16 @@ def small_network_doc(**changes):
     (dict(assignment=[1, 1]), "2 labels for 3 agents"),
     (dict(links=[[1, 2, 1, 2]]), r"link \[1, 2, 1, 2\] is not a pair"),
     (dict(links=[[1, 2], [1]]), r"link \[1\] is not a pair"),
+    (dict(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2.7, 3)]),
+     "agent id 2.7 "),
+    (dict(links=[[1, 2.9]]), "link agent id 2.9 "),
+    (dict(models=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], assignment=[1, 2.5, 1]),
+     "label 2.5 "),
+    (dict(models=[]), r"models \[\] are not rows"),
+    (dict(models=[[0, 0], [1]]), r"models \[\[0, 0\], \[1\]\] are not rows"),
 ], ids=["link-below-1", "link-above-n", "repeated-agent", "label-above-m",
-        "assignment-too-short", "link-of-four", "link-of-one"])
+        "assignment-too-short", "link-of-four", "link-of-one", "fractional-agent",
+        "fractional-link", "fractional-label", "no-models", "ragged-models"])
 def test_network_from_json_rejects_bad_ids(changes, bad_id):
     network_from_json(small_network_doc())
     with pytest.raises(TopologyError, match=bad_id):
