@@ -99,7 +99,7 @@ def update_estimate(phi, w_prev, fresh, hold, links=None):
     return link_sums(links, terms)
 
 
-def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
+def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break):
     """Run the switch stage for every non-unanimous agent (p_k < 1) and
     return ``(updated, adopted, drawn)``: the estimates after it and the
     ids of the agents that adopted a majority or drew a neighbor.
@@ -109,8 +109,9 @@ def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
     of the view. An agent outside its local majority class (the largest,
     ties going to its own class, then to the smallest leading member)
     adopts the majority's smallest member. With ``equilibrium_break`` a
-    majority member of a two-class view copies a neighbor drawn uniformly
-    by its own generator, which defuses evenly split standoffs. All
+    majority member of a two-class view copies a neighbor of its view drawn
+    uniformly, which defuses evenly split standoffs; ``rng`` makes every
+    such draw of the round in one call, in ascending agent order. All
     decisions read the pre-switch estimates; the copies are applied
     together, which is the intra-round re-send barrier.
     """
@@ -131,9 +132,7 @@ def apply_switching(w_prev, threshold, adjacency, p, rngs, equilibrium_break):
     updated = w_prev.copy()
     updated[pending[adopt]] = w_prev[slots[adopt, first[adopt]]]
     width = (slots >= 0).sum(axis=1)
-    for v in np.flatnonzero(draw):
-        k = pending[v]
-        updated[k] = w_prev[slots[v, rngs[k].integers(0, width[v])]]
+    updated[pending[draw]] = w_prev[slots[draw, rng.integers(0, width[draw])]]
     return updated, pending[adopt], pending[draw]
 
 
@@ -200,17 +199,17 @@ class MajoritySwitching:
     mode = "decide"
     stops_early = True
 
-    def __init__(self, config, n_agents, n_models, rngs):
+    def __init__(self, config, n_agents, n_models, rng):
         self.beta = config.beta
         self.equilibrium_break = config.equilibrium_break
-        self.rngs = rngs
+        self.rng = rng
         self.adopt_counts = np.zeros(n_agents, dtype=int)
         self.random_counts = np.zeros(n_agents, dtype=int)
         self.deviations = np.zeros((config.max_iters, n_models))
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         w_prev, adopted, drawn = apply_switching(
-            w_prev, self.beta, adjacency, p, self.rngs, self.equilibrium_break)
+            w_prev, self.beta, adjacency, p, self.rng, self.equilibrium_break)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1

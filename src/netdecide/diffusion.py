@@ -1,10 +1,16 @@
 """Diffusion adaptation with adaptive cluster beliefs.
 
 Every iteration each agent takes a least-mean-squares step on its own data
-and then aggregates the intermediate estimates of the neighbors it currently
-believes observe the same model. Beliefs come from a smoothed proximity
-test between a neighbor's fresh estimate and the agent's previous
-aggregate, so cooperation links form and dissolve as the estimates move.
+from its own previous estimate, psi_k += mu u_k^T (d_k - u_k psi_k), and
+then aggregates the estimates of the neighbors it currently believes
+observe the same model, phi_k = sum_l a_lk psi_l. Each agent thus runs
+stand-alone LMS (adapt-then-combine diffusion would adapt from phi_k): with
+one model and every neighbor believed, phi_k's steady-state deviation is
+about (1/n_k^2) sum_{l in N_k} mu sigma_v,l^2 M / 2, over the closed
+neighborhood N_k of n_k agents, for M-entry models. Beliefs come from a
+smoothed proximity test between a neighbor's fresh estimate and the
+agent's previous aggregate, so cooperation links form and dissolve as the
+estimates move.
 
 The belief state holds smoothed indicators in [0, 1], the identity before
 any data (each agent believes only in itself). A belief is its entry

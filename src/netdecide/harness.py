@@ -2,11 +2,12 @@
 
 Seed discipline: the master seed feeds one SeedSequence whose spawned
 children seed the trials in index order; each trial spawns five children
-for topology, models, assignment, noise, and the simulation streams (the
-last splits further into per-agent data, per-agent decision, and one
-reassignment stream, see network.build_streams). Trials are therefore
-independent of scheduling: serial and parallel execution produce
-bit-identical aggregates, and summaries carry no wall-clock content.
+for topology, models, assignment, noise, and the simulation streams, which
+split into the data stream's seed, the decision generator and the
+reassignment generator (see network.build_streams). Every draw is an array
+draw over all agents, so none depends on the order agents are visited in,
+and trials are independent of scheduling: serial and parallel execution
+produce bit-identical aggregates, and summaries carry no wall-clock content.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
     sigma_v2, reg_power = draw_noise_profile(config.n_agents, config.dim, seed=noise_ss,
                                              sigma_v2_range=config.sigma_v2_range,
                                              reg_power_range=config.reg_power_range)
-    streams = build_streams(sigma_v2, reg_power, config.max_iters, sim_ss)
+    streams = build_streams(sigma_v2, reg_power, sim_ss)
     network_doc = network_to_json(topology, models, assignment) if export_network else None
 
     try:

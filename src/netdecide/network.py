@@ -4,7 +4,8 @@ noise statistics, and the synthetic data streams the agents adapt on.
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
 self-loop. Each agent observes a scalar stream d = u . w + v generated from
-the ground-truth model it is assigned to.
+the ground-truth model it is assigned to; the data of all agents is drawn
+together, a block of rounds at a time (:class:`DataStream`).
 
 Every pair distance comes from one kernel, :func:`squared_distances`: direct
 differences one coordinate at a time, squared and added in coordinate
@@ -26,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, _is_real
 
 
 class TopologyError(RuntimeError):
@@ -407,52 +408,58 @@ def draw_noise_profile(n_agents, dim, seed=None, *, sigma_v2_range, reg_power_ra
     return sigma_v2, reg_power
 
 
-class DataStream:
-    """Pre-generated regressor/noise blocks, one independent stream per agent.
+_ROUNDS_PER_BLOCK = 64
 
-    Each agent's block is drawn in a single pass from its own generator
-    (regressors first, then noise scalars), so the realized data never
-    depends on agent visit order or on how trials are scheduled.
-    Observations are assembled on demand against the current observed
-    models, which keeps mid-run reassignment cheap.
+
+class DataStream:
+    """Every agent's regressors and noise, drawn ``_ROUNDS_PER_BLOCK``
+    rounds at a time: when a round of block b is first read, the child
+    that ``seed.spawn`` would number b draws the block's regressors
+    (rounds, N, M), then its noise (rounds, N). A round's data depends on
+    the seed and the round alone, so several runs can read one stream, in
+    any order, and only the current block, ``u`` and ``v``, is held.
     """
 
-    def __init__(self, sigma_v2, reg_power, agent_seeds, n_iters):
-        n = len(agent_seeds)
-        dim = reg_power.shape[1]
-        self.u = np.empty((n_iters, n, dim))
-        self.v = np.empty((n_iters, n))
-        for k, entropy in enumerate(agent_seeds):
-            g = np.random.default_rng(entropy)
-            self.u[:, k, :] = g.standard_normal((n_iters, dim)) * np.sqrt(reg_power[k])
-            self.v[:, k] = g.standard_normal(n_iters) * np.sqrt(sigma_v2[k])
+    def __init__(self, sigma_v2, reg_power, seed):
+        self.seed = seed
+        self.scales = np.sqrt(reg_power), np.sqrt(sigma_v2)
+        self._draw(0)
+
+    def _draw(self, block):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            self.seed.entropy, spawn_key=(*self.seed.spawn_key, block)))
+        scale_u, scale_v = self.scales
+        self.block = block
+        self.u = rng.standard_normal((_ROUNDS_PER_BLOCK, *scale_u.shape)) * scale_u
+        self.v = rng.standard_normal((_ROUNDS_PER_BLOCK, scale_v.size)) * scale_v
 
     def round(self, i, observed):
-        """Regressors and observations for 1-based iteration ``i``."""
-        u = self.u[i - 1]
-        d = (u * observed).sum(axis=1) + self.v[i - 1]
+        """Regressors and observations for 1-based iteration ``i``, the
+        observations assembled against the current ``observed`` models,
+        which keeps mid-run reassignment cheap."""
+        block, row = divmod(i - 1, _ROUNDS_PER_BLOCK)
+        if block != self.block:
+            self._draw(block)
+        u = self.u[row]
+        d = (u * observed).sum(axis=1) + self.v[row]
         return d, u
 
 
-@dataclass
-class StreamBundle:
+class StreamBundle(NamedTuple):
     """All randomness one simulation run consumes."""
 
     data: DataStream
-    decision: list
+    decision: np.random.Generator
     reassign: np.random.Generator
 
 
-def build_streams(sigma_v2, reg_power, n_iters, seed):
-    """Split ``seed`` into per-agent data streams, per-agent decision
-    streams, and one reassignment stream (in that spawn order)."""
+def build_streams(sigma_v2, reg_power, seed):
+    """Split ``seed`` into the data stream's seed, the decision generator
+    and the reassignment generator (in that spawn order)."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    n = reg_power.shape[0]
-    children = root.spawn(2 * n + 1)
-    data = DataStream(sigma_v2, reg_power, children[:n], n_iters)
-    decision = [np.random.default_rng(s) for s in children[n:2 * n]]
-    return StreamBundle(data=data, decision=decision,
-                        reassign=np.random.default_rng(children[2 * n]))
+    data, decision, reassign = root.spawn(3)
+    return StreamBundle(DataStream(sigma_v2, reg_power, data),
+                        np.random.default_rng(decision), np.random.default_rng(reassign))
 
 
 def network_to_json(topology, models, assignment=None):
@@ -481,46 +488,54 @@ def network_to_json(topology, models, assignment=None):
     return doc
 
 
-def _ids(kind, values, upper):
-    """0-based ints of a flat list of 1-based ids; :class:`TopologyError`
-    names the first that is not a whole number in 1..upper."""
-    ids = np.asarray(values, dtype=float)
-    valid = (ids == np.floor(ids)) & (ids >= 1) & (ids <= upper)
+def _numbers(kind, values, upper=None):
+    """Floats of a flat list of JSON numbers or, given ``upper``, 0-based
+    ints of 1-based ids; :class:`TopologyError` names the first value that
+    is not a JSON number (a bool is not one), or not a whole number in
+    1..upper."""
+    bad = [x for x in values if not _is_real(x)]
+    if bad:
+        raise TopologyError(f"{kind} {bad[0]!r} is not a JSON number")
+    x = np.array(values, dtype=float)
+    if upper is None:
+        return x
+    valid = (x == np.floor(x)) & (x >= 1) & (x <= upper)
     if not valid.all():
         raise TopologyError(f"{kind} {values[np.argmin(valid)]} is not one of 1..{upper}")
-    return ids.astype(int) - 1
+    return x.astype(int) - 1
 
 
 def network_from_json(doc):
     """Inverse of :func:`network_to_json`: ``(topology, models,
     assignment)``, the assignment None when the document has none. Raises
-    :class:`TopologyError` naming the first agent id that repeats, the
-    first id or label that is not a whole number in 1..N (1..M for
-    labels), the first link that is not a pair, models that are not rows
-    of one positive length, or an assignment that is not one label per
-    agent."""
-    agents = sorted(doc["agents"], key=lambda a: a["id"])
+    :class:`TopologyError` naming the first value that is not a JSON
+    number, the first agent id that repeats, the first id or label that is
+    not a whole number in 1..N (1..M for labels), the first link that is
+    not a pair, models that are not rows of one positive length, or an
+    assignment that is not one label per agent."""
+    agents = doc["agents"]
     n = len(agents)
-    ids = [a["id"] for a in agents]
-    repeated = [b for a, b in zip(ids, ids[1:]) if a == b]
-    if repeated:
-        raise TopologyError(f"agent id {repeated[0]} repeats")
-    _ids("agent id", ids, n)
+    ids = _numbers("agent id", [a["id"] for a in agents], n)
+    counts = np.bincount(ids, minlength=n)
+    if (counts > 1).any():
+        raise TopologyError(f"agent id {np.argmax(counts > 1) + 1} repeats")
+    positions = np.empty((n, 2))
+    positions[ids] = _numbers("coordinate", [a[c] for a in agents for c in "xy"]).reshape(n, 2)
     for link in doc["links"]:
         if not isinstance(link, (list, tuple)) or len(link) != 2:
             raise TopologyError(f"link {link!r} is not a pair of agent ids")
-    ends = _ids("link agent id", [k for link in doc["links"] for k in link], n)
+    ends = _numbers("link agent id", [k for link in doc["links"] for k in link], n)
     adjacency = np.eye(n, dtype=bool)
     adjacency[ends[0::2], ends[1::2]] = True
-    widths = {len(row) if isinstance(row, (list, tuple)) else 0 for row in doc["models"]}
+    rows = doc["models"]
+    widths = {len(row) if isinstance(row, (list, tuple)) else 0 for row in rows}
     if len(widths) != 1 or 0 in widths:
-        raise TopologyError(f"models {doc['models']!r} are not rows of one positive length")
-    models = np.array(doc["models"], dtype=float)
+        raise TopologyError(f"models {rows!r} are not rows of one positive length")
+    models = _numbers("model entry", [x for row in rows for x in row]).reshape(len(rows), -1)
     assignment = doc.get("assignment")
     if assignment is not None:
         if np.shape(assignment) != (n,):
             raise TopologyError(f"assignment has {np.size(assignment)} labels "
                                 f"for {n} agents")
-        assignment = _ids("assignment label", assignment, len(models))
-    positions = np.array([[a["x"], a["y"]] for a in agents])
+        assignment = _numbers("assignment label", assignment, len(models))
     return Topology(adjacency | adjacency.T, positions).validate(), models, assignment

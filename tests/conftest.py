@@ -33,7 +33,7 @@ def build_world(cfg, seed=0):
     noise = draw_noise_profile(cfg.n_agents, cfg.dim, seed=seed + 3,
                                sigma_v2_range=cfg.sigma_v2_range,
                                reg_power_range=cfg.reg_power_range)
-    streams = build_streams(*noise, cfg.max_iters, seed + 4)
+    streams = build_streams(*noise, seed + 4)
     return topo, models, assignment, streams
 
 

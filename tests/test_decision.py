@@ -105,7 +105,7 @@ def test_switch_even_split_draw_matches_member_frequencies():
     n_calls = 2_500
     hits = np.zeros(6, dtype=int)
     for _ in range(n_calls):
-        sources, adopted, drawn = switch_sources(blocks, 6, range(4), rngs=[rng] * 6)
+        sources, adopted, drawn = switch_sources(blocks, 6, range(4), rng=rng)
         assert drawn == [0, 1, 2, 3] and adopted == []
         np.add.at(hits, sources[:4], 1)
     n_draws = 4 * n_calls
@@ -130,10 +130,9 @@ def test_apply_switching_reads_pre_switch_estimates():
     for a, b in [(0, 1), (0, 2), (1, 3)]:
         adjacency[a, b] = adjacency[b, a] = True
     w_prev = block_points([[1, 2], [0, 3]], n)
-    rngs = [np.random.default_rng(s) for s in range(n)]
     p = np.array([0.5, 0.5, 1.0, 1.0])
     updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD, adjacency, p,
-                                              rngs, True)
+                                              np.random.default_rng(0), True)
     assert np.array_equal(updated[0], w_prev[1])
     assert np.array_equal(updated[1], w_prev[0])
     assert np.array_equal(updated[2:], w_prev[2:])
@@ -144,10 +143,9 @@ def test_apply_switching_reads_pre_switch_estimates():
 def test_apply_switching_skips_agreeing_agents():
     n = 3
     w_prev = block_points([[0], [1], [2]], n)
-    rngs = [np.random.default_rng(s) for s in range(n)]
     updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD,
                                               np.ones((n, n), dtype=bool),
-                                              np.ones(n), rngs, True)
+                                              np.ones(n), np.random.default_rng(0), True)
     assert adopted.size == 0 and drawn.size == 0
     assert np.array_equal(updated, w_prev)
 
@@ -167,9 +165,10 @@ def per_agent_view(agent, close, members):
     return members, classes, majority
 
 
-def per_agent_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
-    """The switch stage one agent at a time: the reference
-    :func:`apply_switching` must reproduce, draws and generator states
+def per_agent_switching(w_prev, close, adjacency, p, rng, equilibrium_break):
+    """The switch stage one agent at a time, each draw a call of its own on
+    the shared generator in ascending agent order: the reference
+    :func:`apply_switching` must reproduce, draws and generator state
     included."""
     updated = w_prev.copy()
     adopted, drawn = [], []
@@ -180,7 +179,7 @@ def per_agent_switching(w_prev, close, adjacency, p, rngs, equilibrium_break):
             updated[k] = w_prev[int(majority.min())]
             adopted.append(k)
         elif equilibrium_break and len(classes) == 2:
-            updated[k] = w_prev[int(members[rngs[k].integers(0, len(members))])]
+            updated[k] = w_prev[int(members[rng.integers(0, len(members))])]
             drawn.append(k)
     return updated, adopted, drawn
 
@@ -214,22 +213,21 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, g
     flipped = np.triu(rng.random((n, n)) < flips, 1)
     close = pairwise_close(w_prev, threshold) ^ flipped ^ flipped.T
     p = np.where(rng.random(n) < pending, 0.5, 1.0)
-    rngs = [np.random.default_rng([seed, k]) for k in range(n)]
-    ref_rngs = [np.random.default_rng([seed, k]) for k in range(n)]
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
 
     relation = (mock.patch("netdecide.decision.view_from_closeness",
                            lambda points, threshold, views: dense_view(close, views))
                 if flipped.any() else nullcontext())
     with relation:
-        updated, adopted, drawn = apply_switching(w_prev, threshold, adjacency, p, rngs,
+        updated, adopted, drawn = apply_switching(w_prev, threshold, adjacency, p, rng,
                                                   equilibrium_break)
     ref, ref_adopted, ref_drawn = per_agent_switching(w_prev, close, adjacency, p,
-                                                      ref_rngs, equilibrium_break)
+                                                      ref_rng, equilibrium_break)
     assert np.array_equal(updated, ref)
     assert adopted.tolist() == ref_adopted
     assert drawn.tolist() == ref_drawn
-    for got, want in zip(rngs, ref_rngs):
-        assert got.bit_generator.state == want.bit_generator.state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def healthy_round(n=4, seed=0):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netdecide.config import ExperimentConfig
+from netdecide.decision import run_decision
 from netdecide.diffusion import (DivergenceError, adapt, aggregate,
                                  believed_neighborhoods,
                                  check_divergence, combination_weights,
@@ -12,7 +14,7 @@ from netdecide.diffusion import (DivergenceError, adapt, aggregate,
 from netdecide.network import (DataStream, build_streams, draw_noise_profile,
                                generate_models, generate_topology)
 
-from conftest import NOISE_RANGES
+from conftest import NOISE_RANGES, build_world
 
 
 def test_adapt_zero_regressor_is_identity():
@@ -219,7 +221,7 @@ def test_beliefs_recover_cluster_structure(seed):
     assignment = np.arange(n) % 2
     observed = models[assignment]
     noise = draw_noise_profile(n, 2, seed=seed + 200, **NOISE_RANGES)
-    streams = build_streams(*noise, n_rounds, seed + 300)
+    streams = build_streams(*noise, seed + 300)
     psi = np.zeros((n, 2))
     phi = np.zeros((n, 2))
     smoothed = np.eye(n)
@@ -232,3 +234,22 @@ def test_beliefs_recover_cluster_structure(seed):
     same_model = assignment[:, None] == assignment[None, :]
     linked = topo.adjacency & ~np.eye(n, dtype=bool)
     assert np.array_equal(believed_neighborhoods(smoothed)[linked], same_model[linked])
+
+
+@pytest.mark.parametrize("reg_power_range", [(2.0, 2.0), NOISE_RANGES["reg_power_range"]])
+def test_steady_state_msd_matches_stand_alone_lms(reg_power_range):
+    # each agent runs LMS on its own data, whose steady-state deviation is
+    # mu sigma_v^2 M / 2 whatever the regressor power, and phi averages its
+    # closed neighborhood's independent errors. Adapt-then-combine
+    # diffusion would read about 14 times lower, and the form
+    # mu sigma_v^2 tr(R) / 2 is twice this one at regressor power 2
+    config = ExperimentConfig.for_mode("decide", n_models=1, early_stop=False,
+                                       max_iters=2000, reg_power_range=reg_power_range)
+    topology, models, assignment, streams = build_world(config, seed=0)
+    sigma_v2, _ = draw_noise_profile(config.n_agents, config.dim, seed=3,
+                                     sigma_v2_range=config.sigma_v2_range,
+                                     reg_power_range=reg_power_range)
+    record = run_decision(config, topology, models, assignment, streams)
+    predicted = (config.step_size * config.dim / 2
+                 * (topology.adjacency @ sigma_v2) / topology.degrees ** 2).mean()
+    assert record.msd_observed[1000:2000, 0].mean() == pytest.approx(predicted, rel=0.25)

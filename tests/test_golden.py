@@ -28,15 +28,15 @@ GOLDEN = {
     # N=20 at radius 0.4 sits over the degree cap, so world build prunes
     "decide": (dict(n_agents=20, n_models=2, radius=0.4, max_iters=300,
                     n_trials=4, seed=7),
-               "6a5deba00f325abdd8ea2b93b5fdf3a3f46b50c4ea821c4c219444b5322020a8"),
+               "8b26683081957e947e72edf188dd64de53a5ee07dd7f9c6bef886a92226cb730"),
     "follow": (dict(n_agents=20, n_models=3, radius=0.4, target_agent=3,
                     max_iters=200, n_trials=4, seed=11),
-               "2dfea585d226c5aa01dc1099cf55e4908d252777834c08fd3d7dd949fe353acd"),
+               "9deb3e0b6b7d6437bd4172c896fbf44a8666f1db81ea4e833a67ca1b6897d18e"),
     # a degree cap of 5 makes every per-round rebuild prune without the
     # connectivity constraint
     "mobile": (dict(n_agents=20, max_iters=150, max_degree=5, comm_radius=30.0,
                     n_trials=4, seed=13),
-               "d4fbc5949fdc83eb50e980317d8bc06d5b0f5db241d38fd4a9be44edd08f2895"),
+               "60e03c63113fd43a6ca64839eba6eefc505dac4de50b90613d04478251193ce2"),
 }
 
 
@@ -64,7 +64,7 @@ def records_digest(summary):
 
 # every mobile record's CSV, JSON sidecar and trajectory CSV, which pin
 # positions round by round rather than through summary.json alone
-MOBILE_RECORDS = "bc15e476f21d692ddb29c4f10bd6920ea1cd5a5274a6a90266a7c49613014ab0"
+MOBILE_RECORDS = "c2c4646d42cc2f1145cee28023cf9b795c327c1da87d24996b259034c21d58bf"
 
 
 def test_mobile_record_digest_is_pinned():
@@ -79,8 +79,8 @@ def test_mobile_record_digest_is_pinned():
 # per-agent switch counts, the desired-model counts and the relay coverage
 # that summary.json only aggregates
 RECORDS = {
-    "decide": "b0e7979484932bf8e7eeed72620d7430540e513a49d86da88a11607433d011f1",
-    "follow": "aed88cc5549c98b9fa5dfdbc4fc06ecd2b2a98e0e2cc288969ef400c5e62e252",
+    "decide": "476eacadbd4074680b46a49cabed17af1b652a586c5016e651d1c84f3d6ecf04",
+    "follow": "13c899363cdf3c51463a896eac6e6b6055babd99e0d053a4785d09cc3c7f917f",
 }
 
 
@@ -108,9 +108,9 @@ def test_invariant_checks_leave_the_summary_unchanged(mode):
 # link-list round
 SPARSE_RECORDS = {
     "decide": (dict(seed=21),
-               "984c868983e963484f7dfcc9ce9854d5761685d4dbd4394b5a90ac6f85c06c34"),
+               "f3d3f58a6477ffc1e2e9d7d7862a8092f9f1a1afd145fd63d9de61ba811578be"),
     "follow": (dict(seed=23, target_agent=5),
-               "2d78ef547037ce7505213096e4ca4d68c9515d2cce00b678b1c690676a9ecf1b"),
+               "8c8db93fd652ccfdcbc8f97d4f9b7bf9257c95bc7e612b5cdd82e6a72ac12a22"),
 }
 
 

@@ -79,9 +79,11 @@ def test_exported_networks_match_their_trials(mode):
         assert np.array_equal(assignment, record.assignment)
 
 
-# a step size this large makes every agent's estimate blow up
+# at step size 3 an agent's estimate error grows by a factor of about
+# e^0.88 a round on average (about e^0.11 at 1.5), so every estimate
+# blows up well within 100 rounds
 DIVERGING = dict(n_agents=20, n_models=2, radius=0.4, max_iters=100, t_hold=10,
-                 n_trials=2, step_size=1.5, seed=1)
+                 n_trials=2, step_size=3.0, seed=1)
 
 
 def test_diverging_batch_records_every_trial_as_failed():
@@ -108,7 +110,7 @@ def test_records_name_a_target_only_in_follow_mode(mode, step_size, diverged, ta
 def test_diverging_cli_run_writes_strict_json(tmp_path, monkeypatch):
     monkeypatch.delenv("NETDECIDE_OUTPUT_DIR", raising=False)
     flags = ["--agents", "20", "--models", "2", "--radius", "0.4", "--iters", "100",
-             "--t-hold", "10", "--trials", "2", "--step-size", "1.5", "--seed", "1"]
+             "--t-hold", "10", "--trials", "2", "--step-size", "3.0", "--seed", "1"]
     assert main(["decide", *flags, "--quiet", "--out-dir", str(tmp_path)]) == 0
     sidecars = sorted(tmp_path.glob("trial_*.json"))
     assert len(sidecars) == 2

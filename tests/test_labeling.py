@@ -60,19 +60,19 @@ def relation_classes(close):
 
 
 def switch_sources(blocks, n, pending, adjacency=None, equilibrium_break=True,
-                   rngs=None):
+                   rng=None):
     """Run the switch stage with ``pending`` agents (p_k < 1) on
     ``block_points(blocks, n)`` and return ``(sources, adopted, drawn)``:
     whose pre-switch estimate each agent holds afterwards, and the ids
     :func:`apply_switching` reports."""
     if adjacency is None:
         adjacency = np.ones((n, n), dtype=bool)
-    if rngs is None:
-        rngs = [np.random.default_rng(k) for k in range(n)]
+    if rng is None:
+        rng = np.random.default_rng(0)
     p = np.ones(n)
     p[pending] = 0.5
     w_prev = block_points(blocks, n)
-    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, adjacency, p, rngs,
+    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, adjacency, p, rng,
                                               equilibrium_break)
     sources = np.rint(updated[:, 1] * 1000).astype(int)
     return sources.tolist(), adopted.tolist(), drawn.tolist()

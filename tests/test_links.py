@@ -184,7 +184,7 @@ def test_decide_round_holds_no_n_by_n_float_array():
     assignment = random_assignment(n, len(models), np.random.default_rng(2))
     noise = draw_noise_profile(n, config.dim, seed=3, sigma_v2_range=config.sigma_v2_range,
                                reg_power_range=config.reg_power_range)
-    streams = build_streams(*noise, config.max_iters, 4)
+    streams = build_streams(*noise, 4)
     tracemalloc.start()
     try:
         record = run_decision(config, topology, models, assignment, streams)

@@ -395,24 +395,61 @@ def test_portable_exp_and_log_match_the_math_library():
 
 def test_data_stream_observation_algebra():
     noise = draw_noise_profile(6, 2, seed=11, **NOISE_RANGES)
-    stream = DataStream(*noise, np.random.SeedSequence(5).spawn(6), n_iters=40)
+    stream = DataStream(*noise, np.random.SeedSequence(5))
     w = np.arange(12, dtype=float).reshape(6, 2)
     d, u = stream.round(17, w)
     assert np.allclose(d, (u * w).sum(axis=1) + stream.v[16])
     assert np.array_equal(u, stream.u[16])
 
 
+def test_data_stream_rounds_do_not_depend_on_read_order():
+    # rounds 63-66 straddle the first block boundary
+    noise = draw_noise_profile(7, 2, seed=12, **NOISE_RANGES)
+    w = np.random.default_rng(0).normal(size=(7, 2))
+    seed = np.random.SeedSequence(8)
+    stream = DataStream(*noise, seed)
+
+    def read(reader, rounds):
+        return {i: [a.copy() for a in reader.round(i, w)] for i in rounds}
+
+    forward = read(stream, range(63, 67))
+    backward = read(stream, range(66, 62, -1))
+    second = read(DataStream(*noise, seed), range(63, 67))
+    for i in range(63, 67):
+        for got in (backward[i], second[i]):
+            assert np.array_equal(got[0], forward[i][0])
+            assert np.array_equal(got[1], forward[i][1])
+    # round 65 opens block 1, drawn by the seed's second spawned child,
+    # regressors first
+    block = np.random.default_rng(np.random.SeedSequence(8).spawn(2)[1])
+    assert np.array_equal(forward[65][1],
+                          block.standard_normal((64, 7, 2))[0] * np.sqrt(noise[1]))
+
+
+def test_data_stream_memory_does_not_grow_with_rounds():
+    # the whole 4000-round stream of 80 agents is 7.68 MB
+    noise = draw_noise_profile(80, 2, seed=13, **NOISE_RANGES)
+    observed = np.ones((80, 2))
+    tracemalloc.start()
+    try:
+        stream = build_streams(*noise, seed=9).data
+        for i in range(1, 4001):
+            stream.round(i, observed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_build_streams_is_seed_deterministic():
     noise = draw_noise_profile(5, 2, seed=21, **NOISE_RANGES)
-    a = build_streams(*noise, 30, seed=77)
-    b = build_streams(*noise, 30, seed=77)
-    c = build_streams(*noise, 30, seed=78)
+    a = build_streams(*noise, seed=77)
+    b = build_streams(*noise, seed=77)
+    c = build_streams(*noise, seed=78)
     assert np.array_equal(a.data.u, b.data.u)
     assert np.array_equal(a.data.v, b.data.v)
     assert not np.array_equal(a.data.u, c.data.u)
-    assert len(a.decision) == 5
-    # sibling streams are independent draws
-    assert a.decision[0].integers(0, 10**9) == b.decision[0].integers(0, 10**9)
+    assert a.decision.integers(0, 10**9) == b.decision.integers(0, 10**9)
 
 
 def test_network_json_round_trip():
@@ -472,4 +509,20 @@ def small_network_doc(**changes):
 def test_network_from_json_rejects_bad_ids(changes, bad_id):
     network_from_json(small_network_doc())
     with pytest.raises(TopologyError, match=bad_id):
+        network_from_json(small_network_doc(**changes))
+
+
+@pytest.mark.parametrize("changes, bad_value", [
+    # sorted as strings, "10" would load in row 1
+    (dict(agents=[{"id": str(k), "x": float(k), "y": 0.0} for k in range(1, 11)],
+          assignment=[1] * 10), "agent id '1' "),
+    (dict(links=[[True, 2]]), "link agent id True "),
+    (dict(assignment=[1, False, 1]), "assignment label False "),
+    (dict(agents=[{"id": 1, "x": "1e0", "y": 0.0}, {"id": 2, "x": 0.2, "y": 0.0},
+                  {"id": 3, "x": 0.3, "y": 0.0}]), "coordinate '1e0' "),
+    (dict(models=[["0.5", 0.0]]), "model entry '0.5' "),
+], ids=["string-ids", "bool-link-end", "bool-label", "string-coordinate",
+        "string-model-entry"])
+def test_network_from_json_rejects_values_that_are_not_json_numbers(changes, bad_value):
+    with pytest.raises(TopologyError, match=bad_value + "is not a JSON number"):
         network_from_json(small_network_doc(**changes))
