@@ -25,18 +25,20 @@ a "hold" route that keeps diffusing previous desired estimates otherwise.
 The two are all the loop keeps of the split; their sum is the linked
 weights.
 
-A static topology is fixed for the whole run, so :func:`run_rounds`
-builds its link index once (the rows and columns of the adjacency's True
-entries) and the round is link-only. The smoothed beliefs, the
+A static network is its links (``netdecide.network.Links``: the rows
+and columns of its adjacency's True entries, in row-major order), fixed
+for the whole run, and the round is link-only. The smoothed beliefs, the
 combination, fresh and hold weights and the closeness of the desired
 estimates hold one value per link; the aggregation and the estimate
-update add each column's link terms in link order. The switch stage
-reads its pending agents' views from their adjacency rows and computes
-closeness at the views' member pairs only. Every distance is per-pair
-elementwise arithmetic (``netdecide.network.squared_distances``), so
-wherever a pair is tested it reads the same bits, on any CPU. Mobile
-swarms rebuild their topology every round and keep N x N arrays, the
-closeness matrix among them, and BLAS products for the two sums. In
+update add each column's link terms in link order, and the degrees are
+the links' column counts. The switch stage reads its pending agents'
+views from their links and computes closeness at the views' member pairs
+only. Every distance is per-pair elementwise arithmetic
+(``netdecide.network.squared_distances``), so wherever a pair is tested it
+reads the same bits, on any CPU. A mobile swarm's neighborhood is its
+N x N adjacency, rebuilt every round; it keeps N x N arrays, the
+closeness matrix among them, and BLAS products for the two sums. Only
+the invariant checks of a static run build dense N x N references. In
 every mode the desired-model count comes from
 ``netdecide.network.close_component_count``, a frontier sweep over the
 desired estimates that never builds the N x N relation.
@@ -99,11 +101,13 @@ def update_estimate(phi, w_prev, fresh, hold, links=None):
     return link_sums(links, terms)
 
 
-def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break):
+def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break, links=None):
     """Run the switch stage for every non-unanimous agent (p_k < 1) and
     return ``(updated, adopted, drawn)``: the estimates after it and the
     ids of the agents that adopted a majority or drew a neighbor.
 
+    An agent's view is its closed neighborhood: its links in ``links``,
+    or its row of the N x N ``adjacency`` when no links are given.
     Neighbors are of one class when their previous desired estimates
     ``w_prev`` are close (``threshold``, squared norm) to the same members
     of the view. An agent outside its local majority class (the largest,
@@ -118,7 +122,13 @@ def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break):
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
         return w_prev, pending, pending
-    slots, same = view_from_closeness(w_prev, threshold, adjacency[pending])
+    if links is None:
+        views = adjacency[pending]
+        members, width = np.nonzero(views)[1], views.sum(axis=1)
+    else:
+        at = (p < 1.0)[links.rows]
+        members, width = links.cols[at], np.bincount(links.rows[at], minlength=links.n)[pending]
+    slots, same = view_from_closeness(w_prev, threshold, members, width)
     size = same.sum(axis=2)
     best = size.max(axis=1)
     # each view holds its viewer in exactly one slot
@@ -131,7 +141,6 @@ def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break):
 
     updated = w_prev.copy()
     updated[pending[adopt]] = w_prev[slots[adopt, first[adopt]]]
-    width = (slots >= 0).sum(axis=1)
     updated[pending[draw]] = w_prev[slots[draw, rng.integers(0, width[draw])]]
     return updated, pending[adopt], pending[draw]
 
@@ -209,7 +218,7 @@ class MajoritySwitching:
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         w_prev, adopted, drawn = apply_switching(
-            w_prev, self.beta, adjacency, p, self.rng, self.equilibrium_break)
+            w_prev, self.beta, adjacency, p, self.rng, self.equilibrium_break, links)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1
@@ -232,15 +241,16 @@ class MajoritySwitching:
                     switch_adopt=self.adopt_counts, switch_random=self.random_counts)
 
 
-def run_rounds(config, topology, models, assignment, streams, policy, *,
+def run_rounds(config, links, models, assignment, streams, policy, *,
                check_invariants=False, motion=None):
     """Run the round loop with ``policy`` as its desired-estimate stage and
     return the run's :class:`RunRecord`.
 
-    ``models`` is the (C, M) array of model vectors and ``assignment`` the
-    (N,) array of each agent's 0-based model. When ``motion`` is given
-    (mobile swarms) it is stepped at the end of every round and returns
-    the topology for the next one.
+    ``links`` is the ``netdecide.network.Links`` of a static network,
+    ``models`` the (C, M) array of model vectors and ``assignment`` the
+    (N,) array of each agent's 0-based model. A mobile swarm passes no
+    links and its ``motion``, whose ``adjacency`` each round reads and
+    which is stepped at the end of every round.
 
     Raises
     ------
@@ -249,15 +259,13 @@ def run_rounds(config, topology, models, assignment, streams, policy, *,
         the largest model norm.
     """
     started = time.perf_counter()
-    n = topology.n_agents
+    n = len(assignment)
     n_models, dim = models.shape
     n_iters = config.max_iters
     assignment = assignment.copy()
     observed = models[assignment]
-    adjacency = topology.adjacency
-    degrees = topology.degrees
-    # a static network's links, on which the neighborhood stages run
-    links = link_index(adjacency) if motion is None else None
+    adjacency = None
+    degrees = None if links is None else np.bincount(links.cols, minlength=n)
     bound = 1e3 * max(np.linalg.norm(models, axis=1).max(), 1.0)
     reassign_at = set(config.reassign_at)
 
@@ -283,6 +291,9 @@ def run_rounds(config, topology, models, assignment, streams, policy, *,
 
     for i in range(1, n_iters + 1):
         t = i - 1
+        if motion is not None:
+            adjacency = motion.adjacency
+            degrees = np.count_nonzero(adjacency, axis=0)
         if i in reassign_at:
             assignment = random_assignment(n, n_models, streams.reassign)
             observed = models[assignment]
@@ -315,18 +326,20 @@ def run_rounds(config, topology, models, assignment, streams, policy, *,
         policy.track(t, w, models, assignment)
 
         if check_invariants:
-            # mobile's N x N arrays are read as one value per pair of agents
-            pairs = links if links is not None else link_index(np.ones((n, n), dtype=bool))
+            if links is None:
+                # mobile's N x N arrays are read as one value per pair of agents
+                pairs, dense = link_index(np.ones((n, n), dtype=bool)), adjacency
+            else:
+                pairs, dense = links, np.zeros((n, n), dtype=bool)
+                dense[links.rows, links.cols] = True
             verify_round(links=pairs, combination=combination.ravel(),
                          support=support.ravel(), smoothed=smoothed.ravel(),
                          fresh=fresh.ravel(), hold=hold.ravel(), close=close.ravel(),
-                         adjacency=adjacency, w_prev=w_prev, threshold=config.beta,
+                         adjacency=dense, w_prev=w_prev, threshold=config.beta,
                          n_desired=n_desired[t], phi=phi, psi=psi)
 
         if motion is not None:
-            topology = motion.step(i, w, topology)
-            adjacency = topology.adjacency
-            degrees = topology.degrees
+            motion.step(i, w)
         w_prev = w
 
         if (may_stop and streak >= config.t_hold and i >= last_reassign
@@ -358,10 +371,10 @@ def run_rounds(config, topology, models, assignment, streams, policy, *,
     return record
 
 
-def run_decision(config, topology, models, assignment, streams, *,
+def run_decision(config, links, models, assignment, streams, *,
                  check_invariants=False, motion=None):
-    """Run decision-making (mobile swarms when ``motion`` is given) and
-    return its :class:`RunRecord`; see :func:`run_rounds`."""
-    policy = MajoritySwitching(config, topology.n_agents, len(models), streams.decision)
-    return run_rounds(config, topology, models, assignment, streams, policy,
+    """Run decision-making on the network of ``links`` (a mobile swarm's
+    ``motion`` instead) and return its :class:`RunRecord`; see :func:`run_rounds`."""
+    policy = MajoritySwitching(config, len(assignment), len(models), streams.decision)
+    return run_rounds(config, links, models, assignment, streams, policy,
                       check_invariants=check_invariants, motion=motion)

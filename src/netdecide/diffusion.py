@@ -16,15 +16,16 @@ The belief state holds smoothed indicators in [0, 1], the identity before
 any data (each agent believes only in itself). A belief is its entry
 rounded half up, read where the aggregation support is built.
 
-Static networks pass the stages the adjacency's link index
-(``netdecide.network.link_index``: the rows and columns of its True
-entries), and the belief state, the support and the weights hold one
-value per link. Aggregation adds each column's terms in link order with
+A static network is its links (``netdecide.network.Links``: the rows and
+columns of its adjacency's True entries), which it passes the stages,
+and the belief state, the support and the weights hold one value per
+link. Aggregation adds each column's terms in link order with
 ``np.bincount`` (:func:`link_sums`), so no N x N array and no BLAS product
-enters a static round, and its bits do not depend on the CPU. Mobile
-swarms pass no index and keep these as N x N arrays, with the same
-proximity test (the distances of ``netdecide.network.squared_distances``)
-and a BLAS product for the aggregation.
+enters a static round, and its bits do not depend on the CPU. A mobile
+swarm's neighborhood is its N x N adjacency: it passes no links and keeps
+these as N x N arrays, with the same proximity test (the distances of
+``netdecide.network.squared_distances``) and a BLAS product for the
+aggregation.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def update_cluster_matrices(smoothed, psi, phi_prev, adjacency, alpha, smoothing
     1/smoothing rounds. That lag is what keeps transient proximity during
     the early adaptation phase from ever being believed.
 
-    Given ``links``, the link index of ``adjacency``, ``smoothed`` holds
-    one value per link and ``smoothing`` is added where the test passes,
-    which rounds exactly as adding ``smoothing`` times the 0/1 indicator.
+    Given a static network's ``links``, which stand in for ``adjacency``,
+    ``smoothed`` holds one value per link and ``smoothing`` is added where
+    the test passes, which rounds exactly as adding ``smoothing`` times the
+    0/1 indicator.
     """
     if links is None:
         raw = (squared_distances(psi, phi_prev) <= alpha) & adjacency

@@ -9,12 +9,12 @@ anchor replaces local labeling: informed agents link to their informed
 neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
-anchor. Like every stage of the round on a static network, the relay
-reads the links of the adjacency, and the split holds one value per
-link, with per-pair distances from ``netdecide.network.squared_distances``.
-The relay state is two arrays, the anchors and their sources. A follow
-graph never moves, so an agent's source stays its neighbor, which
-``check_invariants`` checks.
+anchor. A follow network is static, so it is its links
+(``netdecide.network.Links``): the relay, its invariant checks and the
+split read them, and the split holds one value per link, with per-pair
+distances from ``netdecide.network.squared_distances``. The relay state is
+two arrays, the anchors and their sources. A follow graph never moves, so
+an agent's source stays its neighbor, which ``check_invariants`` checks.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -55,8 +55,8 @@ def spread_anchor(anchors, sources, psi, links, target):
     anchor of its lowest-indexed informed neighbor and records that
     neighbor as its source; an informed agent refreshes from its recorded
     source's previous-round anchor. Neighbors are the links of ``links``,
-    the link index of the adjacency, which must be the one every earlier
-    round read, so that each recorded source is still a neighbor.
+    the network's links, which must be the ones every earlier round read,
+    so that each recorded source is still a neighbor.
     """
     n = links.n
     prev_anchors, prev_sources = anchors, sources
@@ -94,8 +94,7 @@ def spread_anchor(anchors, sources, psi, links, target):
 
 def follow_matrices(anchors, sources, psi, links, threshold):
     """Split weights ``(fresh, hold)`` driven by the relay instead of
-    labels, one value per link of ``links``, the link index of the
-    adjacency.
+    labels, one value per link of the network's ``links``.
 
     Neighbors are linked when both ends are informed; uninformed agents
     keep a self-preserving link so their column stays stochastic. A linked
@@ -121,16 +120,15 @@ class AnchorRelay:
     mode = "follow"
     stops_early = False
 
-    def __init__(self, config, topology, dim, check_invariants):
+    def __init__(self, config, n_agents, dim, check_invariants):
         self.beta = config.beta
         self.target = config.target_agent - 1
-        self.anchors = np.zeros((topology.n_agents, dim))
-        self.sources = np.zeros(topology.n_agents, dtype=int)
+        self.anchors = np.zeros((n_agents, dim))
+        self.sources = np.zeros(n_agents, dtype=int)
         self.coverage = np.zeros(config.max_iters, dtype=int)
         self.deviations = np.zeros(config.max_iters)
         # the hop ball around the target, grown by one hop each round
-        self.ball = (np.arange(topology.n_agents) == self.target
-                     if check_invariants else None)
+        self.ball = np.arange(n_agents) == self.target if check_invariants else None
 
     def desired(self, t, w_prev, psi, close, p, adjacency, links):
         self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
@@ -138,11 +136,13 @@ class AnchorRelay:
         informed = self.sources > 0
         self.coverage[t] = int(informed.sum())
         if self.ball is not None:
-            self.ball = adjacency[self.ball].any(axis=0)
+            self.ball = np.bincount(links.cols[self.ball[links.rows]], minlength=links.n) > 0
             if not np.array_equal(informed, self.ball):
                 raise InvariantViolation(
                     f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
-            if not adjacency[informed, self.sources[informed] - 1].all():
+            k = np.flatnonzero(informed)
+            if not np.isin(k * links.n + self.sources[k] - 1,
+                           links.rows * links.n + links.cols).all():
                 raise InvariantViolation(
                     f"an informed agent's source at round {t + 1} is not its neighbor")
         return (w_prev, close,
@@ -159,13 +159,13 @@ class AnchorRelay:
                     switch_random=np.zeros(n, dtype=int))
 
 
-def run_follow(config, topology, models, assignment, streams, *, check_invariants=False):
-    """Run the follow-the-target loop and return its :class:`RunRecord`;
-    see ``netdecide.decision.run_rounds``.
+def run_follow(config, links, models, assignment, streams, *, check_invariants=False):
+    """Run the follow-the-target loop on the static network of ``links``
+    and return its :class:`RunRecord`; see ``netdecide.decision.run_rounds``.
 
     The target agent is ``config.target_agent`` (1-based). Success demands
     network-wide agreement on the target's observed model.
     """
-    policy = AnchorRelay(config, topology, models.shape[1], check_invariants)
-    return run_rounds(config, topology, models, assignment, streams, policy,
+    policy = AnchorRelay(config, links.n, models.shape[1], check_invariants)
+    return run_rounds(config, links, models, assignment, streams, policy,
                       check_invariants=check_invariants)

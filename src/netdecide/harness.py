@@ -25,7 +25,7 @@ from .follow import run_follow
 from .mobility import MotionDriver, rebuild_topology
 from .network import (DivergenceError, build_streams, corner_models,
                       draw_noise_profile, generate_models, generate_topology,
-                      network_to_json, random_assignment)
+                      link_index, network_to_json, random_assignment)
 from .records import RunRecord, jsonable
 
 SUMMARY_SCHEMA = "netdecide.summary/1"
@@ -53,10 +53,11 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
         positions = np.random.default_rng(topo_ss).uniform(
             center - config.start_extent, center + config.start_extent,
             size=(config.n_agents, 2))
-        topology = rebuild_topology(positions, config.comm_radius, config.max_degree)
+        adjacency = rebuild_topology(positions, config.comm_radius, config.max_degree)
+        links = None
     else:
-        topology = generate_topology(config.n_agents, config.max_degree,
-                                     config.radius, seed=topo_ss)
+        positions, links = generate_topology(config.n_agents, config.max_degree,
+                                             config.radius, seed=topo_ss)
     if config.mode == "mobile" and config.n_models == 4:
         models = corner_models(config.model_range)
     else:
@@ -68,21 +69,25 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
                                              sigma_v2_range=config.sigma_v2_range,
                                              reg_power_range=config.reg_power_range)
     streams = build_streams(sigma_v2, reg_power, sim_ss)
-    network_doc = network_to_json(topology, models, assignment) if export_network else None
+    network_doc = None
+    if export_network:
+        # a swarm's round reads its adjacency; its links live for the export only
+        network_doc = network_to_json(
+            positions, link_index(adjacency) if links is None else links, models, assignment)
 
     try:
         if config.mode == "decide":
-            record = run_decision(config, topology, models, assignment, streams,
+            record = run_decision(config, links, models, assignment, streams,
                                   check_invariants=check_invariants)
         elif config.mode == "follow":
-            record = run_follow(config, topology, models, assignment, streams,
+            record = run_follow(config, links, models, assignment, streams,
                                 check_invariants=check_invariants)
         else:
             driver = MotionDriver(
-                config, topology.positions, models,
+                config, positions, adjacency, models,
                 snapshot_iters=config.snapshot_iters if trajectories else (),
             )
-            record = run_decision(config, topology, models, assignment, streams,
+            record = run_decision(config, None, models, assignment, streams,
                                   check_invariants=check_invariants,
                                   motion=driver)
     except DivergenceError:

@@ -27,21 +27,20 @@ import numpy as np
 from .network import _PAIRS_PER_STEP, squared_distances
 
 
-def view_from_closeness(points, threshold, views):
+def view_from_closeness(points, threshold, members, width):
     """Local model classes of P views as ``(slots, same)``: (P, W) member
     ids ascending, padded with -1, and (P, W, W) ``same[v, a, b]``, true
     when slots ``a`` and ``b`` of view ``v`` carry equal labels and neither
     is padding.
 
-    Row v of the (P, N) boolean ``views`` marks the members of view v,
-    at least one each. Members are close when their ``points`` (the
-    desired estimates) lie within ``threshold`` (squared norm) of each
-    other.
+    ``members`` lists the members of every view, view by view, each view's
+    ids ascending, and ``width`` (P,) says how many each view has, at least
+    one. Members are close when their ``points`` (the desired estimates)
+    lie within ``threshold`` (squared norm) of each other.
     """
-    width = views.sum(axis=1)
     valid = np.arange(width.max()) < width[:, None]
     slots = np.full(valid.shape, -1)
-    slots[valid] = np.nonzero(views)[1]
+    slots[valid] = members
     # a few views at a time, so the float distances stay small beside the
     # boolean block; the -1 padding reads the last agent's estimate, and
     # masking the padded rows keeps it out of every label

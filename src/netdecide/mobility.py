@@ -6,13 +6,15 @@ blended with neighbor-velocity alignment and short-range repulsion, at a
 hard speed cap; the communication graph is then rebuilt from the new
 positions as a radius graph with the usual degree cap. Disconnection is
 tolerated, an isolated agent simply runs self-only updates.
+A swarm's neighborhood is this N x N adjacency, which changes every round
+and so is kept dense, not indexed by its links as a static network is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import DivergenceError, Topology, squared_distances, _prune_degrees
+from .network import DivergenceError, squared_distances, _prune_degrees
 
 
 def step_motion(pos, vel, targets, adjacency, config):
@@ -57,36 +59,40 @@ def step_motion(pos, vel, targets, adjacency, config):
 
 
 def rebuild_topology(positions, comm_radius, max_degree):
-    """Radius graph of the current positions with the degree cap applied;
+    """Adjacency of the radius graph of the current positions, an N x N
+    boolean matrix with a True diagonal, with the degree cap applied;
     connectivity is not required."""
     d2 = squared_distances(positions)
     adjacency = d2 <= comm_radius * comm_radius
     np.fill_diagonal(adjacency, True)
     _prune_degrees(adjacency, d2, max_degree, keep_connected=False)
-    return Topology(adjacency, positions)
+    return adjacency
 
 
 class MotionDriver:
     """Steps the swarm inside the decision loop and samples trajectories.
 
     ``config`` supplies the motion law's gains and the communication
-    radius and degree cap of the per-round topology rebuild. A non-finite
-    velocity raises :class:`~netdecide.network.DivergenceError`, which
-    the harness records as a diverged trial.
+    radius and degree cap of the per-round topology rebuild; ``adjacency``
+    is the graph at ``positions``, which each step replaces with the graph
+    at the new positions. A non-finite velocity raises
+    :class:`~netdecide.network.DivergenceError`, which the harness records
+    as a diverged trial.
     """
 
-    def __init__(self, config, positions, models, snapshot_iters=()):
+    def __init__(self, config, positions, adjacency, models, snapshot_iters=()):
         self.config = config
         self.positions = np.array(positions, dtype=float)
+        self.adjacency = adjacency
         self.velocities = np.zeros_like(self.positions)
         self.models = np.atleast_2d(models)
         self.snapshot_iters = set(snapshot_iters)
         self.blocks = []
         self.max_observed_speed = 0.0
 
-    def step(self, iteration, targets, topology):
+    def step(self, iteration, targets):
         self.positions, self.velocities = step_motion(
-            self.positions, self.velocities, targets, topology.adjacency, self.config)
+            self.positions, self.velocities, targets, self.adjacency, self.config)
         if not np.isfinite(self.velocities).all():
             raise DivergenceError(f"non-finite velocity at iteration {iteration}")
         speed = float(np.linalg.norm(self.velocities, axis=1).max(initial=0.0))
@@ -98,8 +104,8 @@ class MotionDriver:
             labels = squared_distances(targets, self.models).argmin(axis=1)
             self.blocks.append(np.column_stack(
                 [np.full(n, iteration), np.arange(n), self.positions, labels]))
-        return rebuild_topology(self.positions, self.config.comm_radius,
-                                self.config.max_degree)
+        self.adjacency = rebuild_topology(self.positions, self.config.comm_radius,
+                                          self.config.max_degree)
 
     def trajectory(self):
         return np.concatenate(self.blocks) if self.blocks else None

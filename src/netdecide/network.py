@@ -3,7 +3,9 @@ noise statistics, and the synthetic data streams the agents adapt on.
 
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
-self-loop. Each agent observes a scalar stream d = u . w + v generated from
+self-loop. A static network is its positions and the :class:`Links` of its
+adjacency; a mobile swarm's is its N x N adjacency (``netdecide.mobility``).
+Each agent observes a scalar stream d = u . w + v generated from
 the ground-truth model it is assigned to; the data of all agents is drawn
 together, a block of rounds at a time (:class:`DataStream`).
 
@@ -22,7 +24,6 @@ logarithm from :func:`_exp` and :func:`_log`, which use no math library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,8 @@ class DivergenceError(RuntimeError):
 class Links(NamedTuple):
     """The True entries of an N x N boolean matrix in row-major order:
     link i joins row ``rows[i]`` to column ``cols[i]``. A per-link array
-    holds one value for each."""
+    holds one value for each. A static network is the links of its
+    symmetric, self-looped adjacency; their column counts are the degrees."""
 
     n: int
     rows: np.ndarray
@@ -151,47 +153,6 @@ def close_component_count(points, threshold):
     return count
 
 
-@dataclass(eq=False)
-class Topology:
-    """Undirected agent graph with self-loops and 2-D coordinates.
-
-    Attributes
-    ----------
-    adjacency : ndarray of bool, shape (N, N)
-        Symmetric with a True diagonal; row k is agent k's closed
-        neighborhood.
-    degrees : ndarray of int, shape (N,)
-        Closed neighborhood sizes, derived from ``adjacency``.
-    positions : ndarray, shape (N, 2)
-        Agent coordinates; abstract for static networks, body-length units
-        for mobile swarms.
-    """
-
-    adjacency: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.adjacency = np.asarray(self.adjacency, dtype=bool)
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.degrees = np.count_nonzero(self.adjacency, axis=0)
-
-    @property
-    def n_agents(self):
-        return self.adjacency.shape[0]
-
-    def validate(self):
-        adj = self.adjacency
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise TopologyError("adjacency must be square")
-        if not np.array_equal(adj, adj.T):
-            raise TopologyError("adjacency must be symmetric")
-        if not adj.diagonal().all():
-            raise TopologyError("every agent must be its own neighbor")
-        if self.positions.shape != (adj.shape[0], 2):
-            raise TopologyError("positions must have shape (n_agents, 2)")
-        return self
-
-
 def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     """Drop longest links at over-degree agents, in place.
 
@@ -279,7 +240,9 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
 
     Returns
     -------
-    Topology
+    positions : ndarray, shape (N, 2)
+    links : Links
+        The links of the symmetric, self-looped adjacency.
 
     Raises
     ------
@@ -301,7 +264,7 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
         if component_count(adjacency) != 1:
             continue
         if _prune_degrees(adjacency, d2, max_degree, keep_connected=True):
-            return Topology(adjacency, positions).validate()
+            return positions, link_index(adjacency)
     raise TopologyError(
         f"no connected topology with closed degree <= {max_degree} found for "
         f"{n_agents} agents at radius {radius} after {max_tries} tries"
@@ -462,25 +425,22 @@ def build_streams(sigma_v2, reg_power, seed):
                         np.random.default_rng(decision), np.random.default_rng(reassign))
 
 
-def network_to_json(topology, models, assignment=None):
-    """Export a topology, its (C, M) model array and, when given, the
-    agents' 0-based model assignment as one JSON-ready document.
+def network_to_json(positions, links, models, assignment=None):
+    """Export a network (its (N, 2) ``positions`` and :class:`Links`), its
+    (C, M) model array and, when given, the agents' 0-based model
+    assignment as one JSON-ready document.
 
     Agents and model labels are 1-based; self-loops are implicit and the
-    link list holds each undirected pair once.
+    link list holds each undirected pair once, in row-major order.
     """
-    n = topology.n_agents
-    agents = [
-        {"id": k + 1, "x": float(topology.positions[k, 0]), "y": float(topology.positions[k, 1])}
-        for k in range(n)
-    ]
-    iu, ju = np.triu_indices(n, k=1)
-    present = topology.adjacency[iu, ju]
-    links = [[int(a) + 1, int(b) + 1] for a, b in zip(iu[present], ju[present])]
+    agents = [{"id": k + 1, "x": x, "y": y}
+              for k, (x, y) in enumerate(np.asarray(positions, dtype=float).tolist())]
+    upper = links.rows < links.cols
+    pairs = zip(links.rows[upper].tolist(), links.cols[upper].tolist())
     doc = {
         "schema": "netdecide.network/1",
         "agents": agents,
-        "links": links,
+        "links": [[a + 1, b + 1] for a, b in pairs],
         "models": [[float(x) for x in row] for row in models],
     }
     if assignment is not None:
@@ -506,14 +466,23 @@ def _numbers(kind, values, upper=None):
 
 
 def network_from_json(doc):
-    """Inverse of :func:`network_to_json`: ``(topology, models,
+    """Inverse of :func:`network_to_json`: ``(positions, links, models,
     assignment)``, the assignment None when the document has none. Raises
-    :class:`TopologyError` naming the first value that is not a JSON
-    number, the first agent id that repeats, the first id or label that is
-    not a whole number in 1..N (1..M for labels), the first link that is
-    not a pair, models that are not rows of one positive length, or an
-    assignment that is not one label per agent."""
+    :class:`TopologyError` for a document that is not an object with
+    ``agents``, ``links`` and ``models`` lists, and naming the first agent
+    that is not an object with an id, x and y, the first value that is not
+    a JSON number, the first agent id that repeats, the first id or label
+    that is not a whole number in 1..N (1..M for labels), the first link
+    that is not a pair, models that are not rows of one positive length, or
+    an assignment that is not one label per agent."""
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(key), list) for key in ("agents", "links", "models"))):
+        raise TopologyError("a network document is an object with agents, links and "
+                            "models lists")
     agents = doc["agents"]
+    for agent in agents:
+        if not isinstance(agent, dict) or not {"id", "x", "y"} <= agent.keys():
+            raise TopologyError(f"agent {agent!r} is not an object with an id, x and y")
     n = len(agents)
     ids = _numbers("agent id", [a["id"] for a in agents], n)
     counts = np.bincount(ids, minlength=n)
@@ -538,4 +507,4 @@ def network_from_json(doc):
             raise TopologyError(f"assignment has {np.size(assignment)} labels "
                                 f"for {n} agents")
         assignment = _numbers("assignment label", assignment, len(models))
-    return Topology(adjacency | adjacency.T, positions).validate(), models, assignment
+    return positions, link_index(adjacency | adjacency.T), models, assignment

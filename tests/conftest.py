@@ -24,8 +24,8 @@ def tiny_config(**overrides):
 
 
 def build_world(cfg, seed=0):
-    """Topology, models, assignment and streams for one seeded run."""
-    topo = generate_topology(cfg.n_agents, cfg.max_degree, cfg.radius, seed=seed)
+    """Links, models, assignment and streams for one seeded run."""
+    _, links = generate_topology(cfg.n_agents, cfg.max_degree, cfg.radius, seed=seed)
     models = generate_models(cfg.n_models, cfg.dim, cfg.model_range,
                              seed=seed + 1, min_separation_sq=4.0 * cfg.beta)
     assignment = random_assignment(cfg.n_agents, len(models),
@@ -34,7 +34,7 @@ def build_world(cfg, seed=0):
                                sigma_v2_range=cfg.sigma_v2_range,
                                reg_power_range=cfg.reg_power_range)
     streams = build_streams(*noise, seed + 4)
-    return topo, models, assignment, streams
+    return links, models, assignment, streams
 
 
 def strict_json(text):

@@ -213,21 +213,23 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, g
     flipped = np.triu(rng.random((n, n)) < flips, 1)
     close = pairwise_close(w_prev, threshold) ^ flipped ^ flipped.T
     p = np.where(rng.random(n) < pending, 0.5, 1.0)
-    rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
 
-    relation = (mock.patch("netdecide.decision.view_from_closeness",
-                           lambda points, threshold, views: dense_view(close, views))
-                if flipped.any() else nullcontext())
-    with relation:
-        updated, adopted, drawn = apply_switching(w_prev, threshold, adjacency, p, rng,
-                                                  equilibrium_break)
     ref, ref_adopted, ref_drawn = per_agent_switching(w_prev, close, adjacency, p,
                                                       ref_rng, equilibrium_break)
-    assert np.array_equal(updated, ref)
-    assert adopted.tolist() == ref_adopted
-    assert drawn.tolist() == ref_drawn
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a swarm's views are its adjacency rows, a static network's its links
+    for graph, links in ((adjacency, None), (None, link_index(adjacency))):
+        rng = np.random.default_rng(seed)
+        relation = (mock.patch("netdecide.decision.view_from_closeness",
+                               lambda points, threshold, *views: dense_view(close, *views))
+                    if flipped.any() else nullcontext())
+        with relation:
+            updated, adopted, drawn = apply_switching(w_prev, threshold, graph, p, rng,
+                                                      equilibrium_break, links)
+        assert np.array_equal(updated, ref)
+        assert adopted.tolist() == ref_adopted
+        assert drawn.tolist() == ref_drawn
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def healthy_round(n=4, seed=0):

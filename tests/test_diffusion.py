@@ -15,6 +15,7 @@ from netdecide.network import (DataStream, build_streams, draw_noise_profile,
                                generate_models, generate_topology)
 
 from conftest import NOISE_RANGES, build_world
+from test_links import dense
 
 
 def test_adapt_zero_regressor_is_identity():
@@ -215,7 +216,7 @@ def test_beliefs_recover_cluster_structure(seed):
     """Two well-separated models: after the belief lag has long passed,
     linked pairs believe in each other exactly when they share a model."""
     n, n_rounds = 16, 600
-    topo = generate_topology(n, max_degree=7, radius=0.55, seed=seed)
+    adjacency = dense(generate_topology(n, max_degree=7, radius=0.55, seed=seed)[1])
     models = generate_models(2, 2, (-1.0, 1.0), seed=seed + 100,
                              min_separation_sq=0.32)
     assignment = np.arange(n) % 2
@@ -228,11 +229,11 @@ def test_beliefs_recover_cluster_structure(seed):
     for i in range(1, n_rounds + 1):
         d, u = streams.data.round(i, observed)
         psi = adapt(psi, u, d, 0.01)
-        smoothed = update_cluster_matrices(smoothed, psi, phi, topo.adjacency,
+        smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
                                            alpha=0.04, smoothing=0.005)
         phi = aggregate(combination_weights(believed_neighborhoods(smoothed)), psi)
     same_model = assignment[:, None] == assignment[None, :]
-    linked = topo.adjacency & ~np.eye(n, dtype=bool)
+    linked = adjacency & ~np.eye(n, dtype=bool)
     assert np.array_equal(believed_neighborhoods(smoothed)[linked], same_model[linked])
 
 
@@ -245,11 +246,12 @@ def test_steady_state_msd_matches_stand_alone_lms(reg_power_range):
     # mu sigma_v^2 tr(R) / 2 is twice this one at regressor power 2
     config = ExperimentConfig.for_mode("decide", n_models=1, early_stop=False,
                                        max_iters=2000, reg_power_range=reg_power_range)
-    topology, models, assignment, streams = build_world(config, seed=0)
+    links, models, assignment, streams = build_world(config, seed=0)
     sigma_v2, _ = draw_noise_profile(config.n_agents, config.dim, seed=3,
                                      sigma_v2_range=config.sigma_v2_range,
                                      reg_power_range=reg_power_range)
-    record = run_decision(config, topology, models, assignment, streams)
+    record = run_decision(config, links, models, assignment, streams)
+    adjacency = dense(links)
     predicted = (config.step_size * config.dim / 2
-                 * (topology.adjacency @ sigma_v2) / topology.degrees ** 2).mean()
+                 * (adjacency @ sigma_v2) / adjacency.sum(axis=0) ** 2).mean()
     assert record.msd_observed[1000:2000, 0].mean() == pytest.approx(predicted, rel=0.25)

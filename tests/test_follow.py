@@ -9,6 +9,7 @@ from netdecide.decision import InvariantViolation, update_desired_matrices
 from netdecide.diffusion import combination_weights
 from netdecide.follow import follow_matrices, run_follow, spread_anchor
 from netdecide.network import link_index
+from test_links import dense
 from test_network import path_adjacency
 
 
@@ -137,15 +138,15 @@ def test_follow_matrices_columns():
 
 def test_run_follow_converges_to_target_model():
     cfg = tiny_config(mode="follow", n_models=2, max_iters=600, target_agent=3)
-    topo, models, assignment, streams = build_world(cfg, seed=2)
-    record = run_follow(cfg, topo, models, assignment, streams,
+    links, models, assignment, streams = build_world(cfg, seed=2)
+    record = run_follow(cfg, links, models, assignment, streams,
                         check_invariants=True)
     assert record.n_iters == 600
     assert record.mode == "follow"
     assert not np.isnan(record.msd_desired).any()
     coverage = record.source_coverage
     assert (np.diff(coverage) >= 0).all()
-    depth_max = hop_depths(topo.adjacency, 2).max()
+    depth_max = hop_depths(dense(links), 2).max()
     assert coverage[depth_max - 1] == cfg.n_agents
     assert record.success
     assert record.final_model == assignment[2]
@@ -175,7 +176,7 @@ def test_invariant_check_catches_a_source_that_is_no_neighbor(monkeypatch):
     # its first informed agent; the informed set is still the hop ball
     cfg = tiny_config(mode="follow", n_models=2, max_iters=40, target_agent=3)
     world = build_world(cfg, seed=2)
-    adjacency = world[0].adjacency
+    adjacency = dense(world[0])
     calls = []
 
     def misrouted(*args):

@@ -74,7 +74,7 @@ def test_exported_networks_match_their_trials(mode):
     summary = run_monte_carlo(config, keep_records=True, export_networks=True)
     assert len(summary.networks) == len(summary.records) == 3
     for record, doc in zip(summary.records, summary.networks):
-        _, models, assignment = network_from_json(json.loads(json.dumps(doc)))
+        _, _, models, assignment = network_from_json(json.loads(json.dumps(doc)))
         assert np.array_equal(models, record.models)
         assert np.array_equal(assignment, record.assignment)
 
@@ -94,7 +94,8 @@ def test_diverging_batch_records_every_trial_as_failed():
 
 
 @pytest.mark.parametrize("mode, step_size, diverged, target", [
-    ("decide", 1.5, 2, None), ("decide", 0.01, 0, None), ("follow", 1.5, 2, 5)])
+    ("decide", DIVERGING["step_size"], 2, None), ("decide", 0.01, 0, None),
+    ("follow", DIVERGING["step_size"], 2, 5)])
 def test_records_name_a_target_only_in_follow_mode(mode, step_size, diverged, target):
     # a decide config may carry a target_agent; its records, failure stubs
     # included, name none

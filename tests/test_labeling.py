@@ -5,8 +5,8 @@ import pytest
 
 from netdecide.decision import apply_switching
 from netdecide.labeling import agreement_vector, label_classes, view_from_closeness
-from netdecide.network import pairwise_close
-from test_links import estimates
+from netdecide.network import link_index, pairwise_close
+from test_links import estimates, members_of
 
 
 # the closeness threshold of the label tests
@@ -47,7 +47,8 @@ def view_classes(slots, same, v):
 
 def whole_view(points, threshold=THRESHOLD):
     """The classes of one view holding every agent of ``points``."""
-    slots, same = view_from_closeness(points, threshold, np.ones((1, len(points)), dtype=bool))
+    slots, same = view_from_closeness(points, threshold,
+                                      *members_of(np.ones((1, len(points)), dtype=bool)))
     return view_classes(slots, same, 0)
 
 
@@ -62,8 +63,9 @@ def relation_classes(close):
 def switch_sources(blocks, n, pending, adjacency=None, equilibrium_break=True,
                    rng=None):
     """Run the switch stage with ``pending`` agents (p_k < 1) on
-    ``block_points(blocks, n)`` and return ``(sources, adopted, drawn)``:
-    whose pre-switch estimate each agent holds afterwards, and the ids
+    ``block_points(blocks, n)`` and the links of ``adjacency`` (complete
+    by default), and return ``(sources, adopted, drawn)``: whose
+    pre-switch estimate each agent holds afterwards, and the ids
     :func:`apply_switching` reports."""
     if adjacency is None:
         adjacency = np.ones((n, n), dtype=bool)
@@ -72,8 +74,8 @@ def switch_sources(blocks, n, pending, adjacency=None, equilibrium_break=True,
     p = np.ones(n)
     p[pending] = 0.5
     w_prev = block_points(blocks, n)
-    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, adjacency, p, rng,
-                                              equilibrium_break)
+    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, None, p, rng,
+                                              equilibrium_break, link_index(adjacency))
     sources = np.rint(updated[:, 1] * 1000).astype(int)
     return sources.tolist(), adopted.tolist(), drawn.tolist()
 
@@ -90,7 +92,7 @@ def test_six_member_view_worked_example():
     labels = column_labels(block_matrix(blocks, 6))
     assert labels == [37, 24, 24, 37, 2, 37]
     slots, same = view_from_closeness(block_points(blocks, 6), THRESHOLD,
-                                      np.ones((1, 6), dtype=bool))
+                                      *members_of(np.ones((1, 6), dtype=bool)))
     assert slots.tolist() == [[0, 1, 2, 3, 4, 5]]
     assert np.array_equal(same[0], np.equal.outer(labels, labels))
     assert view_classes(slots, same, 0) == [(0, 3, 5), (1, 2), (4,)]
@@ -169,7 +171,7 @@ def test_views_see_members_through_adjacency_gate():
     adj = np.ones((4, 4), dtype=bool)
     adj[0, 3] = adj[3, 0] = False
     w_prev = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [9.0, 9.0]])
-    slots, same = view_from_closeness(w_prev, 0.08, adj[[1, 0]])
+    slots, same = view_from_closeness(w_prev, 0.08, *members_of(adj[[1, 0]]))
     assert slots.tolist() == [[0, 1, 2, 3], [0, 1, 2, -1]]
     assert view_classes(slots, same, 0) == [(0, 1), (2,), (3,)]
     # agent 0 sees only members {0, 1, 2}; its padding slot is in no class

@@ -12,11 +12,13 @@ would flip it. Every distance comes from the one kernel,
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netdecide.config import ExperimentConfig
-from netdecide.decision import run_decision, update_desired_matrices, update_estimate
+from netdecide.decision import (apply_switching, run_decision, update_desired_matrices,
+                                update_estimate)
 from netdecide.diffusion import (aggregate, believed_neighborhoods, combination_weights,
                                  update_cluster_matrices)
 from netdecide.follow import follow_matrices
@@ -69,13 +71,26 @@ def dense_update(fresh, hold, phi, w_prev):
     return out
 
 
-def dense_view(close, views):
-    """Label classes of ``views`` read from the N x N closeness ``close``:
-    ``(slots, same)`` as :func:`view_from_closeness` returns them."""
-    width = views.sum(axis=1)
+def members_of(views):
+    """The ``(members, width)`` of :func:`view_from_closeness` for the
+    views marked by the rows of a (P, N) boolean array."""
+    return np.nonzero(views)[1], views.sum(axis=1)
+
+
+def dense(links):
+    """The N x N boolean matrix whose True entries are ``links``."""
+    out = np.zeros((links.n, links.n), dtype=bool)
+    out[links.rows, links.cols] = True
+    return out
+
+
+def dense_view(close, members, width):
+    """Label classes of the views of ``members`` and ``width`` read from
+    the N x N closeness ``close``: ``(slots, same)`` as
+    :func:`view_from_closeness` returns them."""
     valid = np.arange(width.max()) < width[:, None]
     slots = np.full(valid.shape, -1)
-    slots[valid] = np.nonzero(views)[1]
+    slots[valid] = members
     block = close[slots[:, :, None], slots[:, None, :]] & valid[:, :, None]
     columns = block.transpose(0, 2, 1)
     same = (columns[:, :, None, :] == columns[:, None, :, :]).all(axis=3)
@@ -151,8 +166,8 @@ def test_views_read_the_dense_relation(seed, n, density, dim):
     views = adjacency[g.random(n) < 0.7]
     if not len(views):
         views = adjacency[:1]
-    got = view_from_closeness(points, t, views)
-    want = dense_view(pairwise_close(points, t), views)
+    got = view_from_closeness(points, t, *members_of(views))
+    want = dense_view(pairwise_close(points, t), *members_of(views))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -172,24 +187,52 @@ def test_pairwise_close_equals_clamped_test(seed, n, with_nan):
         assert np.array_equal(pairwise_close(points, t), want)
 
 
-def test_decide_round_holds_no_n_by_n_float_array():
-    # N = 1280: one N x N float64 array is 13.1 MB, far above what the
-    # link-only round needs; the world is built before measuring
-    n = 1280
-    config = ExperimentConfig.for_mode("decide", n_agents=n, radius=0.06,
+# N = 1280: one N x N bool array is 1.64 MB (a float64 one 13.1 MB), above
+# what the link-only round needs; the world is built before measuring
+N_LARGE = 1280
+
+
+@pytest.fixture(scope="module")
+def large_world():
+    """A decide config at N_LARGE and the links of its network."""
+    config = ExperimentConfig.for_mode("decide", n_agents=N_LARGE, radius=0.06,
                                        max_iters=4, t_hold=4, n_trials=1)
-    topology = generate_topology(n, config.max_degree, config.radius, seed=0)
+    return config, generate_topology(N_LARGE, config.max_degree, config.radius, seed=0)[1]
+
+
+def traced_peak(call):
+    """``(call(), peak bytes that tracemalloc saw during the call)``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_decide_round_holds_no_n_by_n_float_array(large_world):
+    n = N_LARGE
+    config, links = large_world
     models = generate_models(config.n_models, config.dim, config.model_range, seed=1,
                              min_separation_sq=4.0 * config.beta)
     assignment = random_assignment(n, len(models), np.random.default_rng(2))
     noise = draw_noise_profile(n, config.dim, seed=3, sigma_v2_range=config.sigma_v2_range,
                                reg_power_range=config.reg_power_range)
     streams = build_streams(*noise, 4)
-    tracemalloc.start()
-    try:
-        record = run_decision(config, topology, models, assignment, streams)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    record, peak = traced_peak(
+        lambda: run_decision(config, links, models, assignment, streams))
     assert record.n_iters == 4
-    assert peak < n * n * 8, peak
+    assert peak < n * n, peak
+
+
+def test_switch_stage_with_every_agent_pending_holds_no_n_by_n_array(large_world):
+    # the (P, N) boolean views of every pending agent would be N x N
+    n = N_LARGE
+    links = large_world[1]
+    g = np.random.default_rng(5)
+    w_prev = estimates(g, n)
+    (_, adopted, drawn), peak = traced_peak(
+        lambda: apply_switching(w_prev, 0.25, None, np.full(n, 0.5), g, True, links))
+    assert adopted.size and drawn.size
+    assert peak < n * n, peak

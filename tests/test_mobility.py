@@ -137,38 +137,38 @@ def test_step_motion_matches_all_pairs_law(seed, n, extent, coincident, link,
 def test_rebuild_topology_matches_brute_force(rng):
     for _ in range(10):
         pts = rng.uniform(-30, 30, (15, 2))
-        topo = rebuild_topology(pts, comm_radius=12.0, max_degree=100)
-        topo.validate()
+        adjacency = rebuild_topology(pts, comm_radius=12.0, max_degree=100)
         for i in range(15):
             for j in range(15):
                 want = ((pts[i] - pts[j]) ** 2).sum() <= 144.0
-                assert topo.adjacency[i, j] == (want or i == j)
+                assert adjacency[i, j] == (want or i == j)
 
 
 def test_rebuild_topology_applies_degree_cap():
     pts = np.zeros((9, 2))
-    topo = rebuild_topology(pts, comm_radius=5.0, max_degree=4)
-    assert topo.degrees.max() <= 4
-    assert topo.adjacency.diagonal().all()
+    adjacency = rebuild_topology(pts, comm_radius=5.0, max_degree=4)
+    assert adjacency.sum(axis=0).max() <= 4
+    assert adjacency.diagonal().all()
 
 
 def test_rebuild_topology_tolerates_disconnection():
     pts = np.array([[0.0, 0.0], [100.0, 0.0]])
-    topo = rebuild_topology(pts, comm_radius=5.0, max_degree=7)
-    assert not topo.adjacency[0, 1]
-    assert component_count(topo.adjacency) == 2
+    adjacency = rebuild_topology(pts, comm_radius=5.0, max_degree=7)
+    assert not adjacency[0, 1]
+    assert component_count(adjacency) == 2
 
 
 def test_motion_driver_samples_requested_snapshots():
     models = np.array([[-50.0, -50.0], [50.0, 50.0]])
     positions = np.array([[-40.0, -40.0], [40.0, 40.0], [0.0, 1.0]])
-    driver = MotionDriver(PARAMS, positions, models,
-                          snapshot_iters=(1, 3))
+    adjacency = rebuild_topology(positions, PARAMS.comm_radius, PARAMS.max_degree)
+    driver = MotionDriver(PARAMS, positions, adjacency, models, snapshot_iters=(1, 3))
     targets = np.array([[-50.0, -50.0], [50.0, 50.0], [50.0, 50.0]])
     for i in (1, 2, 3):
-        topo = driver.step(i, targets, rebuild_topology(
-            driver.positions, 22.0, 80))
-        topo.validate()
+        driver.step(i, targets)
+        # each step replaces the graph with the one at the new positions
+        assert np.array_equal(driver.adjacency, rebuild_topology(
+            driver.positions, PARAMS.comm_radius, PARAMS.max_degree))
     rows = driver.trajectory()
     assert rows.shape == (6, 5)
     assert set(rows[:, 0]) == {1.0, 3.0}
@@ -176,17 +176,18 @@ def test_motion_driver_samples_requested_snapshots():
     first = rows[rows[:, 0] == 1]
     assert first[:, 4].tolist() == [0.0, 1.0, 1.0]
     assert driver.max_observed_speed <= PARAMS.max_speed * (1 + 1e-9)
-    empty = MotionDriver(PARAMS, positions, models)
+    empty = MotionDriver(PARAMS, positions, adjacency, models)
     assert empty.trajectory() is None
 
 
 def test_motion_driver_raises_divergence_on_non_finite_velocity():
     # agent 0 steers at a NaN target while agent 1 flies on at full speed
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
-    driver = MotionDriver(PARAMS, positions, np.array([[20.0, 0.0]]))
+    driver = MotionDriver(PARAMS, positions, rebuild_topology(positions, 22.0, 80),
+                          np.array([[20.0, 0.0]]))
     targets = np.array([[np.nan, np.nan], [20.0, 0.0]])
     with pytest.raises(DivergenceError, match="iteration 4"):
-        driver.step(4, targets, rebuild_topology(positions, 22.0, 80))
+        driver.step(4, targets)
 
 
 def test_non_finite_motion_records_a_diverged_trial(monkeypatch):

@@ -8,21 +8,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide.config import ConfigError
-from netdecide.network import (DataStream, TopologyError, Topology,
+from netdecide.mobility import rebuild_topology
+from netdecide.network import (DataStream, Links, TopologyError,
                                _exp, _log, build_streams, close_component_count,
                                component_count, corner_models,
                                draw_noise_profile, generate_models,
-                               generate_topology, network_from_json,
+                               generate_topology, link_index, network_from_json,
                                network_to_json, pairwise_close,
                                random_assignment, squared_distances)
 
 from conftest import NOISE_RANGES
-from test_links import estimates
+from test_links import dense, estimates
 
 
 def two_clique_topology(clique_size=4):
-    """Two complete cliques joined by a single bridge link, degree cap not
-    applied."""
+    """``(positions, links)`` of two complete cliques joined by a single
+    bridge link, degree cap not applied."""
     c = int(clique_size)
     n = 2 * c
     adjacency = np.zeros((n, n), dtype=bool)
@@ -32,7 +33,7 @@ def two_clique_topology(clique_size=4):
     angles = np.linspace(0.0, 2 * np.pi, c, endpoint=False)
     blob = 0.1 * np.column_stack([np.cos(angles), np.sin(angles)])
     positions = np.vstack([blob + [0.25, 0.5], blob + [0.75, 0.5]])
-    return Topology(adjacency, positions).validate()
+    return positions, link_index(adjacency)
 
 
 def path_adjacency(n):
@@ -244,37 +245,63 @@ def test_close_component_count_of_far_clusters_stays_small_in_memory():
     assert peak < 1.3e6
 
 
-def test_topology_validate_rejects_bad_shapes():
-    good = Topology(path_adjacency(4), np.zeros((4, 2)))
-    good.validate()
-    asym = path_adjacency(4)
-    asym[0, 3] = True
-    with pytest.raises(TopologyError):
-        Topology(asym, np.zeros((4, 2))).validate()
-    open_diag = path_adjacency(4)
-    open_diag[2, 2] = False
-    with pytest.raises(TopologyError):
-        Topology(open_diag, np.zeros((4, 2))).validate()
-    with pytest.raises(TopologyError):
-        Topology(path_adjacency(4), np.zeros((3, 2))).validate()
+def check_links(links):
+    """Assert what every network's links hold: unique, in row-major order,
+    symmetric, each self-loop exactly once, and column counts that are the
+    closed degrees of the adjacency they index."""
+    n, rows, cols = links
+    assert ((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)).all()
+    keys = rows * n + cols
+    assert (np.diff(keys) > 0).all(), "links are not unique and row-major"
+    assert np.array_equal(np.sort(cols * n + rows), keys), "links are not symmetric"
+    assert np.array_equal(rows[rows == cols], np.arange(n)), "self-loops are not each once"
+    degrees = np.bincount(cols, minlength=n)
+    assert np.array_equal(degrees, dense(links).sum(axis=0))
+    assert np.array_equal(degrees, np.bincount(rows, minlength=n))
+
+
+def test_links_of_every_network_keep_the_contract(rng):
+    networks = [generate_topology(30, max_degree=7, radius=0.35, seed=s) for s in range(4)]
+    produced = [links for _, links in networks]
+    produced.append(two_clique_topology()[1])
+    # a document may list a pair twice, in either order, and self-loops
+    doc = small_network_doc(links=[[2, 1], [1, 2], [3, 2], [3, 3]])
+    produced.append(network_from_json(doc)[1])
+    produced.append(network_from_json(network_to_json(*networks[0], np.zeros((1, 2))))[1])
+    for _ in range(4):
+        produced.append(link_index(rebuild_topology(rng.uniform(-30, 30, (15, 2)),
+                                                    comm_radius=12.0, max_degree=5)))
+    for links in produced:
+        check_links(links)
+    # and the checks catch links that break it: one end of a pair dropped,
+    # a self-loop dropped, a link repeated, two links swapped
+    n, rows, cols = produced[0]
+    pair = np.flatnonzero(rows != cols)[0]
+    loop = np.flatnonzero(rows == cols)[0]
+    swapped = np.arange(rows.size)
+    swapped[[0, 1]] = [1, 0]
+    for keep in (np.arange(rows.size) != pair, np.arange(rows.size) != loop,
+                 np.sort(np.append(np.arange(rows.size), pair)), swapped):
+        with pytest.raises(AssertionError):
+            check_links(Links(n, rows[keep], cols[keep]))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_generate_topology_contract(seed):
-    topo = generate_topology(30, max_degree=7, radius=0.35, seed=seed)
-    topo.validate()
-    assert component_count(topo.adjacency) == 1
-    assert topo.degrees.max() <= 7
-    assert (topo.positions >= 0).all() and (topo.positions <= 1).all()
+    positions, links = generate_topology(30, max_degree=7, radius=0.35, seed=seed)
+    assert component_count(dense(links)) == 1
+    assert np.bincount(links.cols).max() <= 7
+    assert positions.shape == (30, 2)
+    assert (positions >= 0).all() and (positions <= 1).all()
 
 
 def test_generate_topology_is_seed_deterministic():
     a = generate_topology(25, max_degree=7, radius=0.35, seed=42)
     b = generate_topology(25, max_degree=7, radius=0.35, seed=42)
     c = generate_topology(25, max_degree=7, radius=0.35, seed=43)
-    assert np.array_equal(a.adjacency, b.adjacency)
-    assert np.array_equal(a.positions, b.positions)
-    assert not np.array_equal(a.positions, c.positions)
+    assert np.array_equal(dense(a[1]), dense(b[1]))
+    assert np.array_equal(a[0], b[0])
+    assert not np.array_equal(a[0], c[0])
 
 
 def reference_prune(adjacency, sqdist, max_degree):
@@ -324,9 +351,9 @@ def test_generate_topology_matches_global_check_prune(n_agents, radius):
             with pytest.raises(TopologyError):
                 generate_topology(n_agents, 7, radius, seed=seed)
             continue
-        got = generate_topology(n_agents, 7, radius, seed=seed)
-        assert np.array_equal(got.adjacency, want[0])
-        assert np.array_equal(got.positions, want[1])
+        positions, links = generate_topology(n_agents, 7, radius, seed=seed)
+        assert np.array_equal(dense(links), want[0])
+        assert np.array_equal(positions, want[1])
 
 
 def test_generate_topology_gives_up_when_radius_too_small():
@@ -335,9 +362,7 @@ def test_generate_topology_gives_up_when_radius_too_small():
 
 
 def test_two_clique_topology_structure():
-    topo = two_clique_topology(clique_size=4)
-    topo.validate()
-    adj = topo.adjacency
+    adj = dense(two_clique_topology(clique_size=4)[1])
     assert adj.shape == (8, 8)
     assert adj[:4, :4].all() and adj[4:, 4:].all()
     off = adj[:4, 4:].copy()
@@ -453,26 +478,26 @@ def test_build_streams_is_seed_deterministic():
 
 
 def test_network_json_round_trip():
-    topo = generate_topology(12, max_degree=7, radius=0.5, seed=2)
+    positions, links = generate_topology(12, max_degree=7, radius=0.5, seed=2)
     models = generate_models(2, 2, (-1.0, 1.0), seed=3, min_separation_sq=0.32)
     assignment = random_assignment(12, 2, np.random.default_rng(4))
-    doc = network_to_json(topo, models, assignment)
+    doc = network_to_json(positions, links, models, assignment)
     assert doc["schema"] == "netdecide.network/1"
     assert min(a["id"] for a in doc["agents"]) == 1
     assert all(1 <= a <= 12 and 1 <= b <= 12 for a, b in doc["links"])
     assert min(doc["assignment"]) >= 1
-    topo2, models2, assignment2 = network_from_json(doc)
-    assert np.array_equal(topo2.adjacency, topo.adjacency)
-    assert np.allclose(topo2.positions, topo.positions)
+    positions2, links2, models2, assignment2 = network_from_json(doc)
+    assert links2.n == links.n
+    assert np.array_equal(links2.rows, links.rows) and np.array_equal(links2.cols, links.cols)
+    assert np.array_equal(positions2, positions)
     assert np.allclose(models2, models)
     assert np.array_equal(assignment2, assignment)
 
 
 def test_network_json_without_assignment():
-    topo = two_clique_topology(3)
-    doc = network_to_json(topo, np.zeros((2, 2)))
+    doc = network_to_json(*two_clique_topology(3), np.zeros((2, 2)))
     assert "assignment" not in doc
-    _, _, assignment = network_from_json(doc)
+    *_, assignment = network_from_json(doc)
     assert assignment is None
 
 
@@ -487,29 +512,55 @@ def small_network_doc(**changes):
     return doc
 
 
-@pytest.mark.parametrize("changes, bad_id", [
-    (dict(links=[[1, 2], [0, 2]]), "link agent id 0 "),
-    (dict(links=[[1, 2], [2, 4]]), "link agent id 4 "),
-    (dict(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2, 2)]),
+def without(key):
+    """:func:`small_network_doc` with no ``key``."""
+    doc = small_network_doc()
+    del doc[key]
+    return doc
+
+
+# agents that lack a field, by the field
+BARE_AGENTS = {field: [{k: v for k, v in dict(id=k, x=0.1 * k, y=0.0).items() if k != field}
+                       for k in (1, 2, 3)] for field in ("id", "x", "y")}
+
+
+@pytest.mark.parametrize("doc, bad_id", [
+    (small_network_doc(links=[[1, 2], [0, 2]]), "link agent id 0 "),
+    (small_network_doc(links=[[1, 2], [2, 4]]), "link agent id 4 "),
+    (small_network_doc(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2, 2)]),
      "agent id 2 repeats"),
-    (dict(assignment=[1, 5, 1]), "label 5 "),
-    (dict(assignment=[1, 1]), "2 labels for 3 agents"),
-    (dict(links=[[1, 2, 1, 2]]), r"link \[1, 2, 1, 2\] is not a pair"),
-    (dict(links=[[1, 2], [1]]), r"link \[1\] is not a pair"),
-    (dict(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2.7, 3)]),
+    (small_network_doc(assignment=[1, 5, 1]), "label 5 "),
+    (small_network_doc(assignment=[1, 1]), "2 labels for 3 agents"),
+    (small_network_doc(links=[[1, 2, 1, 2]]), r"link \[1, 2, 1, 2\] is not a pair"),
+    (small_network_doc(links=[[1, 2], [1]]), r"link \[1\] is not a pair"),
+    (small_network_doc(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2.7, 3)]),
      "agent id 2.7 "),
-    (dict(links=[[1, 2.9]]), "link agent id 2.9 "),
-    (dict(models=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], assignment=[1, 2.5, 1]),
+    (small_network_doc(links=[[1, 2.9]]), "link agent id 2.9 "),
+    (small_network_doc(models=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], assignment=[1, 2.5, 1]),
      "label 2.5 "),
-    (dict(models=[]), r"models \[\] are not rows"),
-    (dict(models=[[0, 0], [1]]), r"models \[\[0, 0\], \[1\]\] are not rows"),
+    (small_network_doc(models=[]), r"models \[\] are not rows"),
+    (small_network_doc(models=[[0, 0], [1]]), r"models \[\[0, 0\], \[1\]\] are not rows"),
+    ([], "network document is an object with agents, links and models lists"),
+    (without("agents"), "network document is an object"),
+    (without("links"), "network document is an object"),
+    (without("models"), "network document is an object"),
+    (small_network_doc(agents=5), "network document is an object"),
+    (small_network_doc(links={"1": 2}), "network document is an object"),
+    (small_network_doc(models="0 0"), "network document is an object"),
+    (small_network_doc(agents=BARE_AGENTS["id"]), r"agent \{'x': 0.1, 'y': 0.0\} is not an "),
+    (small_network_doc(agents=BARE_AGENTS["x"]), "agent .* is not an object with an id, x and y"),
+    (small_network_doc(agents=BARE_AGENTS["y"]), "agent .* is not an object with an id, x and y"),
+    (small_network_doc(agents=[[1, 0.1, 0.0]]), r"agent \[1, 0.1, 0.0\] is not an object"),
 ], ids=["link-below-1", "link-above-n", "repeated-agent", "label-above-m",
         "assignment-too-short", "link-of-four", "link-of-one", "fractional-agent",
-        "fractional-link", "fractional-label", "no-models", "ragged-models"])
-def test_network_from_json_rejects_bad_ids(changes, bad_id):
+        "fractional-link", "fractional-label", "no-models", "ragged-models",
+        "not-an-object", "no-agents-key", "no-links-key", "no-models-key",
+        "agents-not-a-list", "links-not-a-list", "models-not-a-list",
+        "agent-without-id", "agent-without-x", "agent-without-y", "agent-not-an-object"])
+def test_network_from_json_rejects_bad_ids(doc, bad_id):
     network_from_json(small_network_doc())
     with pytest.raises(TopologyError, match=bad_id):
-        network_from_json(small_network_doc(**changes))
+        network_from_json(doc)
 
 
 @pytest.mark.parametrize("changes, bad_value", [
