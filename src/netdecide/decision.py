@@ -25,23 +25,12 @@ a "hold" route that keeps diffusing previous desired estimates otherwise.
 The two are all the loop keeps of the split; their sum is the linked
 weights.
 
-A static network is its links (``netdecide.network.Links``: the rows
-and columns of its adjacency's True entries, in row-major order), fixed
-for the whole run, and the round is link-only. The smoothed beliefs, the
-combination, fresh and hold weights and the closeness of the desired
-estimates hold one value per link; the aggregation and the estimate
-update add each column's link terms in link order, and the degrees are
-the links' column counts. The switch stage reads its pending agents'
-views from their links and computes closeness at the views' member pairs
-only. Every distance is per-pair elementwise arithmetic
-(``netdecide.network.squared_distances``), so wherever a pair is tested it
-reads the same bits, on any CPU. A mobile swarm's neighborhood is its
-N x N adjacency, rebuilt every round; it keeps N x N arrays, the
-closeness matrix among them, and BLAS products for the two sums. Only
-the invariant checks of a static run build dense N x N references. In
-every mode the desired-model count comes from
-``netdecide.network.close_component_count``, a frontier sweep over the
-desired estimates that never builds the N x N relation.
+Every stage takes the round's neighborhood, a ``netdecide.network.Links``,
+fixed for a static network's run and rebuilt every round for a mobile
+swarm; only the invariant checks build dense N x N references. The
+desired-model count comes from ``netdecide.network.close_component_count``,
+a frontier sweep over the desired estimates that never builds the N x N
+relation.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -56,13 +45,13 @@ import time
 import numpy as np
 
 from .diffusion import (adapt, aggregate, believed_neighborhoods,
-                        check_divergence, combination_weights, link_sums,
+                        check_divergence, combination_weights,
                         update_cluster_matrices)
 # benchmark/spans.py times the switch stage's labeling under this name, here
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
-from .network import (close_component_count, component_count, link_index,
+from .network import (close_component_count, component_count, link_grid,
                       pairwise_close, random_assignment, squared_distances)
 from .records import RunRecord
 
@@ -71,43 +60,32 @@ class InvariantViolation(AssertionError):
     """A per-round structural invariant failed."""
 
 
-def update_desired_matrices(linked, psi, anchors, threshold, links=None):
+def update_desired_matrices(linked, psi, anchors, threshold, links):
     """Split weights ``(fresh, hold)`` for one round.
 
     The uniform column-stochastic weights over ``linked`` are split by
     neighbor: a weight rides the fresh route when the neighbor's
     adaptation output is within ``threshold`` (squared norm) of the
-    agent's anchor, and the hold route otherwise. Given ``links``,
-    ``linked`` and both splits hold one value per link; otherwise they
-    are N x N matrices.
+    agent's anchor, and the hold route otherwise.
     """
     weights = combination_weights(linked, links)
-    pairs = () if links is None else (links.rows, links.cols)
-    fresh = np.where(squared_distances(psi, anchors, *pairs) <= threshold, weights, 0.0)
+    near = squared_distances(psi, anchors, links.rows, links.cols) <= threshold
+    fresh = np.where(near, weights, 0.0)
     return fresh, weights - fresh
 
 
-def update_estimate(phi, w_prev, fresh, hold, links=None):
+def update_estimate(phi, w_prev, fresh, hold, links):
     """Desired-estimate update: fresh-route aggregates plus hold-route
-    previous estimates, columns normalized by construction.
-
-    Given ``links``, each link contributes fresh * phi_l + hold * w_prev_l
-    to its column, summed in link order; otherwise the update is two BLAS
-    products.
-    """
-    if links is None:
-        return fresh.T @ phi + hold.T @ w_prev
-    terms = fresh[:, None] * phi[links.rows] + hold[:, None] * w_prev[links.rows]
-    return link_sums(links, terms)
+    previous estimates, columns normalized by construction."""
+    return links.sums((fresh, phi), (hold, w_prev))
 
 
-def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break, links=None):
+def apply_switching(w_prev, threshold, p, rng, equilibrium_break, links):
     """Run the switch stage for every non-unanimous agent (p_k < 1) and
     return ``(updated, adopted, drawn)``: the estimates after it and the
     ids of the agents that adopted a majority or drew a neighbor.
 
-    An agent's view is its closed neighborhood: its links in ``links``,
-    or its row of the N x N ``adjacency`` when no links are given.
+    An agent's view is its closed neighborhood, its links in ``links``.
     Neighbors are of one class when their previous desired estimates
     ``w_prev`` are close (``threshold``, squared norm) to the same members
     of the view. An agent outside its local majority class (the largest,
@@ -122,12 +100,8 @@ def apply_switching(w_prev, threshold, adjacency, p, rng, equilibrium_break, lin
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
         return w_prev, pending, pending
-    if links is None:
-        views = adjacency[pending]
-        members, width = np.nonzero(views)[1], views.sum(axis=1)
-    else:
-        at = (p < 1.0)[links.rows]
-        members, width = links.cols[at], np.bincount(links.rows[at], minlength=links.n)[pending]
+    views = links.restrict((p < 1.0)[links.rows])
+    members, width = links.pairs(views)[1], links.counts(views, axis=1)[pending]
     slots, same = view_from_closeness(w_prev, threshold, members, width)
     size = same.sum(axis=2)
     best = size.max(axis=1)
@@ -149,31 +123,30 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
                  adjacency, w_prev, threshold, n_desired, phi, psi, tol=1e-12):
     """Structural checks applied after each round when instrumentation is on.
 
-    Every per-pair argument holds one value per link of ``links``, as the
-    round of a static network keeps them. The round's results are held to
-    dense N x N references: ``support`` and the weights' support to the
-    believed neighborhoods of ``smoothed`` within the adjacency, ``close``
-    (the closeness of the desired estimates ``w_prev`` at the links) to
-    the dense relation, and ``n_desired`` to that relation's component
-    count.
+    Every per-pair argument holds the round's values at the pairs of
+    ``links``. The round's results are held to dense N x N references:
+    ``support`` and the weights' support to the believed neighborhoods of
+    ``smoothed`` within the ``adjacency``, ``close`` (the closeness of the
+    desired estimates ``w_prev`` at the links) to the dense relation
+    within it, and ``n_desired`` to that relation's component count.
     """
     def column_sums(values):
-        return np.bincount(links.cols, weights=values, minlength=links.n)
+        return links.sums((values, np.ones((links.n, 1))))[:, 0]
 
     at = (links.rows, links.cols)
     if np.abs(column_sums(combination) - 1.0).max() > tol:
         raise InvariantViolation("aggregation weights are not column-stochastic")
     beliefs = np.zeros((links.n, links.n))
     beliefs[at] = smoothed
-    believed = (believed_neighborhoods(beliefs) & adjacency)[at]
+    believed = believed_neighborhoods(beliefs, link_grid(adjacency))[at]
     if not np.array_equal(support, believed):
         raise InvariantViolation("aggregation support differs from the believed neighborhoods")
     if not np.array_equal(combination > 0, believed):
         raise InvariantViolation("aggregation weight outside believed support")
-    dense = pairwise_close(w_prev, threshold)
+    dense = squared_distances(w_prev) <= threshold
     if not np.array_equal(dense, dense.T) or not dense.diagonal().all():
         raise InvariantViolation("desired-model closeness must be symmetric with unit diagonal")
-    if not np.array_equal(close, dense[at]):
+    if not np.array_equal(close, (dense & adjacency)[at]):
         raise InvariantViolation("link closeness differs from the dense relation")
     if n_desired != component_count(dense):
         raise InvariantViolation("desired-model count differs from the dense relation's")
@@ -187,7 +160,7 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
     if ((total > 0) & ~adjacency[at]).any():
         raise InvariantViolation("desired weights outside the adjacency")
     # aggregates stay in the convex hull of the estimates they combine
-    rows, cols = links.rows[support], links.cols[support]
+    rows, cols = links.pairs(support)
     lo = np.full_like(phi, np.inf)
     hi = np.full_like(phi, -np.inf)
     np.minimum.at(lo, cols, psi[rows])
@@ -216,15 +189,14 @@ class MajoritySwitching:
         self.random_counts = np.zeros(n_agents, dtype=int)
         self.deviations = np.zeros((config.max_iters, n_models))
 
-    def desired(self, t, w_prev, psi, close, p, adjacency, links):
+    def desired(self, t, w_prev, psi, close, p, links):
         w_prev, adopted, drawn = apply_switching(
-            w_prev, self.beta, adjacency, p, self.rng, self.equilibrium_break, links)
+            w_prev, self.beta, p, self.rng, self.equilibrium_break, links)
         if adopted.size or drawn.size:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1
             close = pairwise_close(w_prev, self.beta, links)
-        linked = close & adjacency if links is None else close
-        fresh, hold = update_desired_matrices(linked, psi, w_prev, self.beta, links)
+        fresh, hold = update_desired_matrices(close, psi, w_prev, self.beta, links)
         return w_prev, close, fresh, hold
 
     def track(self, t, w, models, assignment):
@@ -246,11 +218,11 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
     """Run the round loop with ``policy`` as its desired-estimate stage and
     return the run's :class:`RunRecord`.
 
-    ``links`` is the ``netdecide.network.Links`` of a static network,
-    ``models`` the (C, M) array of model vectors and ``assignment`` the
-    (N,) array of each agent's 0-based model. A mobile swarm passes no
-    links and its ``motion``, whose ``adjacency`` each round reads and
-    which is stepped at the end of every round.
+    ``links`` is the network's ``netdecide.network.Links``, ``models`` the
+    (C, M) array of model vectors and ``assignment`` the (N,) array of
+    each agent's 0-based model. A mobile swarm also passes its ``motion``,
+    which is stepped at the end of every round, and the next round reads
+    its ``links``.
 
     Raises
     ------
@@ -264,14 +236,12 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
     n_iters = config.max_iters
     assignment = assignment.copy()
     observed = models[assignment]
-    adjacency = None
-    degrees = None if links is None else np.bincount(links.cols, minlength=n)
     bound = 1e3 * max(np.linalg.norm(models, axis=1).max(), 1.0)
     reassign_at = set(config.reassign_at)
 
     psi = np.zeros((n, dim))
     phi = np.zeros((n, dim))
-    smoothed = np.eye(n) if links is None else (links.rows == links.cols).astype(float)
+    smoothed = (links.rows == links.cols).astype(float)
     w_prev = None
 
     msd_observed = np.full((n_iters, n_models), np.nan)
@@ -291,9 +261,6 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
 
     for i in range(1, n_iters + 1):
         t = i - 1
-        if motion is not None:
-            adjacency = motion.adjacency
-            degrees = np.count_nonzero(adjacency, axis=0)
         if i in reassign_at:
             assignment = random_assignment(n, n_models, streams.reassign)
             observed = models[assignment]
@@ -304,21 +271,18 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         if i == 1:
             w_prev = psi.copy()
 
-        smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
-                                           config.alpha, config.smoothing, links)
+        smoothed = update_cluster_matrices(smoothed, psi, phi, config.alpha,
+                                           config.smoothing, links)
         support = believed_neighborhoods(smoothed, links)
-        if links is None:
-            support &= adjacency
         combination = combination_weights(support, links)
         phi = aggregate(combination, psi, links)
 
         close = pairwise_close(w_prev, config.beta, links)
-        p = agreement_vector(close & adjacency if links is None else close, degrees, links)
+        p = agreement_vector(close, links)
         agreed[t] = bool((p == 1.0).all())
         streak = streak + 1 if agreed[t] else 0
 
-        w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p,
-                                                    adjacency, links)
+        w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p, links)
         n_desired[t] = close_component_count(w_prev, config.beta)
         w = update_estimate(phi, w_prev, fresh, hold, links)
 
@@ -326,20 +290,14 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         policy.track(t, w, models, assignment)
 
         if check_invariants:
-            if links is None:
-                # mobile's N x N arrays are read as one value per pair of agents
-                pairs, dense = link_index(np.ones((n, n), dtype=bool)), adjacency
-            else:
-                pairs, dense = links, np.zeros((n, n), dtype=bool)
-                dense[links.rows, links.cols] = True
-            verify_round(links=pairs, combination=combination.ravel(),
-                         support=support.ravel(), smoothed=smoothed.ravel(),
-                         fresh=fresh.ravel(), hold=hold.ravel(), close=close.ravel(),
-                         adjacency=dense, w_prev=w_prev, threshold=config.beta,
+            verify_round(links=links, combination=combination, support=support,
+                         smoothed=smoothed, fresh=fresh, hold=hold, close=close,
+                         adjacency=links.adjacency(), w_prev=w_prev, threshold=config.beta,
                          n_desired=n_desired[t], phi=phi, psi=psi)
 
         if motion is not None:
             motion.step(i, w)
+            links = motion.links
         w_prev = w
 
         if (may_stop and streak >= config.t_hold and i >= last_reassign
@@ -373,8 +331,8 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
 
 def run_decision(config, links, models, assignment, streams, *,
                  check_invariants=False, motion=None):
-    """Run decision-making on the network of ``links`` (a mobile swarm's
-    ``motion`` instead) and return its :class:`RunRecord`; see :func:`run_rounds`."""
+    """Run decision-making on the network of ``links`` (and a mobile
+    swarm's ``motion``) and return its :class:`RunRecord`; see :func:`run_rounds`."""
     policy = MajoritySwitching(config, len(assignment), len(models), streams.decision)
     return run_rounds(config, links, models, assignment, streams, policy,
                       check_invariants=check_invariants, motion=motion)

@@ -9,12 +9,9 @@ anchor replaces local labeling: informed agents link to their informed
 neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
-anchor. A follow network is static, so it is its links
-(``netdecide.network.Links``): the relay, its invariant checks and the
-split read them, and the split holds one value per link, with per-pair
-distances from ``netdecide.network.squared_distances``. The relay state is
-two arrays, the anchors and their sources. A follow graph never moves, so
-an agent's source stays its neighbor, which ``check_invariants`` checks.
+anchor. The relay state is two arrays, the anchors and their sources. A
+follow network is static, its links fixed, so an agent's source stays its
+neighbor, which ``check_invariants`` checks.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
@@ -54,8 +51,8 @@ def spread_anchor(anchors, sources, psi, links, target):
     adaptation output. An uninformed agent adopts the previous-round
     anchor of its lowest-indexed informed neighbor and records that
     neighbor as its source; an informed agent refreshes from its recorded
-    source's previous-round anchor. Neighbors are the links of ``links``,
-    the network's links, which must be the ones every earlier round read,
+    source's previous-round anchor. Neighbors are the links of a static
+    network's ``links``, which must be the ones every earlier round read,
     so that each recorded source is still a neighbor.
     """
     n = links.n
@@ -94,7 +91,7 @@ def spread_anchor(anchors, sources, psi, links, target):
 
 def follow_matrices(anchors, sources, psi, links, threshold):
     """Split weights ``(fresh, hold)`` driven by the relay instead of
-    labels, one value per link of the network's ``links``.
+    labels, at the links of ``links``.
 
     Neighbors are linked when both ends are informed; uninformed agents
     keep a self-preserving link so their column stays stochastic. A linked
@@ -102,7 +99,8 @@ def follow_matrices(anchors, sources, psi, links, threshold):
     within ``threshold`` (squared norm) of the agent's anchor.
     """
     informed = sources > 0
-    linked = informed[links.rows] & informed[links.cols] | (links.rows == links.cols)
+    linked = links.restrict(informed[links.rows] & informed[links.cols]
+                            | (links.rows == links.cols))
     return update_desired_matrices(linked, psi, anchors, threshold, links)
 
 
@@ -130,13 +128,13 @@ class AnchorRelay:
         # the hop ball around the target, grown by one hop each round
         self.ball = np.arange(n_agents) == self.target if check_invariants else None
 
-    def desired(self, t, w_prev, psi, close, p, adjacency, links):
+    def desired(self, t, w_prev, psi, close, p, links):
         self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
                                                    links, self.target)
         informed = self.sources > 0
         self.coverage[t] = int(informed.sum())
         if self.ball is not None:
-            self.ball = np.bincount(links.cols[self.ball[links.rows]], minlength=links.n) > 0
+            self.ball = links.counts(self.ball[links.rows]) > 0
             if not np.array_equal(informed, self.ball):
                 raise InvariantViolation(
                     f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")

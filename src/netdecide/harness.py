@@ -25,7 +25,7 @@ from .follow import run_follow
 from .mobility import MotionDriver, rebuild_topology
 from .network import (DivergenceError, build_streams, corner_models,
                       draw_noise_profile, generate_models, generate_topology,
-                      link_index, network_to_json, random_assignment)
+                      link_grid, network_to_json, random_assignment)
 from .records import RunRecord, jsonable
 
 SUMMARY_SCHEMA = "netdecide.summary/1"
@@ -53,8 +53,7 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
         positions = np.random.default_rng(topo_ss).uniform(
             center - config.start_extent, center + config.start_extent,
             size=(config.n_agents, 2))
-        adjacency = rebuild_topology(positions, config.comm_radius, config.max_degree)
-        links = None
+        links = link_grid(rebuild_topology(positions, config.comm_radius, config.max_degree))
     else:
         positions, links = generate_topology(config.n_agents, config.max_degree,
                                              config.radius, seed=topo_ss)
@@ -71,9 +70,7 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
     streams = build_streams(sigma_v2, reg_power, sim_ss)
     network_doc = None
     if export_network:
-        # a swarm's round reads its adjacency; its links live for the export only
-        network_doc = network_to_json(
-            positions, link_index(adjacency) if links is None else links, models, assignment)
+        network_doc = network_to_json(positions, links, models, assignment)
 
     try:
         if config.mode == "decide":
@@ -84,10 +81,10 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
                                 check_invariants=check_invariants)
         else:
             driver = MotionDriver(
-                config, positions, adjacency, models,
+                config, positions, links, models,
                 snapshot_iters=config.snapshot_iters if trajectories else (),
             )
-            record = run_decision(config, None, models, assignment, streams,
+            record = run_decision(config, links, models, assignment, streams,
                                   check_invariants=check_invariants,
                                   motion=driver)
     except DivergenceError:

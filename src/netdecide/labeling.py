@@ -68,11 +68,8 @@ def label_classes(block, valid):
     return same
 
 
-def agreement_vector(close, degrees, links=None):
+def agreement_vector(close, links):
     """All agreement degrees at once: the number of close agents in each
     closed neighborhood over its size. ``close`` is the closeness of the
-    desired estimates restricted to the adjacency, an N x N matrix, or one
-    bool per link of ``links``."""
-    if links is None:
-        return np.count_nonzero(close, axis=1) / degrees
-    return np.bincount(links.rows[close], minlength=links.n) / degrees
+    desired estimates at the links."""
+    return links.counts(close, axis=1) / links.counts()

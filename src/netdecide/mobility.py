@@ -6,15 +6,13 @@ blended with neighbor-velocity alignment and short-range repulsion, at a
 hard speed cap; the communication graph is then rebuilt from the new
 positions as a radius graph with the usual degree cap. Disconnection is
 tolerated, an isolated agent simply runs self-only updates.
-A swarm's neighborhood is this N x N adjacency, which changes every round
-and so is kept dense, not indexed by its links as a static network is.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .network import DivergenceError, squared_distances, _prune_degrees
+from .network import DivergenceError, link_grid, squared_distances, _prune_degrees
 
 
 def step_motion(pos, vel, targets, adjacency, config):
@@ -73,17 +71,17 @@ class MotionDriver:
     """Steps the swarm inside the decision loop and samples trajectories.
 
     ``config`` supplies the motion law's gains and the communication
-    radius and degree cap of the per-round topology rebuild; ``adjacency``
-    is the graph at ``positions``, which each step replaces with the graph
-    at the new positions. A non-finite velocity raises
+    radius and degree cap of the per-round topology rebuild; ``links`` are
+    the swarm's links at ``positions``, which each step replaces with the
+    links at the new positions. A non-finite velocity raises
     :class:`~netdecide.network.DivergenceError`, which the harness records
     as a diverged trial.
     """
 
-    def __init__(self, config, positions, adjacency, models, snapshot_iters=()):
+    def __init__(self, config, positions, links, models, snapshot_iters=()):
         self.config = config
         self.positions = np.array(positions, dtype=float)
-        self.adjacency = adjacency
+        self.links = links
         self.velocities = np.zeros_like(self.positions)
         self.models = np.atleast_2d(models)
         self.snapshot_iters = set(snapshot_iters)
@@ -92,7 +90,7 @@ class MotionDriver:
 
     def step(self, iteration, targets):
         self.positions, self.velocities = step_motion(
-            self.positions, self.velocities, targets, self.adjacency, self.config)
+            self.positions, self.velocities, targets, self.links.mask, self.config)
         if not np.isfinite(self.velocities).all():
             raise DivergenceError(f"non-finite velocity at iteration {iteration}")
         speed = float(np.linalg.norm(self.velocities, axis=1).max(initial=0.0))
@@ -104,8 +102,8 @@ class MotionDriver:
             labels = squared_distances(targets, self.models).argmin(axis=1)
             self.blocks.append(np.column_stack(
                 [np.full(n, iteration), np.arange(n), self.positions, labels]))
-        self.adjacency = rebuild_topology(self.positions, self.config.comm_radius,
-                                          self.config.max_degree)
+        self.links = link_grid(rebuild_topology(self.positions, self.config.comm_radius,
+                                                self.config.max_degree))
 
     def trajectory(self):
         return np.concatenate(self.blocks) if self.blocks else None

@@ -3,11 +3,11 @@ noise statistics, and the synthetic data streams the agents adapt on.
 
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
-self-loop. A static network is its positions and the :class:`Links` of its
-adjacency; a mobile swarm's is its N x N adjacency (``netdecide.mobility``).
-Each agent observes a scalar stream d = u . w + v generated from
-the ground-truth model it is assigned to; the data of all agents is drawn
-together, a block of rounds at a time (:class:`DataStream`).
+self-loop. A round reads its neighborhood as :class:`Links`, whose layout
+is the only place a static network and a mobile swarm differ. Each agent
+observes a scalar stream d = u . w + v generated from the ground-truth
+model it is assigned to; the data of all agents is drawn together, a block
+of rounds at a time (:class:`DataStream`).
 
 Every pair distance comes from one kernel, :func:`squared_distances`: direct
 differences one coordinate at a time, squared and added in coordinate
@@ -24,6 +24,8 @@ logarithm from :func:`_exp` and :func:`_log`, which use no math library.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -40,19 +42,80 @@ class DivergenceError(RuntimeError):
 
 
 class Links(NamedTuple):
-    """The True entries of an N x N boolean matrix in row-major order:
-    link i joins row ``rows[i]`` to column ``cols[i]``. A per-link array
-    holds one value for each. A static network is the links of its
-    symmetric, self-looped adjacency; their column counts are the degrees."""
+    """A neighborhood: the links of a symmetric, self-looped N x N boolean
+    adjacency, link (``rows[i]``, ``cols[i]``) joining agent ``rows[i]`` to
+    agent ``cols[i]``. A per-link array holds one value for each link, and
+    per-pair code indexes agents with ``rows`` and ``cols``. The round
+    takes one of two layouts:
+
+    - A static network (decide and follow) lists its adjacency's True
+      entries in row-major order (:func:`link_index`): ``rows`` and
+      ``cols`` are 1-D and ``mask`` is None. Its sums add each column's
+      links in link order with ``np.bincount``, so no N x N array and no
+      BLAS product enters its round, and the bits do not depend on the CPU.
+    - A mobile swarm, whose adjacency is rebuilt every round, keeps it as
+      ``mask``, with ``rows`` an (N, 1) and ``cols`` a (1, N) grid of
+      agent ids (:func:`link_grid`). Per-pair arrays broadcast to N x N;
+      entries outside the mask are no link, a per-link bool is False there
+      (:meth:`restrict`), and the sums are BLAS products.
+
+    The methods are the only code that tells the layouts apart.
+    """
 
     n: int
     rows: np.ndarray
     cols: np.ndarray
+    mask: np.ndarray | None = None
+
+    def restrict(self, marked):
+        """A per-pair bool array with the pairs outside the adjacency
+        cleared; a static network's arrays hold links only."""
+        return marked if self.mask is None else marked & self.mask
+
+    def counts(self, marked=None, axis=0):
+        """How many links ``marked`` (every link when None) holds in each
+        column, or with ``axis=1`` each row: the closed degrees when None."""
+        if self.mask is None:
+            ends = self.cols if axis == 0 else self.rows
+            return np.bincount(ends if marked is None else ends[marked], minlength=self.n)
+        return (self.mask if marked is None else marked).sum(axis=axis)
+
+    def sums(self, *terms):
+        """Row k sums ``weights[l, k] * values[l]`` over the links (l, k)
+        and over the ``(weights, values)`` pairs of ``terms``, each
+        ``values`` an (N, M) array. A static network adds a link's terms,
+        then each column's links in link order, starting from +0.0; a
+        swarm adds one BLAS product ``weights.T @ values`` per pair."""
+        if self.mask is None:
+            per_link = reduce(add, [w[:, None] * x[self.rows] for w, x in terms])
+            return np.stack([np.bincount(self.cols, weights=per_link[:, c], minlength=self.n)
+                             for c in range(per_link.shape[1])], axis=1)
+        return reduce(add, [w.T @ x for w, x in terms])
+
+    def pairs(self, marked):
+        """``(rows, cols)`` of the pairs ``marked`` holds, in row-major order."""
+        return tuple(np.broadcast_to(ends, marked.shape)[marked]
+                     for ends in (self.rows, self.cols))
+
+    def adjacency(self):
+        """The N x N boolean adjacency."""
+        if self.mask is not None:
+            return self.mask
+        adjacency = np.zeros((self.n, self.n), dtype=bool)
+        adjacency[self.rows, self.cols] = True
+        return adjacency
 
 
 def link_index(adjacency):
-    """:class:`Links` of a square boolean matrix, such as an adjacency."""
+    """The static :class:`Links` of a square boolean matrix, such as an
+    adjacency."""
     return Links(adjacency.shape[0], *np.nonzero(adjacency))
+
+
+def link_grid(adjacency):
+    """The swarm :class:`Links` of a symmetric, self-looped adjacency."""
+    agents = np.arange(adjacency.shape[0])
+    return Links(agents.size, agents[:, None], agents[None, :], adjacency)
 
 
 def squared_distances(x, y=None, rows=None, cols=None):
@@ -72,7 +135,7 @@ def squared_distances(x, y=None, rows=None, cols=None):
         if rows is None:
             diff = x[..., :, None, c] - y[..., None, :, c]
         else:
-            diff = x[rows, c] - y[cols, c]
+            diff = x[:, c][rows] - y[:, c][cols]
         diff *= diff
         if d2 is None:
             d2 = diff
@@ -85,13 +148,11 @@ def squared_distances(x, y=None, rows=None, cols=None):
 _PAIRS_PER_STEP = 2 ** 13
 
 
-def pairwise_close(points, threshold, links=None):
-    """The test ||p_a - p_b||^2 <= threshold: an N x N boolean matrix,
-    exactly symmetric as the distances are, or one bool per link of
-    ``links``."""
-    if links is None:
-        return squared_distances(points) <= threshold
-    return squared_distances(points, None, links.rows, links.cols) <= threshold
+def pairwise_close(points, threshold, links):
+    """The test ||p_l - p_k||^2 <= threshold at each link (l, k) of
+    ``links``, exactly symmetric as the distances are."""
+    return links.restrict(
+        squared_distances(points, None, links.rows, links.cols) <= threshold)
 
 
 def component_count(close):
@@ -435,8 +496,8 @@ def network_to_json(positions, links, models, assignment=None):
     """
     agents = [{"id": k + 1, "x": x, "y": y}
               for k, (x, y) in enumerate(np.asarray(positions, dtype=float).tolist())]
-    upper = links.rows < links.cols
-    pairs = zip(links.rows[upper].tolist(), links.cols[upper].tolist())
+    rows, cols = links.pairs(links.restrict(links.rows < links.cols))
+    pairs = zip(rows.tolist(), cols.tolist())
     doc = {
         "schema": "netdecide.network/1",
         "agents": agents,
@@ -494,8 +555,9 @@ def network_from_json(doc):
         if not isinstance(link, (list, tuple)) or len(link) != 2:
             raise TopologyError(f"link {link!r} is not a pair of agent ids")
     ends = _numbers("link agent id", [k for link in doc["links"] for k in link], n)
-    adjacency = np.eye(n, dtype=bool)
-    adjacency[ends[0::2], ends[1::2]] = True
+    a, b, k = ends[0::2], ends[1::2], np.arange(n)
+    # the row-major keys of both directions of every pair and the self-loops
+    keys = np.unique(np.concatenate([a * n + b, b * n + a, k * n + k]))
     rows = doc["models"]
     widths = {len(row) if isinstance(row, (list, tuple)) else 0 for row in rows}
     if len(widths) != 1 or 0 in widths:
@@ -503,8 +565,9 @@ def network_from_json(doc):
     models = _numbers("model entry", [x for row in rows for x in row]).reshape(len(rows), -1)
     assignment = doc.get("assignment")
     if assignment is not None:
-        if np.shape(assignment) != (n,):
-            raise TopologyError(f"assignment has {np.size(assignment)} labels "
-                                f"for {n} agents")
+        if not isinstance(assignment, (list, tuple)):
+            raise TopologyError(f"assignment {assignment!r} is not a list of labels")
+        if len(assignment) != n:
+            raise TopologyError(f"assignment has {len(assignment)} labels for {n} agents")
         assignment = _numbers("assignment label", assignment, len(models))
-    return positions, link_index(adjacency | adjacency.T), models, assignment
+    return positions, Links(n, keys // n, keys % n), models, assignment

@@ -14,15 +14,17 @@ from netdecide.decision import (InvariantViolation, apply_switching,
                                 update_estimate, verify_round)
 from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
-from netdecide.network import link_index, pairwise_close
+from netdecide.network import link_grid, link_index, pairwise_close, squared_distances
 from test_labeling import THRESHOLD, block_points, switch_sources
-from test_links import dense_view, estimates
+from test_links import dense_view, estimates, everyone
 
 
 def desired_split(w_prev, psi, adjacency, threshold):
-    """The decide split: linked where previous desired estimates are close."""
-    linked = pairwise_close(w_prev, threshold) & adjacency
-    return update_desired_matrices(linked, psi, w_prev, threshold)
+    """The decide split on the swarm layout of ``adjacency``: linked where
+    previous desired estimates are close."""
+    grid = link_grid(adjacency)
+    return update_desired_matrices(pairwise_close(w_prev, threshold, grid), psi, w_prev,
+                                   threshold, grid)
 
 
 def test_desired_matrices_all_fresh_when_everyone_agrees():
@@ -53,9 +55,10 @@ def test_desired_matrices_split_properties(rng):
         adjacency = rng.random((n, n)) < 0.6
         adjacency |= adjacency.T
         np.fill_diagonal(adjacency, True)
-        linked = pairwise_close(w_prev, 0.5) & adjacency
+        grid = link_grid(adjacency)
+        linked = pairwise_close(w_prev, 0.5, grid)
         fresh, hold = desired_split(w_prev, psi, adjacency, 0.5)
-        assert np.allclose(fresh + hold, combination_weights(linked))
+        assert np.allclose(fresh + hold, combination_weights(linked, grid))
         assert not ((fresh > 0) & (hold > 0)).any()
         assert np.allclose((fresh + hold).sum(axis=0), 1.0, atol=1e-12)
         assert ((fresh + hold > 0) == linked).all()
@@ -66,8 +69,8 @@ def test_update_estimate_pure_fresh_returns_aggregates():
     w_prev = np.array([[9.0, 9.0], [8.0, 8.0]])
     eye = np.eye(2)
     zero = np.zeros((2, 2))
-    assert np.array_equal(update_estimate(phi, w_prev, eye, zero), phi)
-    assert np.array_equal(update_estimate(phi, w_prev, zero, eye), w_prev)
+    assert np.array_equal(update_estimate(phi, w_prev, eye, zero, everyone(2)), phi)
+    assert np.array_equal(update_estimate(phi, w_prev, zero, eye, everyone(2)), w_prev)
 
 
 def test_update_estimate_mixed_routes_hand_value():
@@ -79,7 +82,7 @@ def test_update_estimate_mixed_routes_hand_value():
     hold = np.zeros((3, 3))
     fresh[1, 0] = 0.5
     hold[2, 0] = 0.5
-    out = update_estimate(phi, w_prev, fresh, hold)
+    out = update_estimate(phi, w_prev, fresh, hold, everyone(3))
     assert np.allclose(out[0], [0.5, 0.5])
 
 
@@ -131,8 +134,9 @@ def test_apply_switching_reads_pre_switch_estimates():
         adjacency[a, b] = adjacency[b, a] = True
     w_prev = block_points([[1, 2], [0, 3]], n)
     p = np.array([0.5, 0.5, 1.0, 1.0])
-    updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD, adjacency, p,
-                                              np.random.default_rng(0), True)
+    updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD, p,
+                                              np.random.default_rng(0), True,
+                                              link_grid(adjacency))
     assert np.array_equal(updated[0], w_prev[1])
     assert np.array_equal(updated[1], w_prev[0])
     assert np.array_equal(updated[2:], w_prev[2:])
@@ -143,9 +147,8 @@ def test_apply_switching_reads_pre_switch_estimates():
 def test_apply_switching_skips_agreeing_agents():
     n = 3
     w_prev = block_points([[0], [1], [2]], n)
-    updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD,
-                                              np.ones((n, n), dtype=bool),
-                                              np.ones(n), np.random.default_rng(0), True)
+    updated, adopted, drawn = apply_switching(w_prev.copy(), THRESHOLD, np.ones(n),
+                                              np.random.default_rng(0), True, everyone(n))
     assert adopted.size == 0 and drawn.size == 0
     assert np.array_equal(updated, w_prev)
 
@@ -211,20 +214,20 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, g
         w_prev += rng.normal(size=(n, 2)) * spread
         threshold = THRESHOLD
     flipped = np.triu(rng.random((n, n)) < flips, 1)
-    close = pairwise_close(w_prev, threshold) ^ flipped ^ flipped.T
+    close = (squared_distances(w_prev) <= threshold) ^ flipped ^ flipped.T
     p = np.where(rng.random(n) < pending, 0.5, 1.0)
     ref_rng = np.random.default_rng(seed)
 
     ref, ref_adopted, ref_drawn = per_agent_switching(w_prev, close, adjacency, p,
                                                       ref_rng, equilibrium_break)
     # a swarm's views are its adjacency rows, a static network's its links
-    for graph, links in ((adjacency, None), (None, link_index(adjacency))):
+    for links in (link_grid(adjacency), link_index(adjacency)):
         rng = np.random.default_rng(seed)
         relation = (mock.patch("netdecide.decision.view_from_closeness",
                                lambda points, threshold, *views: dense_view(close, *views))
                     if flipped.any() else nullcontext())
         with relation:
-            updated, adopted, drawn = apply_switching(w_prev, threshold, graph, p, rng,
+            updated, adopted, drawn = apply_switching(w_prev, threshold, p, rng,
                                                       equilibrium_break, links)
         assert np.array_equal(updated, ref)
         assert adopted.tolist() == ref_adopted
@@ -232,15 +235,16 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, g
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def healthy_round(n=4, seed=0):
-    """One consistent round on the complete graph, in the link forms
-    :func:`verify_round` takes; link l*n + k joins l to k."""
+def healthy_round(n=4, seed=0, layout=link_index):
+    """One consistent round on the complete graph, in the per-pair forms
+    :func:`verify_round` takes, on the static links (link l*n + k joins l
+    to k) or on the swarm ``layout``."""
     rng = np.random.default_rng(seed)
     adjacency = np.ones((n, n), dtype=bool)
-    links = link_index(adjacency)
+    links = layout(adjacency)
     psi = rng.normal(size=(n, 2)) * 0.01
     w_prev = psi.copy()
-    smoothed = np.full(n * n, 0.9)
+    smoothed = np.full(np.broadcast_shapes(links.rows.shape, links.cols.shape), 0.9)
     support = believed_neighborhoods(smoothed, links)
     combination = combination_weights(support, links)
     phi = aggregate(combination, psi, links)
@@ -253,7 +257,27 @@ def healthy_round(n=4, seed=0):
 
 
 def test_verify_round_accepts_consistent_state():
-    verify_round(**healthy_round())
+    for layout in (link_index, link_grid):
+        verify_round(**healthy_round(layout=layout))
+
+
+def test_verify_round_reads_a_swarm_within_its_adjacency():
+    # a pair outside the swarm's adjacency is no link: its closeness is
+    # False and it carries no weight, wherever its estimates lie
+    round_state = healthy_round(layout=link_grid)
+    round_state["adjacency"][0, 1] = round_state["adjacency"][1, 0] = False
+    with pytest.raises(InvariantViolation):
+        verify_round(**round_state)
+    links = link_grid(round_state["adjacency"])
+    support = believed_neighborhoods(round_state["smoothed"], links)
+    combination = combination_weights(support, links)
+    close = pairwise_close(round_state["w_prev"], 0.5, links)
+    fresh, hold = update_desired_matrices(close, round_state["psi"], round_state["w_prev"],
+                                          0.5, links)
+    round_state.update(links=links, support=support, combination=combination, close=close,
+                       fresh=fresh, hold=hold,
+                       phi=aggregate(combination, round_state["psi"], links))
+    verify_round(**round_state)
 
 
 @pytest.mark.parametrize("corrupt", [

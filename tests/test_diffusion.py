@@ -12,10 +12,10 @@ from netdecide.diffusion import (DivergenceError, adapt, aggregate,
                                  check_divergence, combination_weights,
                                  update_cluster_matrices)
 from netdecide.network import (DataStream, build_streams, draw_noise_profile,
-                               generate_models, generate_topology)
+                               generate_models, generate_topology, link_grid)
 
 from conftest import NOISE_RANGES, build_world
-from test_links import dense
+from test_links import dense, everyone
 
 
 def test_adapt_zero_regressor_is_identity():
@@ -69,10 +69,9 @@ def test_initial_cluster_state_is_self_only():
     # the loop starts from the identity: each agent believes only in
     # itself, and one round of far-off estimates cannot undo that
     psi = np.arange(8.0).reshape(4, 2) * 10
-    smoothed = update_cluster_matrices(np.eye(4), psi, -psi,
-                                       np.ones((4, 4), dtype=bool),
-                                       alpha=0.04, smoothing=0.005)
-    assert np.array_equal(believed_neighborhoods(smoothed), np.eye(4, dtype=bool))
+    smoothed = update_cluster_matrices(np.eye(4), psi, -psi, alpha=0.04, smoothing=0.005,
+                                       links=everyone(4))
+    assert np.array_equal(believed_neighborhoods(smoothed, everyone(4)), np.eye(4, dtype=bool))
     assert np.allclose(smoothed, 0.995 * np.eye(4))
 
 
@@ -81,21 +80,21 @@ def test_belief_gate_requires_both_proximity_and_link():
     phi_prev = psi.copy()
     adjacency = np.ones((3, 3), dtype=bool)
     adjacency[0, 2] = adjacency[2, 0] = False
-    smoothed = update_cluster_matrices(np.eye(3), psi, phi_prev, adjacency,
-                                       alpha=0.04, smoothing=1.0)
+    grid = link_grid(adjacency)
+    smoothed = update_cluster_matrices(np.eye(3), psi, phi_prev, alpha=0.04, smoothing=1.0,
+                                       links=grid)
     want = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
     # a gain of 1 makes the smoothed state the instantaneous indicator
     assert np.array_equal(smoothed, want.astype(float))
-    assert np.array_equal(believed_neighborhoods(smoothed), want)
+    assert np.array_equal(believed_neighborhoods(smoothed, grid), want)
 
 
 def test_smoothing_single_step_is_innovation_gain():
     # one round of a steady indicator moves the state by the gain only;
     # a fresh pair sits at 0.005, far below the 0.5 belief threshold
     psi = np.zeros((2, 2))
-    out = update_cluster_matrices(np.zeros((2, 2)), psi, psi,
-                                  np.ones((2, 2), dtype=bool),
-                                  alpha=0.04, smoothing=0.005)
+    out = update_cluster_matrices(np.zeros((2, 2)), psi, psi, alpha=0.04, smoothing=0.005,
+                                  links=everyone(2))
     assert np.allclose(out, 0.005)
     assert not (out >= 0.5).any()
 
@@ -112,16 +111,15 @@ def test_belief_forms_after_sustained_proximity():
     state = np.zeros((1, 1))
     psi = np.zeros((1, 2))
     for i in range(1, 140):
-        state = update_cluster_matrices(state, psi, psi, np.ones((1, 1), dtype=bool),
-                                        alpha=0.04, smoothing=0.005)
+        state = update_cluster_matrices(state, psi, psi, alpha=0.04, smoothing=0.005,
+                                        links=everyone(1))
         assert bool(state[0, 0] >= 0.5) == (i >= 139)
 
 
 def test_established_belief_is_a_fixed_point():
     psi = np.zeros((1, 2))
-    out = update_cluster_matrices(np.ones((1, 1)), psi, psi,
-                                  np.ones((1, 1), dtype=bool),
-                                  alpha=0.04, smoothing=0.005)
+    out = update_cluster_matrices(np.ones((1, 1)), psi, psi, alpha=0.04, smoothing=0.005,
+                                  links=everyone(1))
     assert out[0, 0] == 1.0
 
 
@@ -129,11 +127,10 @@ def test_belief_tie_at_half_rounds_up():
     # two agents that believed in each other drift apart for one round
     # at gain 0.5: the off-diagonal state lands exactly on the tie
     psi = np.zeros((2, 2))
-    out = update_cluster_matrices(np.ones((2, 2)), psi, psi + 10.0,
-                                  np.ones((2, 2), dtype=bool),
-                                  alpha=0.04, smoothing=0.5)
+    out = update_cluster_matrices(np.ones((2, 2)), psi, psi + 10.0, alpha=0.04,
+                                  smoothing=0.5, links=everyone(2))
     assert out[0, 1] == 0.5 and out[1, 0] == 0.5
-    assert believed_neighborhoods(out).all()
+    assert believed_neighborhoods(out, everyone(2)).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,12 +139,11 @@ def test_smoothed_state_stays_in_unit_interval(seed):
     g = np.random.default_rng(seed)
     n = 4
     smoothed = np.eye(n)
-    adjacency = np.ones((n, n), dtype=bool)
     for _ in range(30):
         psi = g.normal(size=(n, 2))
         phi = g.normal(size=(n, 2))
-        smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
-                                           alpha=1.0, smoothing=g.uniform(0, 1))
+        smoothed = update_cluster_matrices(smoothed, psi, phi, alpha=1.0,
+                                           smoothing=g.uniform(0, 1), links=everyone(n))
         assert (smoothed >= 0.0).all() and (smoothed <= 1.0).all()
 
 
@@ -155,7 +151,7 @@ def test_believed_neighborhoods_always_include_self():
     smoothed = np.zeros((3, 3))
     smoothed[0, 1] = 0.7
     smoothed[1, 0] = 0.3
-    support = believed_neighborhoods(smoothed)
+    support = believed_neighborhoods(smoothed, everyone(3))
     assert support.diagonal().all()
     assert support[0, 1]
     assert not support[1, 0]
@@ -165,7 +161,7 @@ def test_combination_weights_are_uniform_over_support():
     support = np.zeros((6, 6), dtype=bool)
     support[:4, 0] = True
     np.fill_diagonal(support, True)
-    weights = combination_weights(support)
+    weights = combination_weights(support, everyone(6))
     assert np.allclose(weights[:4, 0], 0.25)
     assert np.allclose(weights[4:, 0], 0.0)
     assert weights[5, 5] == 1.0
@@ -178,7 +174,7 @@ def test_combination_columns_are_stochastic(seed):
     n = 6
     support = g.random((n, n)) < 0.4
     np.fill_diagonal(support, True)
-    weights = combination_weights(support)
+    weights = combination_weights(support, everyone(n))
     assert np.allclose(weights.sum(axis=0), 1.0, atol=1e-12)
     assert (weights[~support] == 0).all()
 
@@ -187,14 +183,14 @@ def test_combination_weights_reject_empty_column():
     support = np.eye(3, dtype=bool)
     support[1, 1] = False
     with pytest.raises(ValueError):
-        combination_weights(support)
+        combination_weights(support, everyone(3))
 
 
 def test_aggregate_identity_and_mean():
     psi = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(aggregate(np.eye(2), psi), psi)
+    assert np.array_equal(aggregate(np.eye(2), psi, everyone(2)), psi)
     half = np.full((2, 2), 0.5)
-    assert np.allclose(aggregate(half, psi), [[0.5, 0.5], [0.5, 0.5]])
+    assert np.allclose(aggregate(half, psi, everyone(2)), [[0.5, 0.5], [0.5, 0.5]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,7 +201,7 @@ def test_aggregate_stays_in_convex_hull(seed):
     psi = g.normal(size=(n, 2)) * 3
     support = g.random((n, n)) < 0.5
     np.fill_diagonal(support, True)
-    phi = aggregate(combination_weights(support), psi)
+    phi = aggregate(combination_weights(support, everyone(n)), psi, everyone(n))
     for j in range(2):
         assert (phi[:, j] >= psi[:, j].min() - 1e-12).all()
         assert (phi[:, j] <= psi[:, j].max() + 1e-12).all()
@@ -217,6 +213,7 @@ def test_beliefs_recover_cluster_structure(seed):
     linked pairs believe in each other exactly when they share a model."""
     n, n_rounds = 16, 600
     adjacency = dense(generate_topology(n, max_degree=7, radius=0.55, seed=seed)[1])
+    grid = link_grid(adjacency)
     models = generate_models(2, 2, (-1.0, 1.0), seed=seed + 100,
                              min_separation_sq=0.32)
     assignment = np.arange(n) % 2
@@ -229,12 +226,13 @@ def test_beliefs_recover_cluster_structure(seed):
     for i in range(1, n_rounds + 1):
         d, u = streams.data.round(i, observed)
         psi = adapt(psi, u, d, 0.01)
-        smoothed = update_cluster_matrices(smoothed, psi, phi, adjacency,
-                                           alpha=0.04, smoothing=0.005)
-        phi = aggregate(combination_weights(believed_neighborhoods(smoothed)), psi)
+        smoothed = update_cluster_matrices(smoothed, psi, phi, alpha=0.04, smoothing=0.005,
+                                           links=grid)
+        phi = aggregate(combination_weights(believed_neighborhoods(smoothed, grid), grid),
+                        psi, grid)
     same_model = assignment[:, None] == assignment[None, :]
     linked = adjacency & ~np.eye(n, dtype=bool)
-    assert np.array_equal(believed_neighborhoods(smoothed)[linked], same_model[linked])
+    assert np.array_equal(believed_neighborhoods(smoothed, grid)[linked], same_model[linked])
 
 
 @pytest.mark.parametrize("reg_power_range", [(2.0, 2.0), NOISE_RANGES["reg_power_range"]])

@@ -9,7 +9,7 @@ from netdecide.decision import InvariantViolation, update_desired_matrices
 from netdecide.diffusion import combination_weights
 from netdecide.follow import follow_matrices, run_follow, spread_anchor
 from netdecide.network import link_index
-from test_links import dense
+from test_links import dense, everyone
 from test_network import path_adjacency
 
 
@@ -127,12 +127,12 @@ def test_follow_matrices_columns():
     # informed agents link informed peers only, plus themselves
     linked = np.eye(n, dtype=bool)
     linked[:3, :3] = True
-    assert np.array_equal(weights, combination_weights(linked))
+    assert np.array_equal(weights, combination_weights(linked, everyone(n)))
     # agent 1's far-off output rides the hold route everywhere
     assert np.allclose(fresh[1, :], 0.0)
     assert np.allclose(hold[1, :3], 1 / 3)
     # the relay only chooses the links and the anchors of the shared split
-    want = update_desired_matrices(linked, psi, anchors, 0.08)
+    want = update_desired_matrices(linked, psi, anchors, 0.08, everyone(n))
     assert all(np.array_equal(a, b) for a, b in zip((fresh, hold), want))
 
 

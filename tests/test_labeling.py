@@ -5,8 +5,8 @@ import pytest
 
 from netdecide.decision import apply_switching
 from netdecide.labeling import agreement_vector, label_classes, view_from_closeness
-from netdecide.network import link_index, pairwise_close
-from test_links import estimates, members_of
+from netdecide.network import link_grid, link_index, pairwise_close
+from test_links import estimates, everyone, members_of
 
 
 # the closeness threshold of the label tests
@@ -74,15 +74,15 @@ def switch_sources(blocks, n, pending, adjacency=None, equilibrium_break=True,
     p = np.ones(n)
     p[pending] = 0.5
     w_prev = block_points(blocks, n)
-    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, None, p, rng,
-                                              equilibrium_break, link_index(adjacency))
+    updated, adopted, drawn = apply_switching(w_prev, THRESHOLD, p, rng, equilibrium_break,
+                                              link_index(adjacency))
     sources = np.rint(updated[:, 1] * 1000).astype(int)
     return sources.tolist(), adopted.tolist(), drawn.tolist()
 
 
 def test_block_points_realize_the_block_matrix():
     blocks = [[0, 3, 5], [1, 2], [4]]
-    assert np.array_equal(pairwise_close(block_points(blocks, 6), THRESHOLD),
+    assert np.array_equal(pairwise_close(block_points(blocks, 6), THRESHOLD, everyone(6)),
                           block_matrix(blocks, 6))
 
 
@@ -153,7 +153,7 @@ def test_classes_match_pairwise_equality_oracle():
         else:
             points = estimates(rng, n)
             threshold = float(rng.choice([0.25, 0.5, 1.0]))
-            close = pairwise_close(points, threshold)
+            close = pairwise_close(points, threshold, everyone(n))
             classes = whole_view(points, threshold)
         labels = column_labels(close)
         cls_of = {}
@@ -177,8 +177,8 @@ def test_views_see_members_through_adjacency_gate():
     # agent 0 sees only members {0, 1, 2}; its padding slot is in no class
     assert view_classes(slots, same, 1) == [(0, 1), (2,)]
     assert not same[1, 3].any() and not same[1, :, 3].any()
-    close = pairwise_close(w_prev, 0.08)
-    p = agreement_vector(close & adj, adj.sum(axis=0))
+    grid = link_grid(adj)
+    p = agreement_vector(pairwise_close(w_prev, 0.08, grid), grid)
     assert p[1] == pytest.approx(0.5) and p[0] == pytest.approx(2 / 3)
 
 
@@ -194,7 +194,7 @@ def test_agreement_vector_matches_per_view_values():
     for i in range(n):
         for j in range(n):
             close[i, j] = ((w_prev[i] - w_prev[j]) ** 2).sum() <= 0.5
-    got = agreement_vector(close & adj, adj.sum(axis=0))
+    got = agreement_vector(close & adj, link_grid(adj))
     for k in range(n):
         # the share of k's closed neighborhood close to k
         assert got[k] == pytest.approx(close[k, np.flatnonzero(adj[k])].mean())

@@ -1,12 +1,14 @@
-"""The link-only round of static networks against test-local dense oracles.
+"""The round's stages on both layouts of a neighborhood, and the link
+sums against test-local dense oracles.
 
-Static runs keep every per-pair quantity as one value per link of the
-adjacency and sum over links with ``np.bincount``; mobile runs keep N x N
-arrays. Each link-form stage must give the bytes of a dense N x N
-computation with the same arithmetic, so the sign of zero counts too, and
-so does a test at its threshold, where a one-ulp difference in a distance
-would flip it. Every distance comes from the one kernel,
-``squared_distances``, at links, at view member pairs or as a matrix.
+A static network's stages keep one value per link of the adjacency and
+sum over links with ``np.bincount``; a swarm's keep N x N arrays. Each
+stage must give the same bytes at the links on both layouts, so the sign
+of zero counts too, and so does a test at its threshold, where a one-ulp
+difference in a distance would flip it; the link sums must give the bytes
+of a dense computation with the same arithmetic. Every distance comes
+from the one kernel, ``squared_distances``, at links, at view member
+pairs or as a matrix.
 """
 
 import tracemalloc
@@ -24,7 +26,8 @@ from netdecide.diffusion import (aggregate, believed_neighborhoods, combination_
 from netdecide.follow import follow_matrices
 from netdecide.labeling import agreement_vector, view_from_closeness
 from netdecide.network import (build_streams, draw_noise_profile,
-                               generate_models, generate_topology, link_index,
+                               generate_models, generate_topology, link_grid,
+                               link_index, network_from_json, network_to_json,
                                pairwise_close, random_assignment, squared_distances)
 
 
@@ -77,6 +80,11 @@ def members_of(views):
     return np.nonzero(views)[1], views.sum(axis=1)
 
 
+def everyone(n):
+    """The swarm layout of the complete graph on ``n`` agents."""
+    return link_grid(np.ones((n, n), dtype=bool))
+
+
 def dense(links):
     """The N x N boolean matrix whose True entries are ``links``."""
     out = np.zeros((links.n, links.n), dtype=bool)
@@ -101,46 +109,57 @@ def dense_view(close, members, width):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.02, 1.0),
        st.integers(1, 4))
 def test_link_round_equals_dense_round(seed, n, density, dim):
+    # each stage runs once on the links and once on the swarm layout of the
+    # same adjacency; per-pair inputs are the grid's arrays, read at the
+    # links for the link layout
     g = np.random.default_rng(seed)
     upper = np.triu(g.random((n, n)) < density, 1)
     adjacency = upper | upper.T | np.eye(n, dtype=bool)
-    links = link_index(adjacency)
+    links, grid = link_index(adjacency), link_grid(adjacency)
     at = (links.rows, links.cols)
-    degrees = adjacency.sum(axis=0)
     psi, phi, w_prev, anchors = (estimates(g, n, dim) for _ in range(4))
 
     for x, y in ((psi, phi), (psi, anchors), (w_prev, w_prev)):
         assert same_bits(squared_distances(x, y, *at), squared_distances(x, y)[at])
+        assert same_bits(squared_distances(x, y, grid.rows, grid.cols), squared_distances(x, y))
     assert same_bits(squared_distances(psi, None, *at), squared_distances(psi)[at])
+    assert same_bits((grid.rows == grid.cols).astype(float), np.eye(n))
+    for layout in (links, grid):
+        assert np.array_equal(layout.adjacency(), adjacency)
+        assert same_bits(layout.counts(), adjacency.sum(axis=0))
+        assert same_bits(layout.counts(axis=1), adjacency.sum(axis=1))
 
     # beliefs, some smoothed entries exactly on the 0.5 tie
     smoothed = np.where(g.random((n, n)) < 0.2, 0.5, g.random((n, n)))
-    support = believed_neighborhoods(smoothed) & adjacency
+    support = believed_neighborhoods(smoothed, grid)
+    assert same_bits(support, ((smoothed >= 0.5) | np.eye(n, dtype=bool)) & adjacency)
     assert same_bits(believed_neighborhoods(smoothed[at], links), support[at])
     alpha = threshold(g, squared_distances(psi, phi), links)
     smoothing = float(g.choice([0.005, 0.5, 1.0, g.random()]))
-    assert same_bits(
-        update_cluster_matrices(smoothed[at], psi, phi, adjacency, alpha, smoothing, links),
-        update_cluster_matrices(smoothed, psi, phi, adjacency, alpha, smoothing)[at])
+    assert same_bits(update_cluster_matrices(smoothed[at], psi, phi, alpha, smoothing, links),
+                     update_cluster_matrices(smoothed, psi, phi, alpha, smoothing, grid)[at])
 
     # weights and the aggregation sums
-    weights = combination_weights(support)
+    weights = combination_weights(support, grid)
     assert same_bits(combination_weights(support[at], links), weights[at])
     assert same_bits(aggregate(weights[at], psi, links), dense_sums(weights, psi))
+    assert np.allclose(aggregate(weights, psi, grid), dense_sums(weights, psi))
 
     # closeness, agreement and the decide split on the links whose previous
     # desired estimates are close
     beta = threshold(g, squared_distances(psi, w_prev), links)
-    close = pairwise_close(w_prev, beta)
+    close = pairwise_close(w_prev, beta, grid)
+    assert same_bits(close, (squared_distances(w_prev) <= beta) & adjacency)
     assert same_bits(pairwise_close(w_prev, beta, links), close[at])
-    assert same_bits(agreement_vector(close[at], degrees, links),
-                     agreement_vector(close & adjacency, degrees))
-    fresh, hold = update_desired_matrices(close & adjacency, psi, w_prev, beta)
+    assert same_bits(agreement_vector(close[at], links), agreement_vector(close, grid))
+    fresh, hold = update_desired_matrices(close, psi, w_prev, beta, grid)
     got = update_desired_matrices(close[at], psi, w_prev, beta, links)
     assert same_bits(got[0], fresh[at]) and same_bits(got[1], hold[at])
     assert not fresh[~adjacency].any() and not hold[~adjacency].any()
     assert same_bits(update_estimate(phi, w_prev, *got, links),
                      dense_update(fresh, hold, phi, w_prev))
+    assert np.allclose(update_estimate(phi, w_prev, fresh, hold, grid),
+                       dense_update(fresh, hold, phi, w_prev))
 
     # the follow split: links between informed agents, and every self-link
     sources = np.where(g.random(n) < 0.6, g.integers(1, n + 1, size=n), 0)
@@ -148,8 +167,10 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     informed = sources > 0
     linked = adjacency & informed[:, None] & informed[None, :]
     np.fill_diagonal(linked, True)
-    want = update_desired_matrices(linked, psi, anchors, beta)
+    want = follow_matrices(anchors, sources, psi, grid, beta)
     got = follow_matrices(anchors, sources, psi, links, beta)
+    assert all(same_bits(a, b) for a, b in
+               zip(want, update_desired_matrices(linked, psi, anchors, beta, grid)))
     assert all(same_bits(a, b[at]) for a, b in zip(got, want))
 
 
@@ -167,7 +188,7 @@ def test_views_read_the_dense_relation(seed, n, density, dim):
     if not len(views):
         views = adjacency[:1]
     got = view_from_closeness(points, t, *members_of(views))
-    want = dense_view(pairwise_close(points, t), *members_of(views))
+    want = dense_view(pairwise_close(points, t, everyone(n)), *members_of(views))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -184,7 +205,7 @@ def test_pairwise_close_equals_clamped_test(seed, n, with_nan):
     for t in (0.0, 0.25, float(d2[g.integers(0, n), g.integers(0, n)])):
         want = d2 <= t
         want &= want.T
-        assert np.array_equal(pairwise_close(points, t), want)
+        assert np.array_equal(pairwise_close(points, t, everyone(n)), want)
 
 
 # N = 1280: one N x N bool array is 1.64 MB (a float64 one 13.1 MB), above
@@ -233,6 +254,19 @@ def test_switch_stage_with_every_agent_pending_holds_no_n_by_n_array(large_world
     g = np.random.default_rng(5)
     w_prev = estimates(g, n)
     (_, adopted, drawn), peak = traced_peak(
-        lambda: apply_switching(w_prev, 0.25, None, np.full(n, 0.5), g, True, links))
+        lambda: apply_switching(w_prev, 0.25, np.full(n, 0.5), g, True, links))
     assert adopted.size and drawn.size
+    assert peak < n * n, peak
+
+
+def test_network_import_holds_no_n_by_n_array(large_world):
+    n = N_LARGE
+    links = large_world[1]
+    doc = network_to_json(np.zeros((n, 2)), links, np.zeros((1, 2)))
+    # a first import pays numpy's one-time lazy imports outside the trace
+    network_from_json(network_to_json(np.zeros((1, 2)), link_index(np.eye(1, dtype=bool)),
+                                      np.zeros((1, 2))))
+    (_, imported, _, _), peak = traced_peak(lambda: network_from_json(doc))
+    assert np.array_equal(imported.rows, links.rows)
+    assert np.array_equal(imported.cols, links.cols)
     assert peak < n * n, peak

@@ -10,7 +10,7 @@ from netdecide.config import ExperimentConfig
 from netdecide.harness import run_single_trial, trial_seeds
 from netdecide.metrics import captured_source
 from netdecide.mobility import MotionDriver, rebuild_topology, step_motion
-from netdecide.network import DivergenceError, component_count
+from netdecide.network import DivergenceError, component_count, link_grid
 
 
 PARAMS = ExperimentConfig.for_mode("mobile")
@@ -161,13 +161,13 @@ def test_rebuild_topology_tolerates_disconnection():
 def test_motion_driver_samples_requested_snapshots():
     models = np.array([[-50.0, -50.0], [50.0, 50.0]])
     positions = np.array([[-40.0, -40.0], [40.0, 40.0], [0.0, 1.0]])
-    adjacency = rebuild_topology(positions, PARAMS.comm_radius, PARAMS.max_degree)
-    driver = MotionDriver(PARAMS, positions, adjacency, models, snapshot_iters=(1, 3))
+    links = link_grid(rebuild_topology(positions, PARAMS.comm_radius, PARAMS.max_degree))
+    driver = MotionDriver(PARAMS, positions, links, models, snapshot_iters=(1, 3))
     targets = np.array([[-50.0, -50.0], [50.0, 50.0], [50.0, 50.0]])
     for i in (1, 2, 3):
         driver.step(i, targets)
         # each step replaces the graph with the one at the new positions
-        assert np.array_equal(driver.adjacency, rebuild_topology(
+        assert np.array_equal(driver.links.mask, rebuild_topology(
             driver.positions, PARAMS.comm_radius, PARAMS.max_degree))
     rows = driver.trajectory()
     assert rows.shape == (6, 5)
@@ -176,14 +176,14 @@ def test_motion_driver_samples_requested_snapshots():
     first = rows[rows[:, 0] == 1]
     assert first[:, 4].tolist() == [0.0, 1.0, 1.0]
     assert driver.max_observed_speed <= PARAMS.max_speed * (1 + 1e-9)
-    empty = MotionDriver(PARAMS, positions, adjacency, models)
+    empty = MotionDriver(PARAMS, positions, links, models)
     assert empty.trajectory() is None
 
 
 def test_motion_driver_raises_divergence_on_non_finite_velocity():
     # agent 0 steers at a NaN target while agent 1 flies on at full speed
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
-    driver = MotionDriver(PARAMS, positions, rebuild_topology(positions, 22.0, 80),
+    driver = MotionDriver(PARAMS, positions, link_grid(rebuild_topology(positions, 22.0, 80)),
                           np.array([[20.0, 0.0]]))
     targets = np.array([[np.nan, np.nan], [20.0, 0.0]])
     with pytest.raises(DivergenceError, match="iteration 4"):

@@ -18,7 +18,7 @@ from netdecide.network import (DataStream, Links, TopologyError,
                                random_assignment, squared_distances)
 
 from conftest import NOISE_RANGES
-from test_links import dense, estimates
+from test_links import dense, estimates, everyone
 
 
 def two_clique_topology(clique_size=4):
@@ -86,7 +86,7 @@ def test_squared_distances_is_exactly_symmetric(seed, n, dim, layout):
 def test_pairwise_close_matches_brute_force(rng):
     pts = rng.uniform(-1, 1, size=(12, 2))
     thr = 0.3
-    close = pairwise_close(pts, thr)
+    close = pairwise_close(pts, thr, everyone(12))
     for i in range(12):
         for j in range(12):
             assert close[i, j] == (((pts[i] - pts[j]) ** 2).sum() <= thr)
@@ -206,7 +206,7 @@ def test_close_component_count_matches_the_dense_relation(seed, n, dim, cloud,
     positive = d2[d2 > 0]
     if exact and positive.size:
         threshold = float(g.choice(positive))
-    want = component_count(pairwise_close(points, threshold))
+    want = component_count(pairwise_close(points, threshold, everyone(n)))
     assert close_component_count(points, threshold) == want
     if cloud == "far" and not exact and not copies.any() and n >= k:
         assert want == k
@@ -249,7 +249,8 @@ def check_links(links):
     """Assert what every network's links hold: unique, in row-major order,
     symmetric, each self-loop exactly once, and column counts that are the
     closed degrees of the adjacency they index."""
-    n, rows, cols = links
+    n, rows, cols, mask = links
+    assert mask is None, "a static network lists its links"
     assert ((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)).all()
     keys = rows * n + cols
     assert (np.diff(keys) > 0).all(), "links are not unique and row-major"
@@ -275,7 +276,7 @@ def test_links_of_every_network_keep_the_contract(rng):
         check_links(links)
     # and the checks catch links that break it: one end of a pair dropped,
     # a self-loop dropped, a link repeated, two links swapped
-    n, rows, cols = produced[0]
+    n, rows, cols, _ = produced[0]
     pair = np.flatnonzero(rows != cols)[0]
     loop = np.flatnonzero(rows == cols)[0]
     swapped = np.arange(rows.size)
@@ -494,6 +495,25 @@ def test_network_json_round_trip():
     assert np.array_equal(assignment2, assignment)
 
 
+@pytest.mark.parametrize("pairs", [
+    [], [[1, 2]], [[2, 1], [1, 2], [1, 2]], [[3, 3], [2, 2]], [[1, 1], [3, 1], [1, 3], [2, 3]],
+    [[4, 1], [2, 4], [4, 2], [4, 4], [1, 4], [3, 2]],
+], ids=["no-links", "one-pair", "repeated-and-reversed", "self-listed", "mixed",
+        "every-kind"])
+def test_network_from_json_links_equal_the_adjacency_links(pairs):
+    # the links of the symmetric, self-looped adjacency the listed pairs mark
+    n = 4
+    doc = small_network_doc(agents=[{"id": k, "x": 0.0, "y": 0.0} for k in range(1, n + 1)],
+                            links=pairs, assignment=[1] * n)
+    adjacency = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        adjacency[a - 1, b - 1] = adjacency[b - 1, a - 1] = True
+    got, want = network_from_json(doc)[1], link_index(adjacency)
+    assert got.n == want.n and got.mask is None
+    assert got.rows.dtype == want.rows.dtype and got.cols.dtype == want.cols.dtype
+    assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+
+
 def test_network_json_without_assignment():
     doc = network_to_json(*two_clique_topology(3), np.zeros((2, 2)))
     assert "assignment" not in doc
@@ -531,6 +551,10 @@ BARE_AGENTS = {field: [{k: v for k, v in dict(id=k, x=0.1 * k, y=0.0).items() if
      "agent id 2 repeats"),
     (small_network_doc(assignment=[1, 5, 1]), "label 5 "),
     (small_network_doc(assignment=[1, 1]), "2 labels for 3 agents"),
+    (small_network_doc(assignment=[1, [2], 3]), r"assignment label \[2\] is not a JSON number"),
+    (small_network_doc(assignment=[[1], [2], [3]]),
+     r"assignment label \[1\] is not a JSON number"),
+    (small_network_doc(assignment="111"), "assignment '111' is not a list"),
     (small_network_doc(links=[[1, 2, 1, 2]]), r"link \[1, 2, 1, 2\] is not a pair"),
     (small_network_doc(links=[[1, 2], [1]]), r"link \[1\] is not a pair"),
     (small_network_doc(agents=[{"id": k, "x": 0.1 * k, "y": 0.0} for k in (1, 2.7, 3)]),
@@ -552,7 +576,8 @@ BARE_AGENTS = {field: [{k: v for k, v in dict(id=k, x=0.1 * k, y=0.0).items() if
     (small_network_doc(agents=BARE_AGENTS["y"]), "agent .* is not an object with an id, x and y"),
     (small_network_doc(agents=[[1, 0.1, 0.0]]), r"agent \[1, 0.1, 0.0\] is not an object"),
 ], ids=["link-below-1", "link-above-n", "repeated-agent", "label-above-m",
-        "assignment-too-short", "link-of-four", "link-of-one", "fractional-agent",
+        "assignment-too-short", "nested-label", "nested-labels", "assignment-not-a-list",
+        "link-of-four", "link-of-one", "fractional-agent",
         "fractional-link", "fractional-label", "no-models", "ragged-models",
         "not-an-object", "no-agents-key", "no-links-key", "no-models-key",
         "agents-not-a-list", "links-not-a-list", "models-not-a-list",
