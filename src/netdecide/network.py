@@ -19,6 +19,12 @@ the components of the closeness relation by a frontier sweep that
 computes the distances of a few frontier rows at a time, without
 building the relation, and the noise draw takes its exponential and
 logarithm from :func:`_exp` and :func:`_log`, which use no math library.
+
+A degree-capped radius graph (:func:`generate_topology`, and each rebuild
+of a swarm's) sheds its longest links at over-degree agents in one pass of
+sorts over the links, :func:`_prune_degrees`. It falls back to a per-link
+walk only after the first cut that would disconnect a static network, so
+it takes the walk's decisions without its Python loop over every link.
 """
 
 from __future__ import annotations
@@ -156,15 +162,22 @@ def pairwise_close(points, threshold, links):
 
 
 def component_count(close):
-    """Number of connected components of a symmetric boolean relation.
+    """Number of connected components of a symmetric boolean relation."""
+    return int(_component_labels(close).max(initial=-1)) + 1
+
+
+def _component_labels(close):
+    """Each agent's component in a symmetric boolean relation, numbered
+    0, 1, ... in the order of the components' lowest agents.
 
     A frontier sweep: a breadth-first search from the first agent no
     earlier search reached, repeated until every agent is reached; the
-    number of searches is the count. Each level reads the rows of the
+    searches number the components. Each level reads the rows of the
     frontier, which the symmetry makes equal to its columns.
     """
     close = np.asarray(close, dtype=bool)
     unreached = np.ones(close.shape[0], dtype=bool)
+    labels = np.empty(close.shape[0], dtype=int)
     count = 0
     while unreached.any():
         root = unreached.argmax()
@@ -172,9 +185,10 @@ def component_count(close):
         frontier[root] = True
         while frontier.any():
             unreached &= ~frontier
+            labels[frontier] = count
             frontier = close[frontier].any(axis=0) & unreached
         count += 1
-    return count
+    return labels
 
 
 def close_component_count(points, threshold):
@@ -217,47 +231,134 @@ def close_component_count(points, threshold):
 def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     """Drop longest links at over-degree agents, in place.
 
-    Links are visited longest first; a link is cut when either endpoint is
-    still over the cap, unless cutting it would disconnect the graph and
-    ``keep_connected`` is set. Returns True when every closed degree ends
-    up <= max_degree.
+    The prune walks the links longest first, equal lengths in row-major
+    order; a link is cut when either endpoint is still over the cap, unless
+    ``keep_connected`` is set and cutting it would split a component of the
+    graph (disconnect a connected graph). Returns True when every closed
+    degree ends up <= max_degree.
 
-    With ``keep_connected`` the graph must be connected on entry, and it
-    stays connected after every cut. Cutting link a-b from a connected
-    graph disconnects it exactly when b can no longer be reached from a,
-    because every agent still reaches a or b without the link. So the
-    whole-graph check reduces to a local one: a common neighbor of a and b
-    settles it at once, and otherwise a search from a stops as soon as it
-    reaches b. Both make the keep/cut decision a whole-graph check would.
+    The walk is taken in array form, which rests on two facts:
+
+    1. An agent over the cap loses every link, in order, until it reaches
+       the cap. So with no connectivity rule a link is cut exactly when its
+       rank among either endpoint's links is below that endpoint's excess
+       (closed degree - max_degree): the forced cuts of
+       :func:`_forced_cuts`. Degrees only fall, so a link whose endpoints
+       both start within the cap is never cut, and is left out.
+    2. With ``keep_connected``, the first cut the walk refuses is the first
+       forced cut that disconnects the graph (splits a component). If the
+       graph stays connected after every forced cut (keeps its components),
+       no cut is refused, because every graph along the way holds that
+       result. Otherwise the refused link joins two components of the
+       pruned graph, and :func:`_first_refusal` finds it from the
+       component labels. The cuts from it on are restored, and the walk
+       itself (:func:`_walk`) finishes over the links after it.
     """
     deg = adjacency.sum(axis=0)
-    if (deg <= max_degree).all():
+    excess = deg - max_degree
+    over = excess > 0
+    if not over.any():
         return True
-    iu, ju = np.triu_indices_from(adjacency, k=1)
-    present = adjacency[iu, ju]
-    ea, eb = iu[present], ju[present]
-    order = np.argsort(-sqdist[ea, eb], kind="stable")
-    deg = deg.tolist()
+    a, b = np.nonzero(np.triu(adjacency, 1))
+    keep = over[a] | over[b]
+    # the narrowest agent ids: a stable sort of 8- or 16-bit ids is a radix sort
+    agent = np.min_scalar_type(deg.size - 1)
+    a, b = a[keep].astype(agent), b[keep].astype(agent)
+    order = np.argsort(-sqdist[a, b], kind="stable")
+    a, b = a[order], b[order]
+    cut = _forced_cuts(a, b, excess)
+    cut_a, cut_b = a[cut], b[cut]
+    adjacency[cut_a, cut_b] = adjacency[cut_b, cut_a] = False
+    first = None
     if keep_connected:
-        nbrs = [set(np.flatnonzero(row).tolist()) - {k}
-                for k, row in enumerate(adjacency)]
+        first = _first_refusal(_component_labels(adjacency), cut_a, cut_b)
+    if first is not None:
+        # the walk refuses cut `first`, so it has made none from it on
+        rest_a, rest_b = cut_a[first:], cut_b[first:]
+        adjacency[rest_a, rest_b] = adjacency[rest_b, rest_a] = True
+    deg -= np.bincount(np.concatenate([cut_a[:first], cut_b[:first]]), minlength=deg.size)
+    if first is None:
+        return bool((deg <= max_degree).all())
+    after = np.flatnonzero(cut)[first] + 1
+    return _walk(adjacency, deg, a[after:], b[after:], max_degree)
+
+
+def _forced_cuts(a, b, excess):
+    """Which of the links (``a[i]``, ``b[i]``), listed in walk order, the
+    walk cuts with no connectivity rule: those among the first ``excess``
+    links of either endpoint. A stable sort of the link ends by agent
+    ranks each agent's links in walk order."""
+    ends = np.column_stack([a, b]).ravel()
+    by_agent = np.argsort(ends, kind="stable")
+    counts = np.bincount(ends, minlength=excess.size)
+    first = np.clip(excess, 0, counts)
+    # in the sorted ends, each agent's first `first` ends are cut
+    cut_sorted = np.repeat(np.tile([True, False], counts.size),
+                           np.column_stack([first, counts - first]).ravel())
+    cut = np.zeros(a.size, dtype=bool)
+    cut[by_agent[cut_sorted] // 2] = True
+    return cut
+
+
+def _first_refusal(labels, cut_a, cut_b):
+    """The index of the first of the cuts (``cut_a[i]``, ``cut_b[i]``),
+    listed in walk order, that splits a component of the graph, or None,
+    given the component ``labels`` of the graph with every cut made.
+
+    Only a cut between two of these components splits one. Added back
+    latest first, over a union-find of the components, each cut that
+    merges two undoes a split; the last one to merge is the first split.
+    """
+    ends_a, ends_b = labels[cut_a], labels[cut_b]
+    cross = np.flatnonzero(ends_a != ends_b)[::-1]
+    parent = list(range(int(labels.max()) + 1))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    first = None
+    for i, x, y in zip(cross.tolist(), ends_a[cross].tolist(), ends_b[cross].tolist()):
+        x, y = root(x), root(y)
+        if x != y:
+            parent[x] = y
+            first = i
+    return first
+
+
+def _walk(adjacency, deg, a, b, max_degree):
+    """The prune's walk over the links (``a[i]``, ``b[i]``), in walk order,
+    from the closed degrees ``deg`` of ``adjacency``: cuts a link in place
+    when either endpoint is over the cap and the cut splits no component.
+    Returns True when every closed degree ends up <= max_degree.
+
+    Cutting link a-b splits its component exactly when b can no longer be
+    reached from a, because every agent of the component still reaches a or
+    b without the link. So the whole-graph check reduces to a local one: a
+    common neighbor of a and b settles it at once, and otherwise a search
+    from a stops as soon as it reaches b. Both make the keep/cut decision a
+    whole-graph check would.
+    """
+    keep = (deg[a] > max_degree) | (deg[b] > max_degree)
+    nbrs = [set(np.flatnonzero(row).tolist()) - {k}
+            for k, row in enumerate(adjacency)]
+    deg = deg.tolist()
     cut_a, cut_b = [], []
-    for a, b in zip(ea[order].tolist(), eb[order].tolist()):
-        if deg[a] <= max_degree and deg[b] <= max_degree:
+    for x, y in zip(a[keep].tolist(), b[keep].tolist()):
+        if deg[x] <= max_degree and deg[y] <= max_degree:
             continue
-        if keep_connected:
-            nbrs[a].discard(b)
-            nbrs[b].discard(a)
-            if nbrs[a].isdisjoint(nbrs[b]) and not _reaches(nbrs, a, b):
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-                continue
-        cut_a.append(a)
-        cut_b.append(b)
-        deg[a] -= 1
-        deg[b] -= 1
-    adjacency[cut_a, cut_b] = False
-    adjacency[cut_b, cut_a] = False
+        nbrs[x].discard(y)
+        nbrs[y].discard(x)
+        if nbrs[x].isdisjoint(nbrs[y]) and not _reaches(nbrs, x, y):
+            nbrs[x].add(y)
+            nbrs[y].add(x)
+            continue
+        cut_a.append(x)
+        cut_b.append(y)
+        deg[x] -= 1
+        deg[y] -= 1
+    adjacency[cut_a, cut_b] = adjacency[cut_b, cut_a] = False
     return max(deg) <= max_degree
 
 
@@ -282,9 +383,11 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     """Connected random geometric graph on the unit square.
 
     Agents are placed uniformly at random and linked when closer than
-    ``radius``; over-degree agents then shed their longest links while
-    connectivity is preserved. Positions are resampled until both the
-    degree cap and connectivity hold.
+    ``radius``; over-degree agents then shed their longest links, longest
+    first, except a link whose cut would disconnect the graph
+    (:func:`_prune_degrees`: forced cuts found by sorting the links, the
+    per-link walk only after the first refused cut). Positions are
+    resampled until both the degree cap and connectivity hold.
 
     Parameters
     ----------

@@ -63,6 +63,20 @@ def test_negative_seed_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_unmeetable_degree_cap_exits_with_code_2(tmp_path, capsys):
+    # a closed degree of 1 leaves no link, so the prune refuses the cuts
+    # that would disconnect every world and reports that the cap is not met
+    code = main(["decide", "--agents", "12", "--radius", "0.5", "--max-degree", "1",
+                 "--iters", "20", "--t-hold", "5", "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: no connected topology with closed degree <= 1 found for 12 agents "
+        "at radius 0.5 after 50 tries"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--summary-only", "--export-networks",
                                   "--check-invariants"])
 def test_sweep_refuses_the_per_trial_flags(tmp_path, capsys, flag):

@@ -10,7 +10,10 @@ from netdecide.config import ExperimentConfig
 from netdecide.harness import run_single_trial, trial_seeds
 from netdecide.metrics import captured_source
 from netdecide.mobility import MotionDriver, rebuild_topology, step_motion
-from netdecide.network import DivergenceError, component_count, link_grid
+from netdecide.network import (DivergenceError, component_count, link_grid,
+                               squared_distances)
+
+from test_network import walk_prune
 
 
 PARAMS = ExperimentConfig.for_mode("mobile")
@@ -149,6 +152,22 @@ def test_rebuild_topology_applies_degree_cap():
     adjacency = rebuild_topology(pts, comm_radius=5.0, max_degree=4)
     assert adjacency.sum(axis=0).max() <= 4
     assert adjacency.diagonal().all()
+
+
+@pytest.mark.parametrize("n, comm_radius, max_degree", [
+    (15, 20.0, 3), (40, 14.0, 5), (80, 22.0, 7), (80, 11.0, 2), (150, 9.0, 12)])
+def test_rebuild_topology_prune_matches_the_walk(rng, n, comm_radius, max_degree):
+    for snapped in (False, True):
+        positions = rng.uniform(-30, 30, (n, 2))
+        if snapped:
+            # every other agent on a lattice of spacing 3, where distances tie
+            positions[::2] = np.round(positions[::2] / 3) * 3
+        d2 = squared_distances(positions)
+        want = d2 <= comm_radius * comm_radius
+        np.fill_diagonal(want, True)
+        assert want.sum(axis=0).max() > max_degree, "the cap does not bind"
+        walk_prune(want, d2, max_degree, keep_connected=False)
+        assert np.array_equal(rebuild_topology(positions, comm_radius, max_degree), want)
 
 
 def test_rebuild_topology_tolerates_disconnection():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from netdecide.config import ConfigError
 from netdecide.mobility import rebuild_topology
 from netdecide.network import (DataStream, Links, TopologyError,
-                               _exp, _log, build_streams, close_component_count,
+                               _exp, _log, _prune_degrees, build_streams,
+                               close_component_count,
                                component_count, corner_models,
                                draw_noise_profile, generate_models,
                                generate_topology, link_index, network_from_json,
@@ -355,6 +356,115 @@ def test_generate_topology_matches_global_check_prune(n_agents, radius):
         positions, links = generate_topology(n_agents, 7, radius, seed=seed)
         assert np.array_equal(dense(links), want[0])
         assert np.array_equal(positions, want[1])
+
+
+def walk_prune(adjacency, sqdist, max_degree, keep_connected):
+    """The degree prune as a per-link walk, longest link first, with the
+    local reroute test of :func:`walk_reaches` for ``keep_connected``.
+    Kept as the reference the array form must reproduce bit for bit."""
+    deg = adjacency.sum(axis=0)
+    if (deg <= max_degree).all():
+        return True
+    iu, ju = np.triu_indices_from(adjacency, k=1)
+    present = adjacency[iu, ju]
+    ea, eb = iu[present], ju[present]
+    order = np.argsort(-sqdist[ea, eb], kind="stable")
+    deg = deg.tolist()
+    if keep_connected:
+        nbrs = [set(np.flatnonzero(row).tolist()) - {k}
+                for k, row in enumerate(adjacency)]
+    cut_a, cut_b = [], []
+    for a, b in zip(ea[order].tolist(), eb[order].tolist()):
+        if deg[a] <= max_degree and deg[b] <= max_degree:
+            continue
+        if keep_connected:
+            nbrs[a].discard(b)
+            nbrs[b].discard(a)
+            if nbrs[a].isdisjoint(nbrs[b]) and not walk_reaches(nbrs, a, b):
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+                continue
+        cut_a.append(a)
+        cut_b.append(b)
+        deg[a] -= 1
+        deg[b] -= 1
+    adjacency[cut_a, cut_b] = False
+    adjacency[cut_b, cut_a] = False
+    return max(deg) <= max_degree
+
+
+def walk_reaches(nbrs, a, b):
+    """Whether ``b`` can be reached from ``a`` over the neighbor sets, by a
+    breadth-first search that stops as soon as it sees ``b``."""
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        grown = []
+        for v in frontier:
+            if b in nbrs[v]:
+                return True
+            fresh = nbrs[v] - seen
+            seen |= fresh
+            grown.extend(fresh)
+        frontier = grown
+    return False
+
+
+def connected_radius_graph(rng, n_agents, radius, snapped):
+    """``(adjacency, d2)`` of a connected radius graph on the unit square,
+    the share ``snapped`` of its points on a lattice of spacing 1/12, where
+    distances tie."""
+    while True:
+        positions = rng.random((n_agents, 2))
+        snap = rng.random(n_agents) < snapped
+        positions[snap] = np.round(positions[snap] * 12) / 12
+        d2 = squared_distances(positions)
+        adjacency = d2 <= radius * radius
+        np.fill_diagonal(adjacency, True)
+        if component_count(adjacency) == 1:
+            return adjacency, d2
+
+
+@pytest.mark.parametrize("n_agents, radius", [(20, 0.4), (80, 0.22), (150, 0.18),
+                                              (320, 0.22)])
+def test_prune_matches_the_walk_on_radius_graphs(n_agents, radius):
+    rng = np.random.default_rng(n_agents)
+    refused = set()
+    for max_degree in (2, 3, 4, 7):
+        for snapped in (0.0, 0.0, 0.0, 0.5, 0.5, 0.5):
+            adjacency, d2 = connected_radius_graph(rng, n_agents, radius, snapped)
+            for keep_connected in (False, True):
+                want, got = adjacency.copy(), adjacency.copy()
+                fits = walk_prune(want, d2, max_degree, keep_connected)
+                assert _prune_degrees(got, d2, max_degree, keep_connected) is fits
+                assert np.array_equal(got, want)
+                if not keep_connected:
+                    # the walk refuses a cut exactly when the forced cuts
+                    # disconnect the graph
+                    refused.add(component_count(want) > 1)
+    assert refused == {False, True}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_prune_of_a_dense_world_stays_within_one_distance_matrix(seed):
+    # about 100k links at N=1280; the walk held all pairs' indices and
+    # per-agent neighbor sets, 38.5 MB. The forced cuts of seed 1 keep the
+    # graph connected; seed 0 refuses a cut and finishes with the walk
+    positions = np.random.default_rng(seed).random((1280, 2))
+    d2 = squared_distances(positions)
+    adjacency = d2 <= 0.22 ** 2
+    np.fill_diagonal(adjacency, True)
+    want = adjacency.copy()
+    assert walk_prune(want, d2, 7, keep_connected=True)
+    tracemalloc.start()
+    try:
+        fits = _prune_degrees(adjacency, d2, 7, keep_connected=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fits is True
+    assert np.array_equal(adjacency, want)
+    assert peak < d2.nbytes
 
 
 def test_generate_topology_gives_up_when_radius_too_small():
