@@ -34,7 +34,7 @@ def _add_common(parser, trials=True):
     g.add_argument("--max-degree", dest="max_degree", type=int,
                    help="cap on closed neighborhood size (agent plus neighbors)")
     g.add_argument("--radius", type=float,
-                   help="connection radius for the random geometric layout")
+                   help="link radius: unit-square lengths, body lengths for mobile")
     g.add_argument("--alpha", type=float,
                    help="squared-distance threshold for the clustering test")
     g.add_argument("--beta", type=float,
@@ -89,8 +89,7 @@ def build_parser():
 
     p = sub.add_parser("decide", help="agents settle on one common model")
     _add_common(p)
-    p.set_defaults(func=lambda a: _run_command("decide", a),
-                   save_trajectories=False)
+    p.set_defaults(func=lambda a: _run_command("decide", a))
 
     p = sub.add_parser("follow", help="agents track one informed agent's model")
     _add_common(p)
@@ -99,14 +98,11 @@ def build_parser():
     p.add_argument("--reassign-at", dest="reassign_at", type=int, nargs="*",
                    metavar="ITER",
                    help="iterations at which the target's model is redrawn")
-    p.set_defaults(func=lambda a: _run_command("follow", a),
-                   save_trajectories=False)
+    p.set_defaults(func=lambda a: _run_command("follow", a))
 
     p = sub.add_parser("mobile", help="moving agents gather at a chosen model")
     _add_common(p)
     m = p.add_argument_group("motion")
-    m.add_argument("--comm-radius", dest="comm_radius", type=float,
-                   help="communication radius in body lengths")
     m.add_argument("--start-extent", dest="start_extent", type=float,
                    help="half-width of the centered square the swarm "
                         "takes off from")
@@ -118,16 +114,15 @@ def build_parser():
     m.add_argument("--repulse-radius", dest="repulse_radius", type=float)
     m.add_argument("--snapshot-iters", dest="snapshot_iters", type=int,
                    nargs="+", metavar="ITER",
-                   help="iterations at which positions are recorded")
-    m.add_argument("--save-trajectories", action="store_true",
-                   help="write per-trial position snapshots")
+                   help="iterations at which positions are written to each "
+                        "trial's trajectory CSV (none by default)")
     p.set_defaults(func=lambda a: _run_command("mobile", a))
 
     p = sub.add_parser("sweep", help="repeat a batch across model counts")
     _add_common(p, trials=False)
     p.add_argument("--model-counts", type=int, nargs="+", required=True,
                    metavar="C", help="model counts to sweep over")
-    p.set_defaults(func=_cmd_sweep, save_trajectories=False)
+    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -180,7 +175,6 @@ def _run_command(mode, args):
         config, n_jobs=args.jobs,
         keep_records=not args.summary_only,
         check_invariants=args.check_invariants,
-        trajectories=args.save_trajectories,
         export_networks=args.export_networks,
     )
     _write_outputs(summary, _out_dir(args), args.quiet)

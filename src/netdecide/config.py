@@ -8,6 +8,10 @@ names of :class:`ExperimentConfig`, with optional ``"mode"`` (default
 ``"decide"``) and ``"schema"`` keys; it may name only some fields. Agent
 ids (``target_agent``) are 1-based here, matching every external
 artifact.
+
+``radius`` is the link radius of every network: unit-square lengths for
+decide and follow, body lengths for mobile. Mobile runs record positions
+at the ``snapshot_iters`` iterations, none by default.
 """
 
 from __future__ import annotations
@@ -66,27 +70,26 @@ class ExperimentConfig:
     early_stop: bool = True
     target_agent: int | None = None
     reassign_at: tuple[int, ...] = ()
-    comm_radius: float = 11.0
-    start_extent: float = 25.0
+    start_extent: float = 50.0
     max_speed: float = 1.0
     goal_gain: float = 0.6
     align_gain: float = 0.3
     repulse_gain: float = 0.1
     repulse_radius: float = 1.0
-    snapshot_iters: tuple[int, ...] = (1, 200, 500, 1000)
+    snapshot_iters: tuple[int, ...] = ()
 
     # mode-specific defaults layered on top of the field defaults above;
     # mobile squared-distance thresholds scale with the coordinate range,
-    # and the link radius/degree cap open up so votes can cascade through
-    # the dense mid-flight crowd (a cap of 7 starves cross-group links
-    # once the swarm starts sorting itself spatially)
+    # its link radius is in body lengths, and its degree cap opens up so
+    # votes can cascade through the dense mid-flight crowd (a cap of 7
+    # starves cross-group links once the swarm starts sorting itself
+    # spatially)
     MODE_DEFAULTS = {
         "decide": {},
         "follow": {"n_models": 4, "target_agent": 10, "max_iters": 1400},
         "mobile": {"n_models": 4, "dim": 2, "model_range": (-50.0, 50.0),
                    "alpha": 100.0, "beta": 200.0, "max_iters": 1000,
-                   "comm_radius": 22.0, "max_degree": 80,
-                   "start_extent": 50.0},
+                   "radius": 22.0, "max_degree": 80},
     }
 
     def __post_init__(self):
@@ -136,15 +139,15 @@ class ExperimentConfig:
              "sigma_v2_range must be positive and ordered")
         need(c.reg_power_range[0] > 0 and c.reg_power_range[1] >= c.reg_power_range[0],
              "reg_power_range must be positive and ordered")
-        need(all(1 <= i <= c.max_iters for i in c.reassign_at),
-             "reassign_at iterations must lie in [1, max_iters]")
+        for name in ("reassign_at", "snapshot_iters"):
+            need(all(1 <= i <= c.max_iters for i in getattr(c, name)),
+                 f"{name} iterations must lie in [1, max_iters]")
         if c.mode == "follow":
             need(c.target_agent is not None, "follow mode needs target_agent")
             need(1 <= c.target_agent <= c.n_agents,
                  "target_agent must be a 1-based agent id")
         if c.mode == "mobile":
             need(c.dim == 2, "mobile mode requires dim == 2")
-            need(c.comm_radius > 0, "comm_radius must be positive")
             need(c.start_extent > 0, "start_extent must be positive")
             need(c.max_speed > 0, "max_speed must be positive")
             # the speed rescale divides by max(|blend|, goal_gain)

@@ -37,7 +37,7 @@ def trial_seeds(master_seed, n_trials):
 
 
 def run_single_trial(config, trial_seed, *, check_invariants=False,
-                     trajectories=False, export_network=False):
+                     export_network=False):
     """Build one seeded world and run the configured mode on it.
 
     Returns ``(record, network_doc_or_None)``; a diverged trial comes back
@@ -53,7 +53,7 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
         positions = np.random.default_rng(topo_ss).uniform(
             center - config.start_extent, center + config.start_extent,
             size=(config.n_agents, 2))
-        links = link_grid(rebuild_topology(positions, config.comm_radius, config.max_degree))
+        links = link_grid(rebuild_topology(positions, config.radius, config.max_degree))
     else:
         positions, links = generate_topology(config.n_agents, config.max_degree,
                                              config.radius, seed=topo_ss)
@@ -80,19 +80,11 @@ def run_single_trial(config, trial_seed, *, check_invariants=False,
             record = run_follow(config, links, models, assignment, streams,
                                 check_invariants=check_invariants)
         else:
-            driver = MotionDriver(
-                config, positions, links, models,
-                snapshot_iters=config.snapshot_iters if trajectories else (),
-            )
             record = run_decision(config, links, models, assignment, streams,
                                   check_invariants=check_invariants,
-                                  motion=driver)
+                                  motion=MotionDriver(config, positions, links, models))
     except DivergenceError:
-        record = RunRecord.failed(
-            config.mode, config.max_iters, models, assignment,
-            config.beta, config.t_hold,
-            target_agent=config.target_agent - 1 if config.mode == "follow" else None,
-        )
+        record = RunRecord.failed(config, models, assignment)
     return record, network_doc
 
 
@@ -192,7 +184,7 @@ def summarize(config, records, networks=None, keep_records=False):
 
 
 def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=False,
-                    trajectories=False, export_networks=False):
+                    export_networks=False):
     """Run ``config.n_trials`` independent trials and aggregate them.
 
     ``n_jobs`` > 1 fans trials out to worker processes; results are
@@ -203,7 +195,7 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
     config.validate()
     seeds = trial_seeds(config.seed, config.n_trials)
     trial = partial(run_single_trial, config, check_invariants=check_invariants,
-                    trajectories=trajectories, export_network=export_networks)
+                    export_network=export_networks)
     if n_jobs == 1:
         outcomes = [trial(ss) for ss in seeds]
     else:

@@ -56,12 +56,12 @@ def step_motion(pos, vel, targets, adjacency, config):
     return pos + new_vel, new_vel
 
 
-def rebuild_topology(positions, comm_radius, max_degree):
+def rebuild_topology(positions, radius, max_degree):
     """Adjacency of the radius graph of the current positions, an N x N
     boolean matrix with a True diagonal, with the degree cap applied;
     connectivity is not required."""
     d2 = squared_distances(positions)
-    adjacency = d2 <= comm_radius * comm_radius
+    adjacency = d2 <= radius * radius
     np.fill_diagonal(adjacency, True)
     _prune_degrees(adjacency, d2, max_degree, keep_connected=False)
     return adjacency
@@ -70,21 +70,21 @@ def rebuild_topology(positions, comm_radius, max_degree):
 class MotionDriver:
     """Steps the swarm inside the decision loop and samples trajectories.
 
-    ``config`` supplies the motion law's gains and the communication
-    radius and degree cap of the per-round topology rebuild; ``links`` are
+    ``config`` supplies the motion law's gains, the link radius and degree
+    cap of the per-round topology rebuild and the iterations at which
+    positions are sampled (``snapshot_iters``); ``links`` are
     the swarm's links at ``positions``, which each step replaces with the
     links at the new positions. A non-finite velocity raises
     :class:`~netdecide.network.DivergenceError`, which the harness records
     as a diverged trial.
     """
 
-    def __init__(self, config, positions, links, models, snapshot_iters=()):
+    def __init__(self, config, positions, links, models):
         self.config = config
         self.positions = np.array(positions, dtype=float)
         self.links = links
         self.velocities = np.zeros_like(self.positions)
         self.models = np.atleast_2d(models)
-        self.snapshot_iters = set(snapshot_iters)
         self.blocks = []
         self.max_observed_speed = 0.0
 
@@ -97,12 +97,12 @@ class MotionDriver:
         if speed > self.config.max_speed * (1 + 1e-9):
             raise AssertionError(f"speed cap violated at iteration {iteration}: {speed}")
         self.max_observed_speed = max(self.max_observed_speed, speed)
-        if iteration in self.snapshot_iters:
+        if iteration in self.config.snapshot_iters:
             n = len(targets)
             labels = squared_distances(targets, self.models).argmin(axis=1)
             self.blocks.append(np.column_stack(
                 [np.full(n, iteration), np.arange(n), self.positions, labels]))
-        self.links = link_grid(rebuild_topology(self.positions, self.config.comm_radius,
+        self.links = link_grid(rebuild_topology(self.positions, self.config.radius,
                                                 self.config.max_degree))
 
     def trajectory(self):

@@ -411,12 +411,16 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     Raises
     ------
     TopologyError
-        If no feasible placement is found within ``max_tries`` attempts.
+        At once if no connected graph meets the cap, or if no feasible
+        placement is found within ``max_tries`` attempts.
     """
     if n_agents < 1:
         raise TopologyError("n_agents must be positive")
-    if max_degree < 1:
-        raise TopologyError("max_degree must be at least 1 (the self-loop)")
+    # a closed degree of 2 allows one neighbor, of 1 none
+    least = min(n_agents, 3)
+    if max_degree < least:
+        raise TopologyError(f"no connected topology of {n_agents} agents has closed "
+                            f"degree <= {max_degree}; need max_degree >= {least}")
     if radius <= 0:
         raise TopologyError("radius must be positive")
     rng = np.random.default_rng(seed)

@@ -110,25 +110,29 @@ class RunRecord:
         return True
 
     @classmethod
-    def failed(cls, mode, n_iters, models, assignment, threshold, t_hold,
-               target_agent=None):
-        """Stub for a trial that blew up: no curves, counted as a failure."""
+    def failed(cls, config, models, assignment):
+        """Stub for a trial of ``config`` that blew up: no curves, counted
+        as a failure. A follow stub names the target and has a zero
+        coverage curve."""
+        follow = config.mode == "follow"
+        n_iters = config.max_iters
         models = np.atleast_2d(models)
         n = len(assignment)
         return cls(
-            mode=mode, n_iters=n_iters,
+            mode=config.mode, n_iters=n_iters,
             msd_observed=np.full((n_iters, models.shape[0]), np.nan),
             msd_desired=np.full(n_iters, np.nan),
             all_agreed=np.zeros(n_iters, dtype=bool),
             n_desired_models=np.zeros(n_iters, dtype=int),
-            source_coverage=np.zeros(n_iters, dtype=int) if mode == "follow" else None,
+            source_coverage=np.zeros(n_iters, dtype=int) if follow else None,
             models=models, assignment=np.asarray(assignment, dtype=int),
             final_w=np.full((n, models.shape[1]), np.nan),
             final_agreement=np.zeros(n),
             switch_adopt=np.zeros(n, dtype=int),
             switch_random=np.zeros(n, dtype=int),
-            success=False, final_model=None, target_agent=target_agent,
-            threshold=threshold, t_hold=t_hold, diverged=True,
+            success=False, final_model=None,
+            target_agent=config.target_agent - 1 if follow else None,
+            threshold=config.beta, t_hold=config.t_hold, diverged=True,
         )
 
 

@@ -3,6 +3,7 @@ writes, and where configuration values come from."""
 
 import json
 
+import numpy as np
 import pytest
 
 from netdecide.cli import main
@@ -64,15 +65,15 @@ def test_negative_seed_exits_with_code_2(tmp_path, capsys):
 
 
 def test_unmeetable_degree_cap_exits_with_code_2(tmp_path, capsys):
-    # a closed degree of 1 leaves no link, so the prune refuses the cuts
-    # that would disconnect every world and reports that the cap is not met
+    # a closed degree of 1 leaves no link, so no world of 12 agents is
+    # connected and no placement is tried
     code = main(["decide", "--agents", "12", "--radius", "0.5", "--max-degree", "1",
                  "--iters", "20", "--t-hold", "5", "--out-dir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: no connected topology with closed degree <= 1 found for 12 agents "
-        "at radius 0.5 after 50 tries"]
+        "error: no connected topology of 12 agents has closed degree <= 1; "
+        "need max_degree >= 3"]
     assert "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
 
@@ -111,9 +112,10 @@ def test_bad_config_file_exits_with_code_2(tmp_path, capsys, make_config):
      ["summary.json", "trial_001.csv", "trial_001.json", "trial_001_network.json"]),
     ("follow", ["--target-agent", "2"],
      ["summary.json", "trial_001.csv", "trial_001.json"]),
-    ("mobile", ["--save-trajectories", "--snapshot-iters", "1", "20"],
+    ("mobile", ["--snapshot-iters", "1", "20"],
      ["summary.json", "trial_001.csv", "trial_001.json", "trial_001_trajectory.csv"]),
     ("sweep", ["--model-counts", "1", "2"], ["sweep.json", "sweep.csv"]),
+    ("mobile", [], ["summary.json", "trial_001.csv", "trial_001.json"]),
 ])
 def test_tiny_runs_write_their_files(tmp_path, mode, extra, files):
     assert main([mode, *TINY, *extra, "--out-dir", str(tmp_path)]) == 0
@@ -122,6 +124,30 @@ def test_tiny_runs_write_their_files(tmp_path, mode, extra, files):
         doc = json.loads((tmp_path / "sweep.json").read_text())
         assert sorted(doc["batches"]) == ["1", "2"]
         assert (tmp_path / "sweep.csv").read_text().count("\n") == 3
+
+
+def test_mobile_radius_sets_the_swarm_links(tmp_path):
+    # agents start in a 4 x 4 square, so some pairs lie within radius 1
+    # and some do not; the cap of 80 cannot bind on 12 agents
+    assert main(["mobile", *TINY, "--radius", "1", "--start-extent", "2",
+                 "--export-networks", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "trial_001_network.json").read_text())
+    xy = np.array([[a["x"], a["y"]] for a in doc["agents"]])
+    near = ((xy[:, None] - xy[None]) ** 2).sum(axis=2) <= 1.0
+    want = [[a + 1, b + 1] for a, b in zip(*np.nonzero(np.triu(near, 1)))]
+    assert doc["links"] == want and 0 < len(want) < 66
+
+
+@pytest.mark.parametrize("iters", ["0", "21"])
+def test_snapshot_outside_the_run_exits_with_code_2(tmp_path, capsys, iters):
+    code = main(["mobile", *TINY, "--snapshot-iters", "1", iters,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: snapshot_iters iterations must lie in [1, max_iters]"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_flag_beats_config_file(tmp_path, capsys):

@@ -28,15 +28,15 @@ GOLDEN = {
     # N=20 at radius 0.4 sits over the degree cap, so world build prunes
     "decide": (dict(n_agents=20, n_models=2, radius=0.4, max_iters=300,
                     n_trials=4, seed=7),
-               "8b26683081957e947e72edf188dd64de53a5ee07dd7f9c6bef886a92226cb730"),
+               "6c66947956330e2f38bd7527ef85567b871c73978d6c23c71507147d06fcc4d9"),
     "follow": (dict(n_agents=20, n_models=3, radius=0.4, target_agent=3,
                     max_iters=200, n_trials=4, seed=11),
-               "9deb3e0b6b7d6437bd4172c896fbf44a8666f1db81ea4e833a67ca1b6897d18e"),
+               "9c0bd5298453404d3329e06dbd822f57e4011ad67624a3bad17c34bf165d08d4"),
     # a degree cap of 5 makes every per-round rebuild prune without the
     # connectivity constraint
-    "mobile": (dict(n_agents=20, max_iters=150, max_degree=5, comm_radius=30.0,
+    "mobile": (dict(n_agents=20, max_iters=150, max_degree=5, radius=30.0,
                     n_trials=4, seed=13),
-               "60e03c63113fd43a6ca64839eba6eefc505dac4de50b90613d04478251193ce2"),
+               "ac2585205a89bef052f1623ab83832a4f28934f7ff97d4b65ffd255ef5f576f9"),
 }
 
 
@@ -71,7 +71,7 @@ def test_mobile_record_digest_is_pinned():
     overrides, _ = GOLDEN["mobile"]
     config = ExperimentConfig.for_mode("mobile", **overrides,
                                        snapshot_iters=(1, 75, 150))
-    summary = run_monte_carlo(config, keep_records=True, trajectories=True)
+    summary = run_monte_carlo(config, keep_records=True)
     assert records_digest(summary) == MOBILE_RECORDS
 
 

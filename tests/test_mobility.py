@@ -140,7 +140,7 @@ def test_step_motion_matches_all_pairs_law(seed, n, extent, coincident, link,
 def test_rebuild_topology_matches_brute_force(rng):
     for _ in range(10):
         pts = rng.uniform(-30, 30, (15, 2))
-        adjacency = rebuild_topology(pts, comm_radius=12.0, max_degree=100)
+        adjacency = rebuild_topology(pts, radius=12.0, max_degree=100)
         for i in range(15):
             for j in range(15):
                 want = ((pts[i] - pts[j]) ** 2).sum() <= 144.0
@@ -149,30 +149,30 @@ def test_rebuild_topology_matches_brute_force(rng):
 
 def test_rebuild_topology_applies_degree_cap():
     pts = np.zeros((9, 2))
-    adjacency = rebuild_topology(pts, comm_radius=5.0, max_degree=4)
+    adjacency = rebuild_topology(pts, radius=5.0, max_degree=4)
     assert adjacency.sum(axis=0).max() <= 4
     assert adjacency.diagonal().all()
 
 
-@pytest.mark.parametrize("n, comm_radius, max_degree", [
+@pytest.mark.parametrize("n, radius, max_degree", [
     (15, 20.0, 3), (40, 14.0, 5), (80, 22.0, 7), (80, 11.0, 2), (150, 9.0, 12)])
-def test_rebuild_topology_prune_matches_the_walk(rng, n, comm_radius, max_degree):
+def test_rebuild_topology_prune_matches_the_walk(rng, n, radius, max_degree):
     for snapped in (False, True):
         positions = rng.uniform(-30, 30, (n, 2))
         if snapped:
             # every other agent on a lattice of spacing 3, where distances tie
             positions[::2] = np.round(positions[::2] / 3) * 3
         d2 = squared_distances(positions)
-        want = d2 <= comm_radius * comm_radius
+        want = d2 <= radius * radius
         np.fill_diagonal(want, True)
         assert want.sum(axis=0).max() > max_degree, "the cap does not bind"
         walk_prune(want, d2, max_degree, keep_connected=False)
-        assert np.array_equal(rebuild_topology(positions, comm_radius, max_degree), want)
+        assert np.array_equal(rebuild_topology(positions, radius, max_degree), want)
 
 
 def test_rebuild_topology_tolerates_disconnection():
     pts = np.array([[0.0, 0.0], [100.0, 0.0]])
-    adjacency = rebuild_topology(pts, comm_radius=5.0, max_degree=7)
+    adjacency = rebuild_topology(pts, radius=5.0, max_degree=7)
     assert not adjacency[0, 1]
     assert component_count(adjacency) == 2
 
@@ -180,14 +180,14 @@ def test_rebuild_topology_tolerates_disconnection():
 def test_motion_driver_samples_requested_snapshots():
     models = np.array([[-50.0, -50.0], [50.0, 50.0]])
     positions = np.array([[-40.0, -40.0], [40.0, 40.0], [0.0, 1.0]])
-    links = link_grid(rebuild_topology(positions, PARAMS.comm_radius, PARAMS.max_degree))
-    driver = MotionDriver(PARAMS, positions, links, models, snapshot_iters=(1, 3))
+    links = link_grid(rebuild_topology(positions, PARAMS.radius, PARAMS.max_degree))
+    driver = MotionDriver(PARAMS.replace(snapshot_iters=(1, 3)), positions, links, models)
     targets = np.array([[-50.0, -50.0], [50.0, 50.0], [50.0, 50.0]])
     for i in (1, 2, 3):
         driver.step(i, targets)
         # each step replaces the graph with the one at the new positions
         assert np.array_equal(driver.links.mask, rebuild_topology(
-            driver.positions, PARAMS.comm_radius, PARAMS.max_degree))
+            driver.positions, PARAMS.radius, PARAMS.max_degree))
     rows = driver.trajectory()
     assert rows.shape == (6, 5)
     assert set(rows[:, 0]) == {1.0, 3.0}
@@ -221,9 +221,9 @@ def test_non_finite_motion_records_a_diverged_trial(monkeypatch):
 
 
 def test_seeded_swarm_reaches_one_source():
-    cfg = ExperimentConfig.for_mode("mobile", n_trials=1, seed=0)
-    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0],
-                                 trajectories=True)
+    cfg = ExperimentConfig.for_mode("mobile", n_trials=1, seed=0,
+                                    snapshot_iters=(1, 200, 500, 1000))
+    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0])
     assert record.success
     assert record.max_speed_observed <= cfg.max_speed * (1 + 1e-9)
     assert record.final_positions.shape == (cfg.n_agents, 2)

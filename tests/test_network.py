@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netdecide.network
 from netdecide.config import ConfigError
 from netdecide.mobility import rebuild_topology
 from netdecide.network import (DataStream, Links, TopologyError,
@@ -272,7 +273,7 @@ def test_links_of_every_network_keep_the_contract(rng):
     produced.append(network_from_json(network_to_json(*networks[0], np.zeros((1, 2))))[1])
     for _ in range(4):
         produced.append(link_index(rebuild_topology(rng.uniform(-30, 30, (15, 2)),
-                                                    comm_radius=12.0, max_degree=5)))
+                                                    radius=12.0, max_degree=5)))
     for links in produced:
         check_links(links)
     # and the checks catch links that break it: one end of a pair dropped,
@@ -470,6 +471,24 @@ def test_prune_of_a_dense_world_stays_within_one_distance_matrix(seed):
 def test_generate_topology_gives_up_when_radius_too_small():
     with pytest.raises(TopologyError):
         generate_topology(40, max_degree=7, radius=0.01, seed=0, max_tries=5)
+
+
+def test_unmeetable_degree_cap_raises_before_any_placement(monkeypatch):
+    # a closed degree of 2 allows one neighbor, so only two agents connect
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _prune_degrees(*args, **kwargs)
+
+    monkeypatch.setattr(netdecide.network, "_prune_degrees", counted)
+    for n_agents, max_degree in ((320, 2), (3, 2), (12, 1), (2, 1)):
+        with pytest.raises(TopologyError, match=f"need max_degree >= {min(n_agents, 3)}"):
+            generate_topology(n_agents, max_degree, radius=0.22, seed=0)
+    assert calls == []
+    positions, links = generate_topology(2, 2, radius=1.5, seed=0)
+    assert positions.shape == (2, 2)
+    assert np.array_equal(dense(links), np.ones((2, 2), dtype=bool))
 
 
 def test_two_clique_topology_structure():

@@ -40,8 +40,7 @@ def test_mobile_record_round_trip_keeps_trajectory():
     cfg = ExperimentConfig.for_mode("mobile", n_agents=20, max_iters=120,
                                     n_trials=1, seed=1,
                                     snapshot_iters=(1, 50, 120))
-    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0],
-                                 trajectories=True)
+    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0])
     again = parse_record(*serialize_record(record))
     assert again == record
     assert again.trajectory.shape == record.trajectory.shape
@@ -83,8 +82,7 @@ def test_trajectory_ids_are_one_based_on_disk():
     cfg = ExperimentConfig.for_mode("mobile", n_agents=10, max_iters=30,
                                     t_hold=10, n_trials=1, seed=2,
                                     snapshot_iters=(1, 30))
-    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0],
-                                 trajectories=True)
+    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0])
     rows = list(csv.reader(io.StringIO(trajectory_to_csv(record))))
     assert rows[0] == ["iter", "agent", "x", "y", "desired_label"]
     agents = {int(r[1]) for r in rows[1:]}
@@ -102,10 +100,12 @@ def test_save_and_load_files(tmp_path):
     assert load_record(tmp_path, "trial_007") == record
 
 
+STUB_CONFIG = ExperimentConfig.for_mode("decide", max_iters=40, t_hold=40)
+
+
 def test_failed_stub_shape_and_flags():
     models = np.array([[0.0, 0.0], [1.0, 1.0]])
-    stub = RunRecord.failed("decide", 40, models, np.zeros(6, dtype=int),
-                            threshold=0.08, t_hold=50)
+    stub = RunRecord.failed(STUB_CONFIG, models, np.zeros(6, dtype=int))
     assert stub.diverged and not stub.success
     assert np.isnan(stub.msd_observed).all()
     assert stub.msd_observed.shape == (40, 2)
@@ -115,8 +115,7 @@ def test_failed_stub_shape_and_flags():
 
 def test_failed_stub_sidecar_is_strict_json():
     models = np.array([[0.0, 0.0], [1.0, 1.0]])
-    stub = RunRecord.failed("decide", 40, models, np.zeros(6, dtype=int),
-                            threshold=0.08, t_hold=50)
+    stub = RunRecord.failed(STUB_CONFIG, models, np.zeros(6, dtype=int))
     csv_text, json_text, traj = serialize_record(stub)
     doc = strict_json(json_text)
     assert doc["final_w"] == [[None, None]] * 6
@@ -162,7 +161,7 @@ def mobile_record():
     """A record with every optional field set."""
     cfg = ExperimentConfig.for_mode("mobile", n_agents=12, max_iters=30, t_hold=5,
                                     n_trials=1, seed=2, snapshot_iters=(1, 30))
-    return run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0], trajectories=True)[0]
+    return run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0])[0]
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunRecord)])
