@@ -21,10 +21,10 @@ building the relation, and the noise draw takes its exponential and
 logarithm from :func:`_exp` and :func:`_log`, which use no math library.
 
 A degree-capped radius graph (:func:`generate_topology`, and each rebuild
-of a swarm's) sheds its longest links at over-degree agents in one pass of
-sorts over the links, :func:`_prune_degrees`. It falls back to a per-link
-walk only after the first cut that would disconnect a static network, so
-it takes the walk's decisions without its Python loop over every link.
+of a swarm's) sheds its longest links at over-degree agents by sorts over
+the links, :func:`_prune_degrees`. A static network repeats that pass after
+each cut that would disconnect it, so the prune takes the decisions of a
+walk over the links, longest first, without a loop over every link.
 """
 
 from __future__ import annotations
@@ -162,22 +162,15 @@ def pairwise_close(points, threshold, links):
 
 
 def component_count(close):
-    """Number of connected components of a symmetric boolean relation."""
-    return int(_component_labels(close).max(initial=-1)) + 1
-
-
-def _component_labels(close):
-    """Each agent's component in a symmetric boolean relation, numbered
-    0, 1, ... in the order of the components' lowest agents.
+    """Number of connected components of a symmetric boolean relation.
 
     A frontier sweep: a breadth-first search from the first agent no
-    earlier search reached, repeated until every agent is reached; the
-    searches number the components. Each level reads the rows of the
-    frontier, which the symmetry makes equal to its columns.
+    earlier search reached, repeated until every agent is reached. Each
+    level reads the rows of the frontier, which the symmetry makes equal to
+    its columns.
     """
     close = np.asarray(close, dtype=bool)
     unreached = np.ones(close.shape[0], dtype=bool)
-    labels = np.empty(close.shape[0], dtype=int)
     count = 0
     while unreached.any():
         root = unreached.argmax()
@@ -185,10 +178,33 @@ def _component_labels(close):
         frontier[root] = True
         while frontier.any():
             unreached &= ~frontier
-            labels[frontier] = count
             frontier = close[frontier].any(axis=0) & unreached
         count += 1
-    return labels
+    return count
+
+
+def _link_labels(n, a, b):
+    """Each of ``n`` agents' component in the graph of the links
+    (``a[i]``, ``b[i]``): the lowest agent of the component.
+
+    Each agent points at an agent of its component, never a higher one.
+    Every link whose ends point at different agents hooks the higher of the
+    two onto the lower, the lowest offer winning, and then every agent
+    points where its target points (pointer jumping). The search ends when
+    every pointer is a root and the ends of every link share it: the
+    component's lowest agent, which can point nowhere lower.
+    """
+    parent = np.arange(n)
+    while True:
+        at_a, at_b = parent[a], parent[b]
+        if (at_a == at_b).all():
+            grand = parent[parent]
+            if (grand == parent).all():
+                return parent
+            parent = grand
+            continue
+        np.minimum.at(parent, np.maximum(at_a, at_b), np.minimum(at_a, at_b))
+        parent = parent[parent]
 
 
 def close_component_count(points, threshold):
@@ -237,67 +253,88 @@ def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     graph (disconnect a connected graph). Returns True when every closed
     degree ends up <= max_degree.
 
-    The walk is taken in array form, which rests on two facts:
+    The walk is taken in passes of array operations, which rest on two facts:
 
     1. An agent over the cap loses every link, in order, until it reaches
        the cap. So with no connectivity rule a link is cut exactly when its
-       rank among either endpoint's links is below that endpoint's excess
-       (closed degree - max_degree): the forced cuts of
-       :func:`_forced_cuts`. Degrees only fall, so a link whose endpoints
-       both start within the cap is never cut, and is left out.
+       rank among either endpoint's links (:func:`_ranks`) is below that
+       endpoint's excess (closed degree - max_degree): the forced cuts.
+       Degrees only fall, so a link whose endpoints both start within the
+       cap is never cut, and is left out.
     2. With ``keep_connected``, the first cut the walk refuses is the first
-       forced cut that disconnects the graph (splits a component). If the
-       graph stays connected after every forced cut (keeps its components),
-       no cut is refused, because every graph along the way holds that
-       result. Otherwise the refused link joins two components of the
-       pruned graph, and :func:`_first_refusal` finds it from the
-       component labels. The cuts from it on are restored, and the walk
-       itself (:func:`_walk`) finishes over the links after it.
+       forced cut that splits a component of the graph. If none does, no
+       cut is refused, because every graph along the way keeps the
+       components. Otherwise the refused link joins two components of the
+       graph with every forced cut made, and :func:`_first_refusal` finds
+       it from their labels (:func:`_link_labels`). The forced cuts before
+       it are made. The rest of the walk, over the links after it, starts
+       from the degrees so far and a graph with the same components, so it
+       is a walk of its own: repeat the pass.
+
+    Across passes the links keep their ranks, and each agent the bound
+    below which it cuts: an agent still over the cap has cut all its links
+    before the refused one, and one within the cap is past its bound. Only
+    the ends of the refused link raise their bounds by one; an end that was
+    due to cut it keeps it, and for the other end that changes nothing.
     """
     deg = adjacency.sum(axis=0)
-    excess = deg - max_degree
-    over = excess > 0
+    # each agent cuts its links of rank below its bound
+    bound = deg - max_degree
+    over = bound > 0
     if not over.any():
         return True
     a, b = np.nonzero(np.triu(adjacency, 1))
-    keep = over[a] | over[b]
-    # the narrowest agent ids: a stable sort of 8- or 16-bit ids is a radix sort
-    agent = np.min_scalar_type(deg.size - 1)
-    a, b = a[keep].astype(agent), b[keep].astype(agent)
+    walked = over[a] | over[b]
+    kept_a, kept_b = a[~walked], b[~walked]
+    a, b = a[walked], b[walked]
     order = np.argsort(-sqdist[a, b], kind="stable")
     a, b = a[order], b[order]
-    cut = _forced_cuts(a, b, excess)
-    cut_a, cut_b = a[cut], b[cut]
-    adjacency[cut_a, cut_b] = adjacency[cut_b, cut_a] = False
-    first = None
-    if keep_connected:
-        first = _first_refusal(_component_labels(adjacency), cut_a, cut_b)
-    if first is not None:
-        # the walk refuses cut `first`, so it has made none from it on
-        rest_a, rest_b = cut_a[first:], cut_b[first:]
-        adjacency[rest_a, rest_b] = adjacency[rest_b, rest_a] = True
-    deg -= np.bincount(np.concatenate([cut_a[:first], cut_b[:first]]), minlength=deg.size)
-    if first is None:
-        return bool((deg <= max_degree).all())
-    after = np.flatnonzero(cut)[first] + 1
-    return _walk(adjacency, deg, a[after:], b[after:], max_degree)
+    rank_a, rank_b = _ranks(a, b, deg.size)
+    made_a, made_b = [], []
+    while True:
+        cut = (rank_a < bound[a]) | (rank_b < bound[b])
+        stay = ~cut
+        first = None
+        if keep_connected:
+            labels = _link_labels(deg.size, np.concatenate([kept_a, a[stay]]),
+                                  np.concatenate([kept_b, b[stay]]))
+            cuts = np.flatnonzero(cut)
+            first = _first_refusal(labels, a[cuts], b[cuts])
+        # the cuts before the refused one are made, or all of them
+        end = a.size if first is None else cuts[first]
+        made_a.append(a[:end][cut[:end]])
+        made_b.append(b[:end][cut[:end]])
+        if first is None:
+            break
+        # the refused link stays, with the links before it that no end cut
+        stay[end] = True
+        kept_a = np.concatenate([kept_a, a[:end + 1][stay[:end + 1]]])
+        kept_b = np.concatenate([kept_b, b[:end + 1][stay[:end + 1]]])
+        bound[a[end]] += 1
+        bound[b[end]] += 1
+        rest = slice(end + 1, None)
+        a, b, rank_a, rank_b = a[rest], b[rest], rank_a[rest], rank_b[rest]
+    made_a, made_b = np.concatenate(made_a), np.concatenate(made_b)
+    adjacency[made_a, made_b] = adjacency[made_b, made_a] = False
+    deg -= np.bincount(np.concatenate([made_a, made_b]), minlength=deg.size)
+    return bool((deg <= max_degree).all())
 
 
-def _forced_cuts(a, b, excess):
-    """Which of the links (``a[i]``, ``b[i]``), listed in walk order, the
-    walk cuts with no connectivity rule: those among the first ``excess``
-    links of either endpoint. A stable sort of the link ends by agent
-    ranks each agent's links in walk order."""
-    ends = np.column_stack([a, b]).ravel()
+def _ranks(a, b, n):
+    """Each link's rank among the links of its end ``a[i]``, and among those
+    of its end ``b[i]``, for links listed in walk order and agents below
+    ``n``. A stable sort of the link ends by agent ranks each agent's links
+    in walk order."""
+    pairs = np.column_stack([a, b])
+    # the narrowest agent ids: a stable sort of 8- or 16-bit ids is a radix sort
+    ends = pairs.astype(np.min_scalar_type(n - 1)).ravel()
     by_agent = np.argsort(ends, kind="stable")
-    counts = np.bincount(ends, minlength=excess.size)
-    first = np.clip(excess, 0, counts)
-    # in the sorted ends, each agent's first `first` ends are cut
-    cut_sorted = np.repeat(np.tile([True, False], counts.size),
-                           np.column_stack([first, counts - first]).ravel())
-    cut = np.zeros(a.size, dtype=bool)
-    cut[by_agent[cut_sorted] // 2] = True
-    return cut
+    counts = np.bincount(ends, minlength=n)
+    # an end's place among the sorted ends, less its agent's first place
+    rank = np.empty(ends.size, dtype=np.intp)
+    rank[by_agent] = np.arange(ends.size)
+    rank = rank.reshape(pairs.shape) - (np.cumsum(counts) - counts)[pairs]
+    return rank[:, 0], rank[:, 1]
 
 
 def _first_refusal(labels, cut_a, cut_b):
@@ -312,71 +349,16 @@ def _first_refusal(labels, cut_a, cut_b):
     ends_a, ends_b = labels[cut_a], labels[cut_b]
     cross = np.flatnonzero(ends_a != ends_b)[::-1]
     parent = list(range(int(labels.max()) + 1))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     first = None
     for i, x, y in zip(cross.tolist(), ends_a[cross].tolist(), ends_b[cross].tolist()):
-        x, y = root(x), root(y)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
         if x != y:
             parent[x] = y
             first = i
     return first
-
-
-def _walk(adjacency, deg, a, b, max_degree):
-    """The prune's walk over the links (``a[i]``, ``b[i]``), in walk order,
-    from the closed degrees ``deg`` of ``adjacency``: cuts a link in place
-    when either endpoint is over the cap and the cut splits no component.
-    Returns True when every closed degree ends up <= max_degree.
-
-    Cutting link a-b splits its component exactly when b can no longer be
-    reached from a, because every agent of the component still reaches a or
-    b without the link. So the whole-graph check reduces to a local one: a
-    common neighbor of a and b settles it at once, and otherwise a search
-    from a stops as soon as it reaches b. Both make the keep/cut decision a
-    whole-graph check would.
-    """
-    keep = (deg[a] > max_degree) | (deg[b] > max_degree)
-    nbrs = [set(np.flatnonzero(row).tolist()) - {k}
-            for k, row in enumerate(adjacency)]
-    deg = deg.tolist()
-    cut_a, cut_b = [], []
-    for x, y in zip(a[keep].tolist(), b[keep].tolist()):
-        if deg[x] <= max_degree and deg[y] <= max_degree:
-            continue
-        nbrs[x].discard(y)
-        nbrs[y].discard(x)
-        if nbrs[x].isdisjoint(nbrs[y]) and not _reaches(nbrs, x, y):
-            nbrs[x].add(y)
-            nbrs[y].add(x)
-            continue
-        cut_a.append(x)
-        cut_b.append(y)
-        deg[x] -= 1
-        deg[y] -= 1
-    adjacency[cut_a, cut_b] = adjacency[cut_b, cut_a] = False
-    return max(deg) <= max_degree
-
-
-def _reaches(nbrs, a, b):
-    """Whether ``b`` can be reached from ``a`` over the neighbor sets, by a
-    breadth-first search that stops as soon as it sees ``b``."""
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        grown = []
-        for v in frontier:
-            if b in nbrs[v]:
-                return True
-            fresh = nbrs[v] - seen
-            seen |= fresh
-            grown.extend(fresh)
-        frontier = grown
-    return False
 
 
 def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
@@ -386,8 +368,8 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     ``radius``; over-degree agents then shed their longest links, longest
     first, except a link whose cut would disconnect the graph
     (:func:`_prune_degrees`: forced cuts found by sorting the links, the
-    per-link walk only after the first refused cut). Positions are
-    resampled until both the degree cap and connectivity hold.
+    pass repeated after each refused cut). Positions are resampled until
+    both the degree cap and connectivity hold.
 
     Parameters
     ----------

@@ -12,7 +12,8 @@ from netdecide.diffusion import (DivergenceError, adapt, aggregate,
                                  check_divergence, combination_weights,
                                  update_cluster_matrices)
 from netdecide.network import (DataStream, build_streams, draw_noise_profile,
-                               generate_models, generate_topology, link_grid)
+                               generate_models, generate_topology, link_grid,
+                               link_index)
 
 from conftest import NOISE_RANGES, build_world
 from test_links import dense, everyone
@@ -108,12 +109,18 @@ def test_belief_forms_after_sustained_proximity():
         smoothed = 0.995 * smoothed + 0.005
         t += 1
     assert t == 139
-    state = np.zeros((1, 1))
-    psi = np.zeros((1, 2))
-    for i in range(1, 140):
-        state = update_cluster_matrices(state, psi, psi, alpha=0.04, smoothing=0.005,
-                                        links=everyone(1))
-        assert bool(state[0, 0] >= 0.5) == (i >= 139)
+    # two agents whose estimates coincide from round 1, on either layout:
+    # the link between them is believed from round 139 on, and not before
+    psi = np.zeros((2, 2))
+    for links in (everyone(2), link_index(np.ones((2, 2), dtype=bool))):
+        smoothed = (links.rows == links.cols).astype(float)
+        between = np.broadcast_to(links.rows != links.cols, smoothed.shape)
+        for i in range(1, 141):
+            smoothed = update_cluster_matrices(smoothed, psi, psi, alpha=0.04,
+                                               smoothing=0.005, links=links)
+            believed = believed_neighborhoods(smoothed, links)
+            assert (believed[between] == (i >= 139)).all()
+            assert believed[~between].all()
 
 
 def test_established_belief_is_a_fixed_point():

@@ -11,7 +11,8 @@ import netdecide.network
 from netdecide.config import ConfigError
 from netdecide.mobility import rebuild_topology
 from netdecide.network import (DataStream, Links, TopologyError,
-                               _exp, _log, _prune_degrees, build_streams,
+                               _exp, _first_refusal, _link_labels, _log,
+                               _prune_degrees, build_streams,
                                close_component_count,
                                component_count, corner_models,
                                draw_noise_profile, generate_models,
@@ -115,22 +116,28 @@ def test_connectivity_and_components(rng):
 
 def oracle_component_count(close):
     """Components of a symmetric relation by a plain-Python graph search."""
+    return max(oracle_component_labels(close), default=-1) + 1
+
+
+def oracle_component_labels(close):
+    """Each agent's component of a symmetric relation, numbered 0, 1, ...
+    by a plain-Python graph search."""
     n = len(close)
-    seen = [False] * n
+    labels = [None] * n
     count = 0
     for root in range(n):
-        if seen[root]:
+        if labels[root] is not None:
             continue
-        count += 1
-        seen[root] = True
+        labels[root] = count
         stack = [root]
         while stack:
             v = stack.pop()
             for w in range(n):
-                if close[v][w] and not seen[w]:
-                    seen[w] = True
+                if close[v][w] and labels[w] is None:
+                    labels[w] = count
                     stack.append(w)
-    return count
+        count += 1
+    return labels
 
 
 @st.composite
@@ -163,6 +170,12 @@ def test_component_count_matches_graph_search_oracle(close):
     assert component_count(close) == want
     # self-loops do not join anything: the count holds without them
     assert component_count(close & ~np.eye(len(close), dtype=bool)) == want
+    # the prune's labels over a link list give the same partition, from
+    # every link or from each pair once without self-loops
+    want = np.array(oracle_component_labels(close.tolist()))
+    for links in (np.nonzero(close), np.nonzero(np.triu(close, 1))):
+        labels = _link_labels(len(close), *links)
+        assert np.array_equal(labels[:, None] == labels, want[:, None] == want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -428,7 +441,16 @@ def connected_radius_graph(rng, n_agents, radius, snapped):
 
 @pytest.mark.parametrize("n_agents, radius", [(20, 0.4), (80, 0.22), (150, 0.18),
                                               (320, 0.22)])
-def test_prune_matches_the_walk_on_radius_graphs(n_agents, radius):
+def test_prune_matches_the_walk_on_radius_graphs(n_agents, radius, monkeypatch):
+    # each pass that refuses a cut finds it with one call to _first_refusal
+    refusals = []
+
+    def counted(*args):
+        first = _first_refusal(*args)
+        refusals[-1] += first is not None
+        return first
+
+    monkeypatch.setattr(netdecide.network, "_first_refusal", counted)
     rng = np.random.default_rng(n_agents)
     refused = set()
     for max_degree in (2, 3, 4, 7):
@@ -437,6 +459,7 @@ def test_prune_matches_the_walk_on_radius_graphs(n_agents, radius):
             for keep_connected in (False, True):
                 want, got = adjacency.copy(), adjacency.copy()
                 fits = walk_prune(want, d2, max_degree, keep_connected)
+                refusals.append(0)
                 assert _prune_degrees(got, d2, max_degree, keep_connected) is fits
                 assert np.array_equal(got, want)
                 if not keep_connected:
@@ -444,13 +467,15 @@ def test_prune_matches_the_walk_on_radius_graphs(n_agents, radius):
                     # disconnect the graph
                     refused.add(component_count(want) > 1)
     assert refused == {False, True}
+    # some prune refuses two cuts or more, so it repeats the pass
+    assert max(refusals) >= 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_prune_of_a_dense_world_stays_within_one_distance_matrix(seed):
     # about 100k links at N=1280; the walk held all pairs' indices and
     # per-agent neighbor sets, 38.5 MB. The forced cuts of seed 1 keep the
-    # graph connected; seed 0 refuses a cut and finishes with the walk
+    # graph connected; seed 0 refuses a cut and repeats the pass
     positions = np.random.default_rng(seed).random((1280, 2))
     d2 = squared_distances(positions)
     adjacency = d2 <= 0.22 ** 2
