@@ -146,11 +146,16 @@ def _build_config(mode, args):
 
 
 def _out_dir(args):
-    return Path(os.environ.get("NETDECIDE_OUTPUT_DIR") or args.out_dir)
+    """Create the output directory, before any batch runs, and return it."""
+    out_dir = Path(os.environ.get("NETDECIDE_OUTPUT_DIR") or args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return out_dir
 
 
 def _write_outputs(summary, out_dir, quiet):
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(summary.to_json() + "\n")
     if summary.records is not None:
         for i, record in enumerate(summary.records, start=1):
@@ -171,13 +176,14 @@ def _run_command(mode, args):
     if args.print_config:
         print(config.to_json())
         return 0
+    out_dir = _out_dir(args)
     summary = run_monte_carlo(
         config, n_jobs=args.jobs,
         keep_records=not args.summary_only,
         check_invariants=args.check_invariants,
         export_networks=args.export_networks,
     )
-    _write_outputs(summary, _out_dir(args), args.quiet)
+    _write_outputs(summary, out_dir, args.quiet)
     return 0
 
 
@@ -186,9 +192,8 @@ def _cmd_sweep(args):
     if args.print_config:
         print(config.to_json())
         return 0
-    results = run_sweep(config, args.model_counts, n_jobs=args.jobs)
     out_dir = _out_dir(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    results = run_sweep(config, args.model_counts, n_jobs=args.jobs)
     batches = {str(c): json.loads(s.to_json()) for c, s in sorted(results.items())}
     doc = {"schema": "netdecide.sweep/1", "batches": batches}
     (out_dir / "sweep.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

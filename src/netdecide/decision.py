@@ -178,9 +178,6 @@ class MajoritySwitching:
     kept for the model the final agreement stretch sits closest to.
     """
 
-    mode = "decide"
-    stops_early = True
-
     def __init__(self, config, n_agents, n_models, rng):
         self.beta = config.beta
         self.equilibrium_break = config.equilibrium_break
@@ -254,7 +251,7 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
     # model, so once agreement has held t_hold rounds and every estimate
     # sits within the grouping threshold of one model the remaining rounds
     # are inert and may be skipped
-    may_stop = config.early_stop and motion is None and policy.stops_early
+    may_stop = config.early_stop and config.mode == "decide"
     last_reassign = max(reassign_at, default=0)
     streak = 0
     n_ran = n_iters
@@ -306,7 +303,7 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
             break
 
     record = RunRecord(
-        mode="mobile" if motion is not None else policy.mode,
+        mode=config.mode,
         n_iters=n_ran,
         msd_observed=msd_observed[:n_ran],
         all_agreed=agreed[:n_ran],

@@ -2,27 +2,26 @@
 
 One designated target agent's adaptation output is relayed hop by hop
 through the network. Direct neighbors of the target copy its current
-output; everyone else latches onto the first informed neighbor it sees and
-keeps refreshing from that source's previous-round anchor, so an agent at
-relay depth d holds the target's output from d-1 rounds ago. The relayed
-anchor replaces local labeling: informed agents link to their informed
-neighbors, and the split weights of
+output; everyone else refreshes from one neighbor a hop closer to the
+target, its source, so an agent at relay depth d holds the target's output
+from d-1 rounds ago. The relayed anchor replaces local labeling: informed
+agents link to their informed neighbors, and the split weights of
 ``netdecide.decision.update_desired_matrices`` send a link's weight down
 the fresh route when the neighbor's adaptation output is near one's own
-anchor. The relay state is two arrays, the anchors and their sources. A
-follow network is static, its links fixed, so an agent's source stays its
-neighbor, which ``check_invariants`` checks.
+anchor. A follow network is static, its links fixed, so the routes (each
+agent's hop depth and source) are computed once per run by
+:func:`relay_routes`, and a round only copies anchors along them.
 
 :class:`AnchorRelay` is the desired-estimate stage that
 ``netdecide.decision.run_rounds``, the round loop every mode shares, calls
 in follow runs; majority switching fills the same stage in the other
 modes. The relay also keeps its coverage curve and the deviation of the
 desired estimates from the target's observed model.
-
-Source bookkeeping uses 1-based agent ids with 0 meaning "no source yet".
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 import numpy as np
 
@@ -37,68 +36,60 @@ from .decision import (adapt, aggregate, agreement_vector,  # noqa: F401
                        observed_msd, pairwise_close, update_cluster_matrices,
                        update_estimate)
 
+# the depth of an agent the relay never reaches: it must exceed every
+# round, or the agent would count as informed from that round on
+OUT_OF_REACH = np.iinfo(np.intp).max
 
-def spread_anchor(anchors, sources, psi, links, target):
-    """Advance the relay by one synchronous round and return the new
-    ``(anchors, sources)``.
+
+def relay_routes(links, target):
+    """The relay's fixed routes on the static network of ``links``:
+    ``(depth, source)``, each agent's hop count from ``target`` and the
+    neighbor it relays from.
+
+    The target is its own source, and so are the agents out of its reach,
+    whose depth is ``OUT_OF_REACH``. Any other agent's source is its
+    lowest-indexed neighbor one hop closer to the target: the neighbor it
+    first hears from, as the relay reaches each agent one hop a round.
+    """
+    depth = np.full(links.n, OUT_OF_REACH)
+    source = np.arange(links.n)
+    depth[target] = 0
+    for hop in count(1):
+        heard = (depth[links.rows] == hop - 1) & (depth[links.cols] > hop)
+        # links are row-major, so each agent's first heard link comes from
+        # its lowest-indexed neighbor
+        reached, first = np.unique(links.cols[heard], return_index=True)
+        if not reached.size:
+            return depth, source
+        depth[reached] = hop
+        source[reached] = links.rows[heard][first]
+
+
+def spread_anchor(anchors, psi, depth, source, i):
+    """The anchors after round ``i`` of the relay on the routes
+    ``(depth, source)`` of :func:`relay_routes`.
 
     ``anchors`` (N, M) holds each agent's copy of the target's adaptation
-    output (zeros until reached); ``sources`` holds the 1-based id of the
-    neighbor each agent relays from, 0 while uninformed, and the target
-    itself for the target and its direct neighbors.
-
-    Direct neighbors of ``target`` (itself included) copy its current
-    adaptation output. An uninformed agent adopts the previous-round
-    anchor of its lowest-indexed informed neighbor and records that
-    neighbor as its source; an informed agent refreshes from its recorded
-    source's previous-round anchor. Neighbors are the links of a static
-    network's ``links``, which must be the ones every earlier round read,
-    so that each recorded source is still a neighbor.
+    output after the previous round, zeros while uninformed. The target
+    and its neighbors (depth 0 and 1) copy the target's current output
+    ``psi[target]``; the other agents within ``i`` hops copy their
+    source's previous anchor; the rest keep zeros.
     """
-    n = links.n
-    prev_anchors, prev_sources = anchors, sources
-    anchors = anchors.copy()
-    sources = sources.copy()
-
-    direct = np.zeros(n, dtype=bool)
-    direct[links.cols[links.rows == target]] = True
-    informed_prev = prev_sources > 0
-
-    # uninformed agents scan neighbors for anyone informed last round: the
-    # adjacency is symmetric, so the first informed link of row k, in
-    # row-major order, leads to k's lowest-indexed informed neighbor
-    uninformed = ~direct & ~informed_prev
-    if uninformed.any():
-        heard = np.flatnonzero(informed_prev[links.cols])
-        rows = links.rows[heard]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        first_candidate = np.full(n, n)
-        first_candidate[rows[first]] = links.cols[heard[first]]
-        latch = uninformed & (first_candidate < n)
-        anchors[latch] = prev_anchors[first_candidate[latch]]
-        sources[latch] = first_candidate[latch] + 1
-
-    # informed agents refresh from their recorded source
-    refresh = ~direct & informed_prev
-    anchors[refresh] = prev_anchors[prev_sources[refresh] - 1]
-
-    # a direct link to the target dominates everything
-    anchors[direct] = psi[target]
-    sources[direct] = target + 1
-    return anchors, sources
+    relayed = np.where((depth <= i)[:, None], anchors[source], 0.0)
+    direct = depth <= 1
+    relayed[direct] = psi[source[direct]]
+    return relayed
 
 
-def follow_matrices(anchors, sources, psi, links, threshold):
+def follow_matrices(anchors, informed, psi, links, threshold):
     """Split weights ``(fresh, hold)`` driven by the relay instead of
     labels, at the links of ``links``.
 
-    Neighbors are linked when both ends are informed; uninformed agents
-    keep a self-preserving link so their column stays stochastic. A linked
-    neighbor's weight rides the fresh route when its adaptation output is
-    within ``threshold`` (squared norm) of the agent's anchor.
+    Neighbors are linked when both ends are ``informed``; uninformed
+    agents keep a self-preserving link so their column stays stochastic. A
+    linked neighbor's weight rides the fresh route when its adaptation
+    output is within ``threshold`` (squared norm) of the agent's anchor.
     """
-    informed = sources > 0
     linked = links.restrict(informed[links.rows] & informed[links.cols]
                             | (links.rows == links.cols))
     return update_desired_matrices(linked, psi, anchors, threshold, links)
@@ -107,50 +98,49 @@ def follow_matrices(anchors, sources, psi, links, threshold):
 class AnchorRelay:
     """Desired-estimate stage of follow runs.
 
-    Each round advances the relay (:func:`spread_anchor`) and weights the
+    Each round advances the relay (:func:`spread_anchor`) along the routes
+    :func:`relay_routes` found for the run's ``links``, and weights the
     estimate update by it (:func:`follow_matrices`); desired estimates are
-    never switched. The desired deviation is measured against the target's
-    current observed model. With ``check_invariants`` each round also
-    checks that the informed agents are exactly the ball of radius i hops
-    around the target, and that each one's source is its neighbor.
+    never switched. The informed agents of round i are those within i
+    hops. The desired deviation is measured against the target's current
+    observed model. With ``check_invariants`` each round also checks that
+    the informed agents are exactly the ball of radius i hops around the
+    target, grown here one hop a round, and that each one's source is its
+    neighbor.
     """
 
-    mode = "follow"
-    stops_early = False
-
-    def __init__(self, config, n_agents, dim, check_invariants):
+    def __init__(self, config, links, dim, check_invariants):
         self.beta = config.beta
         self.target = config.target_agent - 1
-        self.anchors = np.zeros((n_agents, dim))
-        self.sources = np.zeros(n_agents, dtype=int)
+        self.depth, self.source = relay_routes(links, self.target)
+        self.anchors = np.zeros((links.n, dim))
         self.coverage = np.zeros(config.max_iters, dtype=int)
         self.deviations = np.zeros(config.max_iters)
-        # the hop ball around the target, grown by one hop each round
-        self.ball = np.arange(n_agents) == self.target if check_invariants else None
+        self.ball = np.arange(links.n) == self.target if check_invariants else None
 
     def desired(self, t, w_prev, psi, close, p, links):
-        self.anchors, self.sources = spread_anchor(self.anchors, self.sources, psi,
-                                                   links, self.target)
-        informed = self.sources > 0
+        i = t + 1
+        self.anchors = spread_anchor(self.anchors, psi, self.depth, self.source, i)
+        informed = self.depth <= i
         self.coverage[t] = int(informed.sum())
         if self.ball is not None:
             self.ball = links.counts(self.ball[links.rows]) > 0
             if not np.array_equal(informed, self.ball):
                 raise InvariantViolation(
-                    f"informed set at round {t + 1} is not the {t + 1}-hop ball around the target")
+                    f"informed set at round {i} is not the {i}-hop ball around the target")
             k = np.flatnonzero(informed)
-            if not np.isin(k * links.n + self.sources[k] - 1,
+            if not np.isin(k * links.n + self.source[k],
                            links.rows * links.n + links.cols).all():
                 raise InvariantViolation(
-                    f"an informed agent's source at round {t + 1} is not its neighbor")
+                    f"an informed agent's source at round {i} is not its neighbor")
         return (w_prev, close,
-                *follow_matrices(self.anchors, self.sources, psi, links, self.beta))
+                *follow_matrices(self.anchors, informed, psi, links, self.beta))
 
     def track(self, t, w, models, assignment):
         self.deviations[t] = squared_distances(w, models[[assignment[self.target]]]).mean()
 
     def record_fields(self, n_ran, agreed):
-        n = len(self.sources)
+        n = len(self.depth)
         return dict(msd_desired=self.deviations[:n_ran],
                     source_coverage=self.coverage[:n_ran], target_agent=self.target,
                     switch_adopt=np.zeros(n, dtype=int),
@@ -164,6 +154,6 @@ def run_follow(config, links, models, assignment, streams, *, check_invariants=F
     The target agent is ``config.target_agent`` (1-based). Success demands
     network-wide agreement on the target's observed model.
     """
-    policy = AnchorRelay(config, links.n, models.shape[1], check_invariants)
+    policy = AnchorRelay(config, links, models.shape[1], check_invariants)
     return run_rounds(config, links, models, assignment, streams, policy,
                       check_invariants=check_invariants)

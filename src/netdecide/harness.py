@@ -187,8 +187,9 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
                     export_networks=False):
     """Run ``config.n_trials`` independent trials and aggregate them.
 
-    ``n_jobs`` > 1 fans trials out to worker processes; results are
-    collected in trial order either way, so the aggregate is identical.
+    ``n_jobs`` > 1 fans trials out to worker processes, no more than
+    there are trials; results are collected in trial order either way, so
+    the aggregate is identical.
     """
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
@@ -199,7 +200,8 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
     if n_jobs == 1:
         outcomes = [trial(ss) for ss in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(n_jobs, config.n_trials)) as pool:
             outcomes = list(pool.map(trial, seeds, chunksize=1))
     records = [r for r, _ in outcomes]
     networks = [doc for _, doc in outcomes] if export_networks else None
@@ -209,10 +211,11 @@ def run_monte_carlo(config, n_jobs=1, *, keep_records=False, check_invariants=Fa
 def run_sweep(config, model_counts, n_jobs=1):
     """Monte Carlo batches across model counts, same master seed each.
     A count given twice raises :class:`ConfigError`: its batch would run
-    twice and keep one result."""
+    twice and keep one result. Every count is checked before the first
+    batch runs."""
     counts = [int(c) for c in model_counts]
     repeated = sorted({c for c in counts if counts.count(c) > 1})
     if repeated:
         raise ConfigError(f"model counts repeat: {repeated}")
-    return {c: run_monte_carlo(config.replace(n_models=c), n_jobs=n_jobs)
-            for c in counts}
+    configs = {c: config.replace(n_models=c) for c in counts}
+    return {c: run_monte_carlo(cfg, n_jobs=n_jobs) for c, cfg in configs.items()}

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import netdecide.cli
+import netdecide.harness
 from netdecide.cli import main
 
 TINY = ["--agents", "12", "--radius", "0.5", "--iters", "20", "--t-hold", "5",
@@ -43,6 +45,36 @@ def test_repeated_sweep_count_exits_with_code_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model counts repeat: [2]" in err and "Traceback" not in err
     assert not (tmp_path / "sweep.json").exists()
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The configs of the batches a command starts; none of them runs."""
+    started = []
+
+    def spy(config, *args, **kwargs):
+        started.append(config)
+
+    monkeypatch.setattr(netdecide.cli, "run_monte_carlo", spy)
+    monkeypatch.setattr(netdecide.harness, "run_monte_carlo", spy)
+    return started
+
+
+def test_every_sweep_count_is_checked_before_the_first_batch(tmp_path, capsys, batches):
+    code = main(["sweep", *TINY, "--model-counts", "2", "0", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "n_models" in capsys.readouterr().err
+    assert batches == []
+
+
+@pytest.mark.parametrize("command", [["decide"], ["sweep", "--model-counts", "2"]])
+def test_output_dir_under_a_file_exits_with_code_2(tmp_path, capsys, batches, command):
+    (tmp_path / "afile").write_text("")
+    code = main([*command, *TINY, "--out-dir", str(tmp_path / "afile" / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert batches == []
 
 
 def test_unreachable_model_spacing_exits_with_code_2(tmp_path, capsys):

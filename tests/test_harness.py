@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import netdecide.harness
 from netdecide.cli import main
 from netdecide.config import ConfigError
 from netdecide.harness import _nan_stats, _pad_stack, run_monte_carlo
@@ -66,6 +67,35 @@ def test_nan_stats_all_nan_columns_are_nan_without_warning():
 def test_run_monte_carlo_rejects_fewer_than_one_job(n_jobs):
     with pytest.raises(ConfigError, match="n_jobs"):
         run_monte_carlo(tiny_config(), n_jobs=n_jobs)
+
+
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records its
+    ``max_workers`` and maps in this process."""
+
+    def __init__(self, max_workers, created):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_worker_pool_is_capped_at_the_batch(monkeypatch):
+    created = []
+    monkeypatch.setattr(netdecide.harness, "ProcessPoolExecutor",
+                        lambda max_workers: SerialPool(max_workers, created))
+    config = tiny_config(max_iters=20, t_hold=5)
+    pooled = run_monte_carlo(config, n_jobs=64, keep_records=True)
+    assert created == [2]
+    serial = run_monte_carlo(config, keep_records=True)
+    assert pooled.records == serial.records
+    assert pooled.to_json() == serial.to_json()
 
 
 @pytest.mark.parametrize("mode", ["decide", "follow"])

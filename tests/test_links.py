@@ -162,13 +162,12 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
                        dense_update(fresh, hold, phi, w_prev))
 
     # the follow split: links between informed agents, and every self-link
-    sources = np.where(g.random(n) < 0.6, g.integers(1, n + 1, size=n), 0)
+    informed = g.random(n) < 0.6
     beta = threshold(g, squared_distances(psi, anchors), links)
-    informed = sources > 0
     linked = adjacency & informed[:, None] & informed[None, :]
     np.fill_diagonal(linked, True)
-    want = follow_matrices(anchors, sources, psi, grid, beta)
-    got = follow_matrices(anchors, sources, psi, links, beta)
+    want = follow_matrices(anchors, informed, psi, grid, beta)
+    got = follow_matrices(anchors, informed, psi, links, beta)
     assert all(same_bits(a, b) for a, b in
                zip(want, update_desired_matrices(linked, psi, anchors, beta, grid)))
     assert all(same_bits(a, b[at]) for a, b in zip(got, want))
