@@ -16,21 +16,29 @@ desired-deviation curve and record fields.
 - ``netdecide.follow.AnchorRelay`` (follow-the-target): a relayed copy of
   the target agent's output replaces local labeling.
 
-Both then blend neighbor aggregates with previous estimates through two
-complementary weight matrices built by :func:`update_desired_matrices`:
-uniform weights over the agent's linked neighbors, split into a "fresh"
-route for neighbors whose adaptation output is already near the agent's
-anchor (its previous desired estimate, or the relayed target output), and
-a "hold" route that keeps diffusing previous desired estimates otherwise.
-The two are all the loop keeps of the split; their sum is the linked
-weights.
+Each policy hands the loop uniform weights over every agent's linked
+neighbors and the anchors (the previous desired estimates, or the relayed
+target output), and the loop blends neighbor aggregates with previous
+estimates through two complementary weight matrices built by
+:func:`update_desired_matrices`: the weights split into a "fresh" route
+for neighbors whose adaptation output is already near the agent's anchor,
+and a "hold" route that keeps diffusing previous desired estimates
+otherwise. The two are all the loop keeps of the split; their sum is the
+linked weights.
 
 Every stage takes the round's neighborhood, a ``netdecide.network.Links``,
 fixed for a static network's run and rebuilt every round for a mobile
 swarm; only the invariant checks build dense N x N references. The
 desired-model count comes from ``netdecide.network.close_component_count``,
 a frontier sweep over the desired estimates that never builds the N x N
-relation.
+relation, except where a certificate gives it: on a static network that is
+connected (``Links.stays_connected``, found once per run), a round in
+which every p_k = 1 has every link close, so the closeness relation,
+which holds every link, is connected, and the count is exactly 1. Such a
+round switches no one, so the estimates counted are those the agreement
+degrees read. A swarm's links change every round and it always counts.
+The combination weights depend on their support alone, and are rebuilt
+only when it changes.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -51,8 +59,8 @@ from .diffusion import (adapt, aggregate, believed_neighborhoods,
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
-from .network import (close_component_count, component_count, link_grid,
-                      pairwise_close, random_assignment, squared_distances)
+from .network import (close_component_count, component_count, link_grid, pairwise_close,
+                      random_assignment, squared_distances)
 from .records import RunRecord
 
 
@@ -60,15 +68,15 @@ class InvariantViolation(AssertionError):
     """A per-round structural invariant failed."""
 
 
-def update_desired_matrices(linked, psi, anchors, threshold, links):
+def update_desired_matrices(weights, psi, anchors, threshold, links):
     """Split weights ``(fresh, hold)`` for one round.
 
-    The uniform column-stochastic weights over ``linked`` are split by
-    neighbor: a weight rides the fresh route when the neighbor's
-    adaptation output is within ``threshold`` (squared norm) of the
-    agent's anchor, and the hold route otherwise.
+    The column-stochastic ``weights``, uniform over each agent's linked
+    neighbors (:func:`combination_weights`), are split by neighbor: a
+    weight rides the fresh route when the neighbor's adaptation output is
+    within ``threshold`` (squared norm) of the agent's anchor, and the hold
+    route otherwise.
     """
-    weights = combination_weights(linked, links)
     near = squared_distances(psi, anchors, links.rows, links.cols) <= threshold
     fresh = np.where(near, weights, 0.0)
     return fresh, weights - fresh
@@ -193,11 +201,11 @@ class MajoritySwitching:
             self.adopt_counts[adopted] += 1
             self.random_counts[drawn] += 1
             close = pairwise_close(w_prev, self.beta, links)
-        fresh, hold = update_desired_matrices(close, psi, w_prev, self.beta, links)
-        return w_prev, close, fresh, hold
+        # linked where the desired estimates are close, anchored at them
+        return w_prev, close, combination_weights(close, links), w_prev
 
     def track(self, t, w, models, assignment):
-        self.deviations[t] = squared_distances(w, models).mean(axis=0)
+        self.deviations[t] = squared_distances(w, models).sum(axis=0) / len(w)
 
     def record_fields(self, n_ran, agreed):
         deviations = self.deviations[:n_ran]
@@ -238,8 +246,9 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
 
     psi = np.zeros((n, dim))
     phi = np.zeros((n, dim))
-    smoothed = (links.rows == links.cols).astype(float)
+    smoothed = links.loops.astype(float)
     w_prev = None
+    support = combination = None
 
     msd_observed = np.full((n_iters, n_models), np.nan)
     agreed = np.zeros(n_iters, dtype=bool)
@@ -270,8 +279,11 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
 
         smoothed = update_cluster_matrices(smoothed, psi, phi, config.alpha,
                                            config.smoothing, links)
-        support = believed_neighborhoods(smoothed, links)
-        combination = combination_weights(support, links)
+        believed = believed_neighborhoods(smoothed, links)
+        # the weights are the support's alone, and it seldom changes
+        if support is None or (believed != support).any():
+            combination = combination_weights(believed, links)
+        support = believed
         phi = aggregate(combination, psi, links)
 
         close = pairwise_close(w_prev, config.beta, links)
@@ -279,8 +291,14 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         agreed[t] = bool((p == 1.0).all())
         streak = streak + 1 if agreed[t] else 0
 
-        w_prev, close, fresh, hold = policy.desired(t, w_prev, psi, close, p, links)
-        n_desired[t] = close_component_count(w_prev, config.beta)
+        w_prev, close, weights, anchors = policy.desired(t, w_prev, psi, close, p, links)
+        fresh, hold = update_desired_matrices(weights, psi, anchors, config.beta, links)
+        # a swarm's weights are N x N; past the split only its two parts are read
+        del weights
+        # every link close (every p_k = 1) on a connected static network
+        # makes the closeness relation connected: one desired model
+        n_desired[t] = 1 if agreed[t] and links.stays_connected else close_component_count(
+            w_prev, config.beta)
         w = update_estimate(phi, w_prev, fresh, hold, links)
 
         msd_observed[t] = observed_msd(phi, models, assignment)

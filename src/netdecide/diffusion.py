@@ -51,7 +51,15 @@ def adapt(psi, u, d, step_size):
 
 
 def check_divergence(psi, bound):
-    """Abort with the offending agent when an estimate blows up."""
+    """Abort with the offending agent when an estimate blows up.
+
+    One comparison clears a healthy round: a sum of squares within a
+    quarter of ``bound`` squared puts every norm within about half of
+    ``bound``, far inside rounding, and a non-finite entry makes the sum
+    inf or nan, which fails the test. Any other round takes the norms, so
+    the bits of the sum, a BLAS product, choose only the path."""
+    if np.vdot(psi, psi) <= 0.25 * bound * bound:
+        return
     norms = np.linalg.norm(psi, axis=1)
     if np.isfinite(norms).all() and (norms <= bound).all():
         return
@@ -83,7 +91,7 @@ def believed_neighborhoods(smoothed, links):
     0.5 rounding up, says whether k believes l observes its model; only
     links are believed.
     """
-    return links.restrict((smoothed >= 0.5) | (links.rows == links.cols))
+    return links.restrict((smoothed >= 0.5) | links.loops)
 
 
 def combination_weights(support, links):

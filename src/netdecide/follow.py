@@ -25,14 +25,15 @@ from itertools import count
 
 import numpy as np
 
-from .decision import InvariantViolation, run_rounds, update_desired_matrices
+from .decision import InvariantViolation, run_rounds
+from .diffusion import combination_weights
 from .network import squared_distances
 
 # benchmark/spans.py wraps these names in this module; they stay bound
 # here until it wraps them only in netdecide.decision, whose loop calls them
 from .decision import (adapt, aggregate, agreement_vector,  # noqa: F401
                        believed_neighborhoods, check_divergence,
-                       combination_weights, component_count, evaluate_success,
+                       component_count, evaluate_success,
                        observed_msd, pairwise_close, update_cluster_matrices,
                        update_estimate)
 
@@ -81,18 +82,17 @@ def spread_anchor(anchors, psi, depth, source, i):
     return relayed
 
 
-def follow_matrices(anchors, informed, psi, links, threshold):
-    """Split weights ``(fresh, hold)`` driven by the relay instead of
-    labels, at the links of ``links``.
+def follow_matrices(informed, links):
+    """The relay's combination weights, in place of labels, at the links of
+    ``links``: uniform over each agent's linked neighbors.
 
     Neighbors are linked when both ends are ``informed``; uninformed
-    agents keep a self-preserving link so their column stays stochastic. A
-    linked neighbor's weight rides the fresh route when its adaptation
-    output is within ``threshold`` (squared norm) of the agent's anchor.
+    agents keep a self-preserving link so their column stays stochastic.
+    ``netdecide.decision.update_desired_matrices`` splits them at the
+    anchors.
     """
-    linked = links.restrict(informed[links.rows] & informed[links.cols]
-                            | (links.rows == links.cols))
-    return update_desired_matrices(linked, psi, anchors, threshold, links)
+    return combination_weights(
+        links.restrict(informed[links.rows] & informed[links.cols] | links.loops), links)
 
 
 class AnchorRelay:
@@ -100,19 +100,24 @@ class AnchorRelay:
 
     Each round advances the relay (:func:`spread_anchor`) along the routes
     :func:`relay_routes` found for the run's ``links``, and weights the
-    estimate update by it (:func:`follow_matrices`); desired estimates are
-    never switched. The informed agents of round i are those within i
-    hops. The desired deviation is measured against the target's current
-    observed model. With ``check_invariants`` each round also checks that
-    the informed agents are exactly the ball of radius i hops around the
-    target, grown here one hop a round, and that each one's source is its
-    neighbor.
+    estimate update by it (:func:`follow_matrices`), anchored at the
+    relayed copies; desired estimates are never switched. The informed
+    agents of round i are those within i hops, so the weights are fixed
+    once the relay has reached every agent it can. The desired deviation
+    is measured against the target's current observed model. With
+    ``check_invariants`` each round also checks that the informed agents
+    are exactly the ball of radius i hops around the target, grown here one
+    hop a round, and that each one's source is its neighbor.
     """
 
     def __init__(self, config, links, dim, check_invariants):
         self.beta = config.beta
         self.target = config.target_agent - 1
         self.depth, self.source = relay_routes(links, self.target)
+        # the informed set, and with it the weights, stops growing at the
+        # farthest hop the relay reaches
+        self.last_growth = max(1, int(self.depth[self.depth != OUT_OF_REACH].max()))
+        self.weights = None
         self.anchors = np.zeros((links.n, dim))
         self.coverage = np.zeros(config.max_iters, dtype=int)
         self.deviations = np.zeros(config.max_iters)
@@ -133,11 +138,13 @@ class AnchorRelay:
                            links.rows * links.n + links.cols).all():
                 raise InvariantViolation(
                     f"an informed agent's source at round {i} is not its neighbor")
-        return (w_prev, close,
-                *follow_matrices(self.anchors, informed, psi, links, self.beta))
+        if i <= self.last_growth:
+            self.weights = follow_matrices(informed, links)
+        return w_prev, close, self.weights, self.anchors
 
     def track(self, t, w, models, assignment):
-        self.deviations[t] = squared_distances(w, models[[assignment[self.target]]]).mean()
+        self.deviations[t] = (squared_distances(w, models[[assignment[self.target]]]).sum()
+                              / len(w))
 
     def record_fields(self, n_ran, agreed):
         n = len(self.depth)

@@ -43,11 +43,14 @@ def view_from_closeness(points, threshold, members, width):
     slots[valid] = members
     # a few views at a time, so the float distances stay small beside the
     # boolean block; the -1 padding reads the last agent's estimate, and
-    # masking the padded rows keeps it out of every label
+    # masking the padded rows keeps it out of every label. The kernel
+    # gathers each coordinate at the slots, not the (P, W, M) rows.
     block = np.empty(slots.shape + slots.shape[1:], dtype=bool)
     step = max(1, _PAIRS_PER_STEP // slots.shape[1] ** 2)
     for i in range(0, len(slots), step):
-        block[i:i + step] = squared_distances(points[slots[i:i + step]]) <= threshold
+        views = slots[i:i + step]
+        block[i:i + step] = squared_distances(points, None, views[:, :, None],
+                                              views[:, None, :]) <= threshold
     return slots, label_classes(block, valid)
 
 

@@ -35,14 +35,12 @@ def msd_observed(phi, models, assignment):
     """
     models = np.atleast_2d(models)
     n_models = models.shape[0]
-    d2 = squared_distances(phi, models)
-    own = d2[np.arange(len(assignment)), assignment]
+    # each agent's distance to its own model only, with the bits the
+    # (N, C) matrix holds there
+    own = squared_distances(phi, models, np.arange(len(assignment)), assignment)
     counts = np.bincount(assignment, minlength=n_models)
     sums = np.bincount(assignment, weights=own, minlength=n_models)
-    out = np.full(n_models, np.nan)
-    nz = counts > 0
-    out[nz] = sums[nz] / counts[nz]
-    return out
+    return np.divide(sums, counts, out=np.full(n_models, np.nan), where=counts > 0)
 
 
 def final_agreement_block(all_agreed):

@@ -4,7 +4,10 @@ noise statistics, and the synthetic data streams the agents adapt on.
 Agents live on an undirected graph with self-loops; every neighborhood is
 closed (an agent is always its own neighbor) and degree counts include the
 self-loop. A round reads its neighborhood as :class:`Links`, whose layout
-is the only place a static network and a mobile swarm differ. Each agent
+is the only place a static network and a mobile swarm differ. A static
+network's links are fixed for its run, so its :class:`Links` keeps their
+constants, the self-loop mask and the closed degrees, made once; a swarm's
+links live one round, and it makes them on each call. Each agent
 observes a scalar stream d = u . w + v generated from the ground-truth
 model it is assigned to; the data of all agents is drawn together, a block
 of rounds at a time (:class:`DataStream`).
@@ -14,11 +17,17 @@ differences one coordinate at a time, squared and added in coordinate
 order, as an N x N matrix or at given index pairs (the links of an
 adjacency, the member pairs of a view). A pair's distance therefore has
 the same bits wherever it is computed, and elementwise IEEE arithmetic
-gives the same bits on every CPU. :func:`close_component_count` counts
-the components of the closeness relation by a frontier sweep that
-computes the distances of a few frontier rows at a time, without
-building the relation, and the noise draw takes its exponential and
-logarithm from :func:`_exp` and :func:`_log`, which use no math library.
+gives the same bits on every CPU. At index pairs, as in the link sums of
+:class:`Links`, each coordinate is gathered from its own 1-D column: a row
+gather ``x[rows]`` of an (N, 2) array costs several column gathers
+``x[:, c][rows]`` (numpy 2.4.6, one core: 7-8 us against 0.8-2.1 us at
+454 links, 26-41 us against about 2 us at 1,900).
+
+:func:`close_component_count` counts the components of the closeness
+relation by a frontier sweep that computes the distances of a few frontier
+rows at a time, without building the relation, and the noise draw takes
+its exponential and logarithm from :func:`_exp` and :func:`_log`, which
+use no math library.
 
 A degree-capped radius graph (:func:`generate_topology`, and each rebuild
 of a swarm's) sheds its longest links at over-degree agents by sorts over
@@ -47,7 +56,7 @@ class DivergenceError(RuntimeError):
     """An agent's adaptive estimate left the sane region."""
 
 
-class Links(NamedTuple):
+class Links:
     """A neighborhood: the links of a symmetric, self-looped N x N boolean
     adjacency, link (``rows[i]``, ``cols[i]``) joining agent ``rows[i]`` to
     agent ``cols[i]``. A per-link array holds one value for each link, and
@@ -56,22 +65,45 @@ class Links(NamedTuple):
 
     - A static network (decide and follow) lists its adjacency's True
       entries in row-major order (:func:`link_index`): ``rows`` and
-      ``cols`` are 1-D and ``mask`` is None. Its sums add each column's
-      links in link order with ``np.bincount``, so no N x N array and no
-      BLAS product enters its round, and the bits do not depend on the CPU.
+      ``cols`` are contiguous 1-D arrays and ``mask`` is None. Its sums add
+      each column's links in link order with ``np.bincount``, so no N x N
+      array and no BLAS product enters its round, and the bits do not
+      depend on the CPU. Its links are fixed for a run, so its constants,
+      the self-loop mask ``loops``, the closed degrees ``counts()`` and
+      whether the links join every agent (``stays_connected``), are made
+      once, here.
     - A mobile swarm, whose adjacency is rebuilt every round, keeps it as
       ``mask``, with ``rows`` an (N, 1) and ``cols`` a (1, N) grid of
       agent ids (:func:`link_grid`). Per-pair arrays broadcast to N x N;
       entries outside the mask are no link, a per-link bool is False there
-      (:meth:`restrict`), and the sums are BLAS products.
+      (:meth:`restrict`), and the sums are BLAS products. Its links live
+      one round, so its constants are made on each call, and it holds no
+      N x N array beyond its mask.
 
     The methods are the only code that tells the layouts apart.
     """
 
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    mask: np.ndarray | None = None
+    __slots__ = ("n", "rows", "cols", "mask", "_loops", "_degrees", "_connected")
+
+    def __init__(self, n, rows, cols, mask=None):
+        self.n, self.rows, self.cols, self.mask = n, rows, cols, mask
+        if mask is None:
+            self._loops = rows == cols
+            self._degrees = np.bincount(cols, minlength=n)
+            self._loops.flags.writeable = self._degrees.flags.writeable = False
+            self._connected = not _link_labels(n, rows, cols).any()
+
+    @property
+    def loops(self):
+        """The per-pair bool array of the self-loops."""
+        return self._loops if self.mask is None else self.rows == self.cols
+
+    @property
+    def stays_connected(self):
+        """True when the links join every agent into one component for
+        the whole run: a connected static network. A swarm's links change
+        every round, so it is False there."""
+        return self.mask is None and self._connected
 
     def restrict(self, marked):
         """A per-pair bool array with the pairs outside the adjacency
@@ -82,20 +114,26 @@ class Links(NamedTuple):
         """How many links ``marked`` (every link when None) holds in each
         column, or with ``axis=1`` each row: the closed degrees when None."""
         if self.mask is None:
-            ends = self.cols if axis == 0 else self.rows
-            return np.bincount(ends if marked is None else ends[marked], minlength=self.n)
+            if marked is None:
+                return self._degrees
+            return np.bincount((self.cols if axis == 0 else self.rows)[marked], minlength=self.n)
         return (self.mask if marked is None else marked).sum(axis=axis)
 
     def sums(self, *terms):
         """Row k sums ``weights[l, k] * values[l]`` over the links (l, k)
         and over the ``(weights, values)`` pairs of ``terms``, each
         ``values`` an (N, M) array. A static network adds a link's terms,
-        then each column's links in link order, starting from +0.0; a
-        swarm adds one BLAS product ``weights.T @ values`` per pair."""
+        then each column's links in link order, starting from +0.0, one
+        coordinate at a time; a swarm adds one BLAS product
+        ``weights.T @ values`` per pair. A static network gathers each
+        coordinate from its column (see the module notes).
+        """
         if self.mask is None:
-            per_link = reduce(add, [w[:, None] * x[self.rows] for w, x in terms])
-            return np.stack([np.bincount(self.cols, weights=per_link[:, c], minlength=self.n)
-                             for c in range(per_link.shape[1])], axis=1)
+            out = np.empty((self.n, terms[0][1].shape[1]))
+            for c in range(out.shape[1]):
+                per_link = reduce(add, [w * x[:, c][self.rows] for w, x in terms])
+                out[:, c] = np.bincount(self.cols, weights=per_link, minlength=self.n)
+            return out
         return reduce(add, [w.T @ x for w, x in terms])
 
     def pairs(self, marked):
@@ -114,8 +152,13 @@ class Links(NamedTuple):
 
 def link_index(adjacency):
     """The static :class:`Links` of a square boolean matrix, such as an
-    adjacency."""
-    return Links(adjacency.shape[0], *np.nonzero(adjacency))
+    adjacency.
+
+    The ends are split from the flat indices of the True entries: the 2-D
+    ``np.nonzero`` returns strided views, which every ``np.bincount`` over
+    them would copy."""
+    n = adjacency.shape[0]
+    return Links(n, *np.divmod(np.flatnonzero(adjacency), n))
 
 
 def link_grid(adjacency):
@@ -283,7 +326,7 @@ def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     over = bound > 0
     if not over.any():
         return True
-    a, b = np.nonzero(np.triu(adjacency, 1))
+    a, b = np.divmod(np.flatnonzero(np.triu(adjacency, 1)), deg.size)
     walked = over[a] | over[b]
     kept_a, kept_b = a[~walked], b[~walked]
     a, b = a[walked], b[walked]

@@ -23,7 +23,8 @@ RECORD_SCHEMA = "netdecide.run/1"
 
 
 def _fmt(x):
-    return "" if np.isnan(x) else repr(float(x))
+    """A float cell from a Python float (``.tolist()``): blank for nan."""
+    return "" if x != x else repr(x)
 
 
 def _parse(cell):
@@ -145,11 +146,13 @@ def record_to_csv(record):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["iter"] + [f"msd_{j + 1}" for j in range(record.n_models)]
                     + [name for name, _, _ in curves])
+    # Python values, not numpy scalars, which format several times slower
+    msd = record.msd_observed.tolist()
+    columns = [(values.tolist(), dtype) for _, values, dtype in curves]
     for t in range(record.n_iters):
-        writer.writerow([str(t + 1)]
-                        + [_fmt(x) for x in record.msd_observed[t]]
+        writer.writerow([str(t + 1)] + [_fmt(x) for x in msd[t]]
                         + [_fmt(values[t]) if dtype is float else str(int(values[t]))
-                           for _, values, dtype in curves])
+                           for values, dtype in columns])
     return buf.getvalue()
 
 
@@ -189,9 +192,9 @@ def trajectory_to_csv(record):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["iter", "agent", "x", "y", "desired_label"])
-    for it, agent, x, y, label in record.trajectory:
-        writer.writerow([str(int(it)), str(int(agent) + 1), repr(float(x)),
-                         repr(float(y)), str(int(label) + 1)])
+    for it, agent, x, y, label in record.trajectory.tolist():
+        writer.writerow([str(int(it)), str(int(agent) + 1), repr(x), repr(y),
+                         str(int(label) + 1)])
     return buf.getvalue()
 
 

@@ -14,7 +14,8 @@ from netdecide.decision import (InvariantViolation, apply_switching,
                                 update_estimate, verify_round)
 from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
-from netdecide.network import link_grid, link_index, pairwise_close, squared_distances
+from netdecide.network import (build_streams, draw_noise_profile, link_grid, link_index,
+                               network_from_json, pairwise_close, squared_distances)
 from test_labeling import THRESHOLD, block_points, switch_sources
 from test_links import dense_view, estimates, everyone
 
@@ -23,8 +24,8 @@ def desired_split(w_prev, psi, adjacency, threshold):
     """The decide split on the swarm layout of ``adjacency``: linked where
     previous desired estimates are close."""
     grid = link_grid(adjacency)
-    return update_desired_matrices(pairwise_close(w_prev, threshold, grid), psi, w_prev,
-                                   threshold, grid)
+    weights = combination_weights(pairwise_close(w_prev, threshold, grid), grid)
+    return update_desired_matrices(weights, psi, w_prev, threshold, grid)
 
 
 def test_desired_matrices_all_fresh_when_everyone_agrees():
@@ -249,7 +250,8 @@ def healthy_round(n=4, seed=0, layout=link_index):
     combination = combination_weights(support, links)
     phi = aggregate(combination, psi, links)
     close = pairwise_close(w_prev, 0.5, links)
-    fresh, hold = update_desired_matrices(close, psi, w_prev, 0.5, links)
+    fresh, hold = update_desired_matrices(combination_weights(close, links), psi, w_prev, 0.5,
+                                          links)
     return dict(links=links, combination=combination, support=support,
                 smoothed=smoothed, fresh=fresh, hold=hold, close=close,
                 adjacency=adjacency, w_prev=w_prev, threshold=0.5, n_desired=1,
@@ -272,8 +274,8 @@ def test_verify_round_reads_a_swarm_within_its_adjacency():
     support = believed_neighborhoods(round_state["smoothed"], links)
     combination = combination_weights(support, links)
     close = pairwise_close(round_state["w_prev"], 0.5, links)
-    fresh, hold = update_desired_matrices(close, round_state["psi"], round_state["w_prev"],
-                                          0.5, links)
+    fresh, hold = update_desired_matrices(combination_weights(close, links), round_state["psi"],
+                                          round_state["w_prev"], 0.5, links)
     round_state.update(links=links, support=support, combination=combination, close=close,
                        fresh=fresh, hold=hold,
                        phi=aggregate(combination, round_state["psi"], links))
@@ -333,3 +335,33 @@ def test_early_stop_matches_full_run_outcome():
     if stopped.success and stopped.n_iters < full.n_iters:
         # once the stop condition fires the network stays agreed
         assert full.all_agreed[stopped.n_iters - 1:].all()
+
+
+def test_agreement_rounds_pass_the_dense_count():
+    # a connected network records one desired model in every round of
+    # agreement without counting; the invariant checks hold that to the
+    # dense relation's component count, round by round
+    cfg = tiny_config(max_iters=400, early_stop=False)
+    record = run_decision(cfg, *build_world(cfg, seed=1), check_invariants=True)
+    assert record.all_agreed[-100:].all()
+    assert (record.n_desired_models[record.all_agreed] == 1).all()
+
+
+def test_cliques_agreed_apart_count_two_desired_models():
+    # each clique settles on its own model, far from the other's: every
+    # p_k = 1, but the network is not connected, so the count is 2
+    c = 4
+    doc = {"schema": "netdecide.network/1",
+           "agents": [{"id": k + 1, "x": 0.1 * k, "y": 0.0} for k in range(2 * c)],
+           "links": [[a, b] for side in (0, c) for a in range(side + 1, side + c + 1)
+                     for b in range(a + 1, side + c + 1)],
+           "models": [[-0.5, -0.5], [0.5, 0.5]],
+           "assignment": [1] * c + [2] * c}
+    _, links, models, assignment = network_from_json(doc)
+    cfg = tiny_config(n_agents=2 * c, max_iters=400, early_stop=False)
+    noise = draw_noise_profile(2 * c, cfg.dim, seed=3, sigma_v2_range=cfg.sigma_v2_range,
+                               reg_power_range=cfg.reg_power_range)
+    record = run_decision(cfg, links, models, assignment, build_streams(*noise, 4),
+                          check_invariants=True)
+    assert record.all_agreed[-100:].all()
+    assert (record.n_desired_models[-100:] == 2).all()

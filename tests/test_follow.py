@@ -9,7 +9,8 @@ from conftest import build_world, tiny_config
 import netdecide.follow
 from netdecide.decision import InvariantViolation, update_desired_matrices
 from netdecide.diffusion import combination_weights
-from netdecide.follow import follow_matrices, relay_routes, run_follow, spread_anchor
+from netdecide.follow import (AnchorRelay, follow_matrices, relay_routes, run_follow,
+                              spread_anchor)
 from netdecide.network import link_index
 from test_links import dense, everyone
 from test_network import path_adjacency
@@ -93,6 +94,23 @@ def test_relay_matches_the_per_round_neighbor_scan(seed, n, density, dim):
     assert i == n + 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.floats(0.0, 0.3))
+def test_relay_weights_follow_each_rounds_informed_set(seed, n, density):
+    # the stage keeps its weights once the informed set stops growing;
+    # sparse draws leave agents out of the target's reach
+    g = np.random.default_rng(seed)
+    links = link_index(random_adjacency(g, n, density))
+    cfg = tiny_config(mode="follow", n_agents=n, n_models=1, max_iters=n + 3,
+                      target_agent=int(g.integers(n)) + 1)
+    stage = AnchorRelay(cfg, links, 2, check_invariants=False)
+    psi = g.normal(size=(n, 2))
+    for t in range(n + 3):
+        _, _, weights, anchors = stage.desired(t, psi, psi, None, None, links)
+        assert weights.tobytes() == follow_matrices(stage.depth <= t + 1, links).tobytes()
+        assert anchors is stage.anchors
+
+
 def test_anchor_chain_walkthrough():
     # chain 0 - 1 - 2 with target 0: the neighbor copies the current
     # output, the next hop picks it up one round later
@@ -166,9 +184,11 @@ def test_follow_matrices_columns():
     psi = np.zeros((n, 2))
     psi[1] = [9.0, 9.0]
     links = link_index(adj)
+    relay = follow_matrices(informed, links)
     fresh, hold = (on_matrix(links, a) for a in
-                   follow_matrices(anchors, informed, psi, links, threshold=0.08))
+                   update_desired_matrices(relay, psi, anchors, 0.08, links))
     weights = fresh + hold
+    assert np.array_equal(weights, on_matrix(links, relay))
     # uninformed agent 3 keeps a pure self column
     assert weights[:, 3].tolist() == [0, 0, 0, 1]
     assert np.allclose(weights.sum(axis=0), 1.0)
@@ -180,7 +200,8 @@ def test_follow_matrices_columns():
     assert np.allclose(fresh[1, :], 0.0)
     assert np.allclose(hold[1, :3], 1 / 3)
     # the relay only chooses the links and the anchors of the shared split
-    want = update_desired_matrices(linked, psi, anchors, 0.08, everyone(n))
+    want = update_desired_matrices(combination_weights(linked, everyone(n)), psi, anchors,
+                                   0.08, everyone(n))
     assert all(np.array_equal(a, b) for a, b in zip((fresh, hold), want))
 
 

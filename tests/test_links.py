@@ -124,6 +124,8 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
         assert same_bits(squared_distances(x, y, grid.rows, grid.cols), squared_distances(x, y))
     assert same_bits(squared_distances(psi, None, *at), squared_distances(psi)[at])
     assert same_bits((grid.rows == grid.cols).astype(float), np.eye(n))
+    # a swarm's links are rebuilt every round: no run may count on them
+    assert not grid.stays_connected
     for layout in (links, grid):
         assert np.array_equal(layout.adjacency(), adjacency)
         assert same_bits(layout.counts(), adjacency.sum(axis=0))
@@ -152,8 +154,10 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     assert same_bits(close, (squared_distances(w_prev) <= beta) & adjacency)
     assert same_bits(pairwise_close(w_prev, beta, links), close[at])
     assert same_bits(agreement_vector(close[at], links), agreement_vector(close, grid))
-    fresh, hold = update_desired_matrices(close, psi, w_prev, beta, grid)
-    got = update_desired_matrices(close[at], psi, w_prev, beta, links)
+    fresh, hold = update_desired_matrices(combination_weights(close, grid), psi, w_prev, beta,
+                                          grid)
+    got = update_desired_matrices(combination_weights(close[at], links), psi, w_prev, beta,
+                                  links)
     assert same_bits(got[0], fresh[at]) and same_bits(got[1], hold[at])
     assert not fresh[~adjacency].any() and not hold[~adjacency].any()
     assert same_bits(update_estimate(phi, w_prev, *got, links),
@@ -166,11 +170,44 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     beta = threshold(g, squared_distances(psi, anchors), links)
     linked = adjacency & informed[:, None] & informed[None, :]
     np.fill_diagonal(linked, True)
-    want = follow_matrices(anchors, informed, psi, grid, beta)
-    got = follow_matrices(anchors, informed, psi, links, beta)
-    assert all(same_bits(a, b) for a, b in
-               zip(want, update_desired_matrices(linked, psi, anchors, beta, grid)))
+    want = follow_matrices(informed, grid)
+    got = follow_matrices(informed, links)
+    assert same_bits(want, combination_weights(linked, grid))
+    assert same_bits(got, want[at])
+    want = update_desired_matrices(want, psi, anchors, beta, grid)
+    got = update_desired_matrices(got, psi, anchors, beta, links)
     assert all(same_bits(a, b[at]) for a, b in zip(got, want))
+
+
+def loop_sums(links, terms):
+    """The static link sums by a plain-Python loop: per link, its terms
+    added in order, then into its column, in link order from +0.0."""
+    (w0, x0), *rest = [(w.tolist(), x.tolist()) for w, x in terms]
+    dim = len(x0[0])
+    out = [[0.0] * dim for _ in range(links.n)]
+    for l, (r, k) in enumerate(zip(links.rows.tolist(), links.cols.tolist())):
+        for c in range(dim):
+            value = w0[l] * x0[r][c]
+            for w, x in rest:
+                value += w[l] * x[r][c]
+            out[k][c] += value
+    return np.array(out)
+
+
+# M = 9 catches a reduction over the coordinate axis, which numpy adds
+# pairwise from 8 elements on
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+@pytest.mark.parametrize("n_terms", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.floats(0.0, 1.0))
+def test_static_link_sums_equal_a_per_link_loop(n_terms, dim, seed, n, density):
+    g = np.random.default_rng(seed)
+    upper = np.triu(g.random((n, n)) < density, 1)
+    links = link_index(upper | upper.T | np.eye(n, dtype=bool))
+    size = links.rows.size
+    terms = [(np.where(g.random(size) < 0.3, 0.0, g.normal(size=size)), estimates(g, n, dim))
+             for _ in range(n_terms)]
+    assert same_bits(links.sums(*terms), loop_sums(links, terms))
 
 
 @settings(max_examples=100, deadline=None)

@@ -263,9 +263,11 @@ def test_close_component_count_of_far_clusters_stays_small_in_memory():
 def check_links(links):
     """Assert what every network's links hold: unique, in row-major order,
     symmetric, each self-loop exactly once, and column counts that are the
-    closed degrees of the adjacency they index."""
-    n, rows, cols, mask = links
-    assert mask is None, "a static network lists its links"
+    closed degrees of the adjacency they index, which the kept constants
+    also hold."""
+    n, rows, cols = links.n, links.rows, links.cols
+    assert links.mask is None, "a static network lists its links"
+    assert rows.flags.c_contiguous and cols.flags.c_contiguous
     assert ((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)).all()
     keys = rows * n + cols
     assert (np.diff(keys) > 0).all(), "links are not unique and row-major"
@@ -274,6 +276,10 @@ def check_links(links):
     degrees = np.bincount(cols, minlength=n)
     assert np.array_equal(degrees, dense(links).sum(axis=0))
     assert np.array_equal(degrees, np.bincount(rows, minlength=n))
+    assert np.array_equal(links.counts(), degrees)
+    assert np.array_equal(links.counts(axis=1), degrees)
+    assert np.array_equal(links.loops, rows == cols)
+    assert links.stays_connected is (component_count(dense(links)) == 1)
 
 
 def test_links_of_every_network_keep_the_contract(rng):
@@ -291,7 +297,7 @@ def test_links_of_every_network_keep_the_contract(rng):
         check_links(links)
     # and the checks catch links that break it: one end of a pair dropped,
     # a self-loop dropped, a link repeated, two links swapped
-    n, rows, cols, _ = produced[0]
+    n, rows, cols = produced[0].n, produced[0].rows, produced[0].cols
     pair = np.flatnonzero(rows != cols)[0]
     loop = np.flatnonzero(rows == cols)[0]
     swapped = np.arange(rows.size)
