@@ -123,7 +123,8 @@ class ExperimentConfig:
                  f"{f.name} must be {f.type}, got {value!r}")
         need(c.mode in self.MODE_DEFAULTS, f"unknown mode {c.mode!r}")
         need(c.n_agents >= 1, "n_agents must be positive")
-        need(1 <= c.n_models <= c.n_agents, "need 1 <= n_models <= n_agents")
+        need(1 <= c.n_models <= c.n_agents, "need 1 <= n_models <= n_agents "
+             f"(n_models={c.n_models}, n_agents={c.n_agents})")
         need(c.dim >= 1, "dim must be positive")
         need(c.model_range[1] > c.model_range[0], "model_range must be increasing")
         need(c.max_degree >= 1, "max_degree must be at least 1")
@@ -132,7 +133,8 @@ class ExperimentConfig:
         need(0.0 <= c.smoothing <= 1.0, "smoothing must lie in [0, 1]")
         need(c.step_size > 0, "step_size must be positive")
         need(c.max_iters >= 1, "max_iters must be positive")
-        need(1 <= c.t_hold <= c.max_iters, "need 1 <= t_hold <= max_iters")
+        need(1 <= c.t_hold <= c.max_iters, "need 1 <= t_hold <= max_iters "
+             f"(t_hold={c.t_hold}, max_iters={c.max_iters})")
         need(c.n_trials >= 1, "n_trials must be positive")
         need(c.seed >= 0, "seed must be nonnegative")
         need(c.sigma_v2_range[0] > 0 and c.sigma_v2_range[1] >= c.sigma_v2_range[0],

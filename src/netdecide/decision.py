@@ -28,17 +28,10 @@ linked weights.
 
 Every stage takes the round's neighborhood, a ``netdecide.network.Links``,
 fixed for a static network's run and rebuilt every round for a mobile
-swarm; only the invariant checks build dense N x N references. The
-desired-model count comes from ``netdecide.network.close_component_count``,
-a frontier sweep over the desired estimates that never builds the N x N
-relation, except where a certificate gives it: on a static network that is
-connected (``Links.stays_connected``, found once per run), a round in
-which every p_k = 1 has every link close, so the closeness relation,
-which holds every link, is connected, and the count is exactly 1. Such a
-round switches no one, so the estimates counted are those the agreement
-degrees read. A swarm's links change every round and it always counts.
-The combination weights depend on their support alone, and are rebuilt
-only when it changes.
+swarm; only the invariant checks build dense N x N references. Each round
+counts its desired models once, by ``netdecide.network.close_component_count``
+given the round's links and whether every p_k = 1. The combination weights
+depend on their support alone, and are rebuilt only when it changes.
 
 All updates are synchronous: within one iteration every read sees the
 state published at the previous barrier, and the switch stage publishes
@@ -127,8 +120,12 @@ def apply_switching(w_prev, threshold, p, rng, equilibrium_break, links):
     return updated, pending[adopt], pending[draw]
 
 
+# how far verify_round lets a weight column's sum stray from 1
+_SUM_TOL = 1e-12
+
+
 def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
-                 adjacency, w_prev, threshold, n_desired, phi, psi, tol=1e-12):
+                 adjacency, w_prev, threshold, n_desired, phi, psi):
     """Structural checks applied after each round when instrumentation is on.
 
     Every per-pair argument holds the round's values at the pairs of
@@ -142,7 +139,7 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
         return links.sums((values, np.ones((links.n, 1))))[:, 0]
 
     at = (links.rows, links.cols)
-    if np.abs(column_sums(combination) - 1.0).max() > tol:
+    if np.abs(column_sums(combination) - 1.0).max() > _SUM_TOL:
         raise InvariantViolation("aggregation weights are not column-stochastic")
     beliefs = np.zeros((links.n, links.n))
     beliefs[at] = smoothed
@@ -163,7 +160,7 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
     if ((fresh > 0) & (hold > 0)).any():
         raise InvariantViolation("fresh and hold supports overlap")
     total = fresh + hold
-    if np.abs(column_sums(total) - 1.0).max() > tol:
+    if np.abs(column_sums(total) - 1.0).max() > _SUM_TOL:
         raise InvariantViolation("split weights are not column-stochastic")
     if ((total > 0) & ~adjacency[at]).any():
         raise InvariantViolation("desired weights outside the adjacency")
@@ -295,10 +292,8 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         fresh, hold = update_desired_matrices(weights, psi, anchors, config.beta, links)
         # a swarm's weights are N x N; past the split only its two parts are read
         del weights
-        # every link close (every p_k = 1) on a connected static network
-        # makes the closeness relation connected: one desired model
-        n_desired[t] = 1 if agreed[t] and links.stays_connected else close_component_count(
-            w_prev, config.beta)
+        # an agreed round switches no one, so its links hold close estimates
+        n_desired[t] = close_component_count(w_prev, config.beta, links, agreed[t])
         w = update_estimate(phi, w_prev, fresh, hold, links)
 
         msd_observed[t] = observed_msd(phi, models, assignment)

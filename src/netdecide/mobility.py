@@ -74,7 +74,7 @@ class MotionDriver:
     cap of the per-round topology rebuild and the iterations at which
     positions are sampled (``snapshot_iters``); ``links`` are
     the swarm's links at ``positions``, which each step replaces with the
-    links at the new positions. A non-finite velocity raises
+    links at the new positions. A non-finite velocity or speed raises
     :class:`~netdecide.network.DivergenceError`, which the harness records
     as a diverged trial.
     """
@@ -91,9 +91,10 @@ class MotionDriver:
     def step(self, iteration, targets):
         self.positions, self.velocities = step_motion(
             self.positions, self.velocities, targets, self.links.mask, self.config)
-        if not np.isfinite(self.velocities).all():
-            raise DivergenceError(f"non-finite velocity at iteration {iteration}")
-        speed = float(np.linalg.norm(self.velocities, axis=1).max(initial=0.0))
+        with np.errstate(over="ignore"):
+            speed = float(np.linalg.norm(self.velocities, axis=1).max(initial=0.0))
+        if not np.isfinite(speed):
+            raise DivergenceError(f"non-finite velocity or speed at iteration {iteration}")
         if speed > self.config.max_speed * (1 + 1e-9):
             raise AssertionError(f"speed cap violated at iteration {iteration}: {speed}")
         self.max_observed_speed = max(self.max_observed_speed, speed)

@@ -25,9 +25,9 @@ gather ``x[rows]`` of an (N, 2) array costs several column gathers
 
 :func:`close_component_count` counts the components of the closeness
 relation by a frontier sweep that computes the distances of a few frontier
-rows at a time, without building the relation, and the noise draw takes
-its exponential and logarithm from :func:`_exp` and :func:`_log`, which
-use no math library.
+rows at a time, without building the relation (:func:`component_count`,
+its dense reference, runs the same sweep on a matrix), and the noise draw
+takes its exp and log from :func:`_exp` and :func:`_log`: no math library.
 
 A degree-capped radius graph (:func:`generate_topology`, and each rebuild
 of a swarm's) sheds its longest links at over-degree agents by sorts over
@@ -204,26 +204,29 @@ def pairwise_close(points, threshold, links):
         squared_distances(points, None, links.rows, links.cols) <= threshold)
 
 
-def component_count(close):
-    """Number of connected components of a symmetric boolean relation.
-
-    A frontier sweep: a breadth-first search from the first agent no
-    earlier search reached, repeated until every agent is reached. Each
-    level reads the rows of the frontier, which the symmetry makes equal to
-    its columns.
-    """
-    close = np.asarray(close, dtype=bool)
-    unreached = np.ones(close.shape[0], dtype=bool)
+def _sweep(n, next_level):
+    """Number of components of a symmetric relation over ``n`` agents, by
+    a frontier sweep: a breadth-first search from the first agent no
+    earlier search reached, repeated until every agent is reached.
+    ``next_level(frontier, rest)`` tells which unreached agents ``rest``
+    the relation holds with one of the ``frontier`` (ascending ids)."""
+    unreached = np.ones(n, dtype=bool)
     count = 0
     while unreached.any():
-        root = unreached.argmax()
-        frontier = close[root] & unreached
-        frontier[root] = True
-        while frontier.any():
-            unreached &= ~frontier
-            frontier = close[frontier].any(axis=0) & unreached
+        frontier = unreached.argmax(keepdims=True)
+        while frontier.size:
+            unreached[frontier] = False
+            rest = np.flatnonzero(unreached)
+            frontier = rest[next_level(frontier, rest)]
         count += 1
     return count
+
+
+def component_count(close):
+    """Number of connected components of a symmetric boolean relation: the
+    sweep reads the frontier's rows, which the symmetry makes its columns."""
+    close = np.asarray(close, dtype=bool)
+    return _sweep(close.shape[0], lambda frontier, rest: close[frontier].any(axis=0)[rest])
 
 
 def _link_labels(n, a, b):
@@ -250,41 +253,38 @@ def _link_labels(n, a, b):
         parent = parent[parent]
 
 
-def close_component_count(points, threshold):
+def close_component_count(points, threshold, links=None, agreed=False):
     """``component_count(pairwise_close(points, threshold))``, exactly,
-    without the N x N relation.
+    without the N x N relation; ``agreed`` says that every link of the
+    round's ``links`` joins two close points.
 
-    A cloud whose bounding box passes the kernel's test (its extents
-    squared and added in coordinate order, ``<= threshold``) is one
-    component: rounding is monotone, so no pair of points computes a
-    larger distance. Otherwise the frontier sweep of
-    :func:`component_count` runs on the points: each level tests the
-    frontier against the agents not yet reached, a block of at most
-    ``_PAIRS_PER_STEP`` pairs at a time. The kernel gives each pair the
-    bits it has in the N x N matrix, so the count is the same, for any
-    number of coordinates and for points that are not finite.
+    An agreed round counts 1 when its links join every agent
+    (``links.stays_connected``), or when the cloud's bounding box passes
+    the kernel's test (its extents squared and added in coordinate order):
+    rounding is monotone, so no pair computes a larger distance. A round
+    that is not agreed could pass the box only when its own switches closed
+    the last gap, so it skips the box: the sweep counts the same 1. Else
+    :func:`_sweep` tests each frontier against the unreached agents, at
+    most ``_PAIRS_PER_STEP`` pairs a block, each pair with its bits in the
+    N x N matrix: the same count for any number of coordinates and for
+    points that are not finite.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if n == 0:
-        return 0
-    if squared_distances(points.max(axis=0)[None], points.min(axis=0)[None])[0, 0] <= threshold:
-        return 1
-    unreached = np.ones(n, dtype=bool)
-    count = 0
-    while unreached.any():
-        frontier = unreached.argmax(keepdims=True)
-        while frontier.size:
-            unreached[frontier] = False
-            rest = np.flatnonzero(unreached)
-            hit = np.zeros(rest.size, dtype=bool)
-            step = max(1, _PAIRS_PER_STEP // max(rest.size, 1))
-            for i in range(0, frontier.size, step):
-                d2 = squared_distances(points, None, frontier[i:i + step, None], rest)
-                hit |= (d2 <= threshold).any(axis=0)
-            frontier = rest[hit]
-        count += 1
-    return count
+    if agreed:
+        if links.stays_connected:
+            return 1
+        extent = np.ptp(points, axis=0)
+        # in coordinate order: .sum() reorders 8 coordinates or more
+        if reduce(add, (extent * extent).tolist()) <= threshold:
+            return 1
+
+    def next_level(frontier, rest):
+        step = max(1, _PAIRS_PER_STEP // max(rest.size, 1))
+        return reduce(np.logical_or, (
+            (squared_distances(points, None, frontier[i:i + step, None], rest) <= threshold)
+            .any(axis=0) for i in range(0, frontier.size, step)))
+
+    return _sweep(points.shape[0], next_level)
 
 
 def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
@@ -404,7 +404,12 @@ def _first_refusal(labels, cut_a, cut_b):
     return first
 
 
-def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
+# placements generate_topology tries, and model sets generate_models draws
+_PLACEMENTS = 50
+_MODEL_DRAWS = 1000
+
+
+def generate_topology(n_agents, max_degree, radius, seed=None):
     """Connected random geometric graph on the unit square.
 
     Agents are placed uniformly at random and linked when closer than
@@ -412,7 +417,7 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     first, except a link whose cut would disconnect the graph
     (:func:`_prune_degrees`: forced cuts found by sorting the links, the
     pass repeated after each refused cut). Positions are resampled until
-    both the degree cap and connectivity hold.
+    the prune meets the degree cap and leaves the links connected.
 
     Parameters
     ----------
@@ -424,8 +429,6 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
         Link formation radius.
     seed : int, SeedSequence or Generator, optional
         Source of randomness.
-    max_tries : int
-        Placement attempts before giving up.
 
     Returns
     -------
@@ -437,7 +440,7 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     ------
     TopologyError
         At once if no connected graph meets the cap, or if no feasible
-        placement is found within ``max_tries`` attempts.
+        placement is found within ``_PLACEMENTS`` attempts.
     """
     if n_agents < 1:
         raise TopologyError("n_agents must be positive")
@@ -449,35 +452,34 @@ def generate_topology(n_agents, max_degree, radius, seed=None, max_tries=50):
     if radius <= 0:
         raise TopologyError("radius must be positive")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_PLACEMENTS):
         positions = rng.random((n_agents, 2))
         d2 = squared_distances(positions)
         adjacency = d2 <= radius * radius
         np.fill_diagonal(adjacency, True)
-        if component_count(adjacency) != 1:
-            continue
-        if _prune_degrees(adjacency, d2, max_degree, keep_connected=True):
-            return positions, link_index(adjacency)
+        # the prune splits no component: connected exactly when the placement is
+        if (_prune_degrees(adjacency, d2, max_degree, keep_connected=True)
+                and (links := link_index(adjacency)).stays_connected):
+            return positions, links
     raise TopologyError(
         f"no connected topology with closed degree <= {max_degree} found for "
-        f"{n_agents} agents at radius {radius} after {max_tries} tries"
+        f"{n_agents} agents at radius {radius} after {_PLACEMENTS} tries"
     )
 
 
-def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0,
-                    max_tries=1000):
+def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0):
     """Draw ``n_models`` model vectors, a (C, M) array with entries uniform
     in ``value_range``.
 
     The whole set is redrawn until every pair is strictly farther apart
     than ``min_separation_sq`` (squared Euclidean), so that downstream
     proximity tests cannot confuse two models; :class:`ConfigError` if
-    ``max_tries`` draws all fail."""
+    ``_MODEL_DRAWS`` draws all fail."""
     rng = np.random.default_rng(seed)
     lo, hi = value_range
     if not hi > lo:
         raise ValueError("value_range must be increasing")
-    for _ in range(max_tries):
+    for _ in range(_MODEL_DRAWS):
         models = rng.uniform(lo, hi, size=(n_models, dim))
         if n_models < 2:
             return models
@@ -487,7 +489,7 @@ def generate_models(n_models, dim, value_range, seed=None, min_separation_sq=0.0
             return models
     raise ConfigError(f"could not draw n_models={n_models} models in model_range "
                       f"{tuple(value_range)} more than {min_separation_sq} (squared) apart "
-                      f"in {max_tries} tries; lower n_models or beta, or widen model_range")
+                      f"in {_MODEL_DRAWS} tries; lower n_models or beta, or widen model_range")
 
 
 def corner_models(value_range):

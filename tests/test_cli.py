@@ -38,6 +38,18 @@ def test_zero_goal_gain_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--iters", "20"], "need 1 <= t_hold <= max_iters (t_hold=50, max_iters=20)"),
+    (["--agents", "3", "--models", "4"],
+     "need 1 <= n_models <= n_agents (n_models=4, n_agents=3)")])
+def test_range_errors_name_their_values(tmp_path, capsys, flags, message):
+    # t_hold keeps its default of 50, which the message must show
+    code = main(["decide", *flags, "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_repeated_sweep_count_exits_with_code_2(tmp_path, capsys):
     code = main(["sweep", *TINY, "--model-counts", "2", "3", "2",
                  "--out-dir", str(tmp_path)])

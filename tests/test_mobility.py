@@ -220,6 +220,19 @@ def test_non_finite_motion_records_a_diverged_trial(monkeypatch):
     assert record.diverged and not record.success
 
 
+def test_overflowing_speed_records_a_diverged_trial(monkeypatch):
+    # the velocities stay finite, near 1e308, but their norm overflows
+    cfg = ExperimentConfig.for_mode("mobile", n_agents=10, max_iters=20, t_hold=5,
+                                    n_trials=1, max_speed=1e308)
+    record, _ = run_single_trial(cfg, trial_seeds(cfg.seed, 1)[0])
+    assert record.diverged and not record.success
+    # a finite speed over the cap is a broken motion law, not a divergence
+    monkeypatch.setattr(netdecide.mobility, "step_motion",
+                        lambda pos, vel, *args: (pos, np.full_like(vel, 3.0)))
+    with pytest.raises(AssertionError, match="speed cap violated at iteration 1"):
+        run_single_trial(cfg.replace(max_speed=2.0), trial_seeds(cfg.seed, 1)[0])
+
+
 def test_seeded_swarm_reaches_one_source():
     cfg = ExperimentConfig.for_mode("mobile", n_trials=1, seed=0,
                                     snapshot_iters=(1, 200, 500, 1000))

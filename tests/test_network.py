@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import netdecide.network
 from netdecide.config import ConfigError
+from netdecide.labeling import agreement_vector
 from netdecide.mobility import rebuild_topology
 from netdecide.network import (DataStream, Links, TopologyError,
                                _exp, _first_refusal, _link_labels, _log,
@@ -179,20 +180,24 @@ def test_component_count_matches_graph_search_oracle(close):
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), dim=st.integers(1, 5),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), dim=st.integers(1, 9),
        cloud=st.sampled_from(["grid", "bunched", "clusters", "spread", "chain", "far"]),
-       coincident=st.floats(0.0, 0.5), exact=st.booleans())
-@example(seed=0, n=1, dim=2, cloud="spread", coincident=0.0, exact=False)
-@example(seed=0, n=40, dim=2, cloud="grid", coincident=0.5, exact=True)
-@example(seed=3, n=60, dim=3, cloud="bunched", coincident=0.0, exact=True)
-@example(seed=1, n=60, dim=5, cloud="chain", coincident=0.0, exact=False)
-@example(seed=2, n=60, dim=4, cloud="far", coincident=0.0, exact=False)
+       coincident=st.floats(0.0, 0.5), exact=st.booleans(), under=st.booleans())
+@example(seed=0, n=1, dim=2, cloud="spread", coincident=0.0, exact=False, under=False)
+@example(seed=0, n=40, dim=2, cloud="grid", coincident=0.5, exact=True, under=False)
+@example(seed=3, n=60, dim=3, cloud="bunched", coincident=0.0, exact=True, under=False)
+@example(seed=1, n=60, dim=5, cloud="chain", coincident=0.0, exact=False, under=False)
+@example(seed=2, n=60, dim=4, cloud="far", coincident=0.0, exact=False, under=False)
+@example(seed=7, n=2, dim=8, cloud="spread", coincident=0.0, exact=True, under=True)
+@example(seed=1, n=2, dim=9, cloud="bunched", coincident=0.0, exact=True, under=True)
 def test_close_component_count_matches_the_dense_relation(seed, n, dim, cloud,
-                                                          coincident, exact):
+                                                          coincident, exact, under):
     # half-grid points meet an exact threshold in many pairs; bunched
     # clouds pass the whole-cloud box test often, spread ones never; a
     # chain spaced exactly the threshold apart takes many sweep levels,
-    # and far clusters fail the box test with 2-4 components
+    # and far clusters fail the box test with 2-4 components. A threshold
+    # one step under a pair's distance tells a box summed in coordinate
+    # order from one that .sum() adds out of order, from 8 coordinates on
     g = np.random.default_rng(seed)
     threshold = 0.08
     if cloud == "grid":
@@ -221,8 +226,19 @@ def test_close_component_count_matches_the_dense_relation(seed, n, dim, cloud,
     positive = d2[d2 > 0]
     if exact and positive.size:
         threshold = float(g.choice(positive))
+        if under:
+            threshold = float(np.nextafter(threshold, 0.0))
     want = component_count(pairwise_close(points, threshold, everyone(n)))
     assert close_component_count(points, threshold) == want
+    # the round facts: a static network's links, connected or not, and the
+    # swarm's grid, with agreement found as the round loop finds it
+    adjacency = g.random((n, n)) < g.uniform(0.0, 0.3)
+    adjacency |= adjacency.T
+    np.fill_diagonal(adjacency, True)
+    for links in (link_index(adjacency), everyone(n)):
+        p = agreement_vector(pairwise_close(points, threshold, links), links)
+        agreed = bool((p == 1.0).all())
+        assert close_component_count(points, threshold, links, agreed) == want
     if cloud == "far" and not exact and not copies.any() and n >= k:
         assert want == k
 
@@ -500,8 +516,8 @@ def test_prune_of_a_dense_world_stays_within_one_distance_matrix(seed):
 
 
 def test_generate_topology_gives_up_when_radius_too_small():
-    with pytest.raises(TopologyError):
-        generate_topology(40, max_degree=7, radius=0.01, seed=0, max_tries=5)
+    with pytest.raises(TopologyError, match="after 50 tries"):
+        generate_topology(40, max_degree=7, radius=0.01, seed=0)
 
 
 def test_unmeetable_degree_cap_raises_before_any_placement(monkeypatch):
@@ -541,10 +557,10 @@ def test_generate_models_respects_separation_and_range():
         assert sep[~np.eye(3, dtype=bool)].min() >= 0.32
     with pytest.raises(ValueError):
         generate_models(2, dim=2, value_range=(1.0, -1.0), seed=0)
-    with pytest.raises(ConfigError, match="n_models=5"):
+    with pytest.raises(ConfigError, match="n_models=5.* in 1000 tries"):
         # cannot fit this separation inside the unit box
         generate_models(5, dim=2, value_range=(-1.0, 1.0), seed=0,
-                        min_separation_sq=50.0, max_tries=10)
+                        min_separation_sq=50.0)
 
 
 def test_corner_models_rows():
