@@ -52,8 +52,8 @@ from .diffusion import (adapt, aggregate, believed_neighborhoods,
 from .labeling import agreement_vector, view_from_closeness
 from .metrics import (common_model, evaluate_success, final_agreement_block,
                       msd_observed as observed_msd)
-from .network import (close_component_count, component_count, link_grid, pairwise_close,
-                      random_assignment, squared_distances)
+from .network import (close_component_count, close_matrix, component_count, link_grid,
+                      pairwise_close, random_assignment, squared_distances)
 from .records import RunRecord
 
 
@@ -120,6 +120,20 @@ def apply_switching(w_prev, threshold, p, rng, equilibrium_break, links):
     return updated, pending[adopt], pending[draw]
 
 
+# rows a record curve grows by: it holds the rounds run, not max_iters rows
+_CURVE_ROWS = 64
+
+
+def grown(curve, t, cap):
+    """``curve`` when it has a row ``t``, else a copy with ``_CURVE_ROWS``
+    more zero rows, never more than ``cap`` rows in all."""
+    if t < len(curve):
+        return curve
+    out = np.zeros((min(len(curve) + _CURVE_ROWS, cap), *curve.shape[1:]), dtype=curve.dtype)
+    out[:len(curve)] = curve
+    return out
+
+
 # how far verify_round lets a weight column's sum stray from 1
 _SUM_TOL = 1e-12
 
@@ -148,7 +162,7 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
         raise InvariantViolation("aggregation support differs from the believed neighborhoods")
     if not np.array_equal(combination > 0, believed):
         raise InvariantViolation("aggregation weight outside believed support")
-    dense = squared_distances(w_prev) <= threshold
+    dense = close_matrix(w_prev, threshold)
     if not np.array_equal(dense, dense.T) or not dense.diagonal().all():
         raise InvariantViolation("desired-model closeness must be symmetric with unit diagonal")
     if not np.array_equal(close, (dense & adjacency)[at]):
@@ -189,7 +203,8 @@ class MajoritySwitching:
         self.rng = rng
         self.adopt_counts = np.zeros(n_agents, dtype=int)
         self.random_counts = np.zeros(n_agents, dtype=int)
-        self.deviations = np.zeros((config.max_iters, n_models))
+        self.max_iters = config.max_iters
+        self.deviations = np.zeros((0, n_models))
 
     def desired(self, t, w_prev, psi, close, p, links):
         w_prev, adopted, drawn = apply_switching(
@@ -202,6 +217,7 @@ class MajoritySwitching:
         return w_prev, close, combination_weights(close, links), w_prev
 
     def track(self, t, w, models, assignment):
+        self.deviations = grown(self.deviations, t, self.max_iters)
         self.deviations[t] = squared_distances(w, models).sum(axis=0) / len(w)
 
     def record_fields(self, n_ran, agreed):
@@ -247,9 +263,9 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
     w_prev = None
     support = combination = None
 
-    msd_observed = np.full((n_iters, n_models), np.nan)
-    agreed = np.zeros(n_iters, dtype=bool)
-    n_desired = np.zeros(n_iters, dtype=int)
+    msd_observed = np.zeros((0, n_models))
+    agreed = np.zeros(0, dtype=bool)
+    n_desired = np.zeros(0, dtype=int)
     p = np.zeros(n)
 
     # a settled network cannot unsettle: with every p_k = 1 no switch ever
@@ -264,6 +280,9 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
 
     for i in range(1, n_iters + 1):
         t = i - 1
+        if t == len(agreed):
+            msd_observed, agreed, n_desired = (grown(curve, t, n_iters)
+                                               for curve in (msd_observed, agreed, n_desired))
         if i in reassign_at:
             assignment = random_assignment(n, n_models, streams.reassign)
             observed = models[assignment]

@@ -25,7 +25,7 @@ from itertools import count
 
 import numpy as np
 
-from .decision import InvariantViolation, run_rounds
+from .decision import InvariantViolation, grown, run_rounds
 from .diffusion import combination_weights
 from .network import squared_distances
 
@@ -119,14 +119,16 @@ class AnchorRelay:
         self.last_growth = max(1, int(self.depth[self.depth != OUT_OF_REACH].max()))
         self.weights = None
         self.anchors = np.zeros((links.n, dim))
-        self.coverage = np.zeros(config.max_iters, dtype=int)
-        self.deviations = np.zeros(config.max_iters)
+        self.max_iters = config.max_iters
+        self.coverage = np.zeros(0, dtype=int)
+        self.deviations = np.zeros(0)
         self.ball = np.arange(links.n) == self.target if check_invariants else None
 
     def desired(self, t, w_prev, psi, close, p, links):
         i = t + 1
         self.anchors = spread_anchor(self.anchors, psi, self.depth, self.source, i)
         informed = self.depth <= i
+        self.coverage = grown(self.coverage, t, self.max_iters)
         self.coverage[t] = int(informed.sum())
         if self.ball is not None:
             self.ball = links.counts(self.ball[links.rows]) > 0
@@ -143,6 +145,7 @@ class AnchorRelay:
         return w_prev, close, self.weights, self.anchors
 
     def track(self, t, w, models, assignment):
+        self.deviations = grown(self.deviations, t, self.max_iters)
         self.deviations[t] = (squared_distances(w, models[[assignment[self.target]]]).sum()
                               / len(w))
 

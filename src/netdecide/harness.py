@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -128,23 +128,40 @@ class MonteCarloSummary:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+# columns _nan_stats sorts at a time
+_COLUMNS_PER_BLOCK = 256
+
+
 def _nan_stats(stack):
     """Per-column mean, 10th and 90th percentile over the trial axis,
-    skipping NaN; the values ``np.nanpercentile`` gives, with NaN and no
-    warning for columns that hold no value."""
-    valid = ~np.isnan(stack)
-    counts = valid.sum(axis=0)
-    sums = np.nansum(np.where(valid, stack, 0.0), axis=0)
-    mean = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    # NaN sorts last, so a column with k values holds them in its first k
-    # rows; columns with equal k share one vectorized percentile call
-    ordered = np.sort(stack, axis=0)
-    p10 = np.full(counts.shape, np.nan)
-    p90 = np.full(counts.shape, np.nan)
-    for k in np.unique(counts[counts > 0]):
-        cols = counts == k
-        p10[cols], p90[cols] = np.percentile(ordered[:k, cols], [10, 90], axis=0)
-    return mean, p10, p90, counts
+    skipping NaN, and per-column count of values; the values
+    ``np.nanpercentile`` gives, with NaN and no warning for columns that
+    hold no value.
+
+    The columns are taken ``_COLUMNS_PER_BLOCK`` at a time, so beyond its
+    four outputs the summary holds one block of every trial, however long
+    the curves. A mean adds its column's values in trial order.
+    """
+    trials = stack.reshape(stack.shape[0], -1)
+    mean, p10, p90 = (np.full(trials.shape[1], np.nan) for _ in range(3))
+    counts = np.empty(trials.shape[1], dtype=int)
+    for lo in range(0, trials.shape[1], _COLUMNS_PER_BLOCK):
+        cols = slice(lo, lo + _COLUMNS_PER_BLOCK)
+        block = trials[:, cols]
+        valid = ~np.isnan(block)
+        k = counts[cols] = valid.sum(axis=0)
+        # row by row: numpy sums a one-column block's axis 0 pairwise
+        sums = reduce(np.add, np.where(valid, block, 0.0))
+        np.divide(sums, k, out=mean[cols], where=k > 0)
+        # NaN sorts last, so a column with k values holds them in its first
+        # k rows; columns with equal k share one vectorized percentile call
+        ordered = np.sort(block, axis=0)
+        for size in set(k.tolist()) - {0}:
+            same = k == size
+            p10[cols][same], p90[cols][same] = np.percentile(
+                ordered[:size, same], [10, 90], axis=0)
+    shape = stack.shape[1:]
+    return mean.reshape(shape), p10.reshape(shape), p90.reshape(shape), counts.reshape(shape)
 
 
 def _pad_stack(arrays):

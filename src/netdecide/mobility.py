@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import DivergenceError, link_grid, squared_distances, _prune_degrees
+from .network import (DivergenceError, close_matrix, link_grid, squared_distances,
+                      _prune_degrees)
 
 
 def step_motion(pos, vel, targets, adjacency, config):
@@ -38,16 +39,17 @@ def step_motion(pos, vel, targets, adjacency, config):
     counts = others.sum(axis=1)
     align = (others @ vel) / np.maximum(counts, 1)[:, None]
 
-    # [j, i] = pos_i - pos_j: axis-0 sums over j add row by row, keeping the golden bits
-    x, y = pos[:, 0], pos[:, 1]
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
-    d2 = dx * dx + dy * dy
-    near = d2 < config.repulse_radius ** 2
+    # agent j pushes agent i by (pos_i - pos_j) / d2 at each near pair (j, i),
+    # listed in row-major order: bincount adds each agent's pushes in
+    # ascending j, starting from +0.0, as a sum over every j would
+    near = close_matrix(pos, config.repulse_radius ** 2, strict=True)
     np.fill_diagonal(near, False)
-    denom = np.maximum(d2, 1e-12)
-    repulse = np.column_stack([np.where(near, dx / denom, 0.0).sum(axis=0),
-                               np.where(near, dy / denom, 0.0).sum(axis=0)])
+    n = len(pos)
+    j, i = np.divmod(np.flatnonzero(near), n)
+    denom = np.maximum(squared_distances(pos, None, j, i), 1e-12)
+    repulse = np.column_stack([
+        np.bincount(i, weights=(x[i] - x[j]) / denom, minlength=n)
+        for x in (pos[:, 0], pos[:, 1])])
 
     blend = (config.goal_gain * goal + config.align_gain * align
              + config.repulse_gain * repulse)
@@ -59,11 +61,11 @@ def step_motion(pos, vel, targets, adjacency, config):
 def rebuild_topology(positions, radius, max_degree):
     """Adjacency of the radius graph of the current positions, an N x N
     boolean matrix with a True diagonal, with the degree cap applied;
-    connectivity is not required."""
-    d2 = squared_distances(positions)
-    adjacency = d2 <= radius * radius
+    connectivity is not required. No N x N float array is made (see
+    ``netdecide.network.close_matrix``)."""
+    adjacency = close_matrix(positions, radius * radius)
     np.fill_diagonal(adjacency, True)
-    _prune_degrees(adjacency, d2, max_degree, keep_connected=False)
+    _prune_degrees(adjacency, positions, max_degree, keep_connected=False)
     return adjacency
 
 

@@ -30,10 +30,14 @@ its dense reference, runs the same sweep on a matrix), and the noise draw
 takes its exp and log from :func:`_exp` and :func:`_log`: no math library.
 
 A degree-capped radius graph (:func:`generate_topology`, and each rebuild
-of a swarm's) sheds its longest links at over-degree agents by sorts over
-the links, :func:`_prune_degrees`. A static network repeats that pass after
-each cut that would disconnect it, so the prune takes the decisions of a
-walk over the links, longest first, without a loop over every link.
+of a swarm's) is built from the N x N boolean radius test alone:
+:func:`close_matrix` makes it in one pass over row blocks of at most
+``_PAIRS_PER_STEP`` pair distances, and the prune measures only the links
+it walks, so no N x N float array is made. :func:`_prune_degrees` sheds the
+longest links at over-degree agents by sorts over the links. A static
+network repeats that pass after each cut that would disconnect it, so the
+prune takes the decisions of a walk over the links, longest first, without
+a loop over every link.
 """
 
 from __future__ import annotations
@@ -197,6 +201,21 @@ def squared_distances(x, y=None, rows=None, cols=None):
 _PAIRS_PER_STEP = 2 ** 13
 
 
+def close_matrix(points, threshold, strict=False):
+    """The N x N boolean test ``squared_distances(points) <= threshold``,
+    or ``<`` when ``strict``, without the N x N distances: one pass over
+    row blocks of at most ``_PAIRS_PER_STEP`` pairs, each pair with its
+    bits in the N x N matrix."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    test = np.less if strict else np.less_equal
+    out = np.empty((n, n), dtype=bool)
+    step = max(1, _PAIRS_PER_STEP // max(n, 1))
+    for lo in range(0, n, step):
+        test(squared_distances(points[lo:lo + step], points), threshold, out=out[lo:lo + step])
+    return out
+
+
 def pairwise_close(points, threshold, links):
     """The test ||p_l - p_k||^2 <= threshold at each link (l, k) of
     ``links``, exactly symmetric as the distances are."""
@@ -287,11 +306,13 @@ def close_component_count(points, threshold, links=None, agreed=False):
     return _sweep(points.shape[0], next_level)
 
 
-def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
+def _prune_degrees(adjacency, positions, max_degree, keep_connected):
     """Drop longest links at over-degree agents, in place.
 
     The prune walks the links longest first, equal lengths in row-major
-    order; a link is cut when either endpoint is still over the cap, unless
+    order, where a link's length is :func:`squared_distances` of its ends'
+    ``positions``, measured only for the links it walks; a link is cut
+    when either endpoint is still over the cap, unless
     ``keep_connected`` is set and cutting it would split a component of the
     graph (disconnect a connected graph). Returns True when every closed
     degree ends up <= max_degree.
@@ -330,7 +351,7 @@ def _prune_degrees(adjacency, sqdist, max_degree, keep_connected):
     walked = over[a] | over[b]
     kept_a, kept_b = a[~walked], b[~walked]
     a, b = a[walked], b[walked]
-    order = np.argsort(-sqdist[a, b], kind="stable")
+    order = np.argsort(-squared_distances(positions, None, a, b), kind="stable")
     a, b = a[order], b[order]
     rank_a, rank_b = _ranks(a, b, deg.size)
     made_a, made_b = [], []
@@ -454,11 +475,10 @@ def generate_topology(n_agents, max_degree, radius, seed=None):
     rng = np.random.default_rng(seed)
     for _ in range(_PLACEMENTS):
         positions = rng.random((n_agents, 2))
-        d2 = squared_distances(positions)
-        adjacency = d2 <= radius * radius
+        adjacency = close_matrix(positions, radius * radius)
         np.fill_diagonal(adjacency, True)
         # the prune splits no component: connected exactly when the placement is
-        if (_prune_degrees(adjacency, d2, max_degree, keep_connected=True)
+        if (_prune_degrees(adjacency, positions, max_degree, keep_connected=True)
                 and (links := link_index(adjacency)).stays_connected):
             return positions, links
     raise TopologyError(
@@ -573,9 +593,10 @@ class DataStream:
     """Every agent's regressors and noise, drawn ``_ROUNDS_PER_BLOCK``
     rounds at a time: when a round of block b is first read, the child
     that ``seed.spawn`` would number b draws the block's regressors
-    (rounds, N, M), then its noise (rounds, N). A round's data depends on
-    the seed and the round alone, so several runs can read one stream, in
-    any order, and only the current block, ``u`` and ``v``, is held.
+    (rounds, N, M), then its noise (rounds, N), each scaled in place. A
+    round's data depends on the seed and the round alone, so several runs
+    can read one stream, in any order, and only the current block, ``u``
+    and ``v``, is held: the old block is dropped before the next is drawn.
     """
 
     def __init__(self, sigma_v2, reg_power, seed):
@@ -584,12 +605,15 @@ class DataStream:
         self._draw(0)
 
     def _draw(self, block):
+        self.u = self.v = None
         rng = np.random.default_rng(np.random.SeedSequence(
             self.seed.entropy, spawn_key=(*self.seed.spawn_key, block)))
         scale_u, scale_v = self.scales
         self.block = block
-        self.u = rng.standard_normal((_ROUNDS_PER_BLOCK, *scale_u.shape)) * scale_u
-        self.v = rng.standard_normal((_ROUNDS_PER_BLOCK, scale_v.size)) * scale_v
+        self.u = rng.standard_normal((_ROUNDS_PER_BLOCK, *scale_u.shape))
+        self.u *= scale_u
+        self.v = rng.standard_normal((_ROUNDS_PER_BLOCK, scale_v.size))
+        self.v *= scale_v
 
     def round(self, i, observed):
         """Regressors and observations for 1-based iteration ``i``, the

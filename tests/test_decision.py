@@ -1,5 +1,6 @@
 """Switching logic, split-weight estimates, and the round verifier."""
 
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -9,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_world, tiny_config
+from netdecide.config import ExperimentConfig
 from netdecide.decision import (InvariantViolation, apply_switching,
                                 run_decision, update_desired_matrices,
                                 update_estimate, verify_round)
 from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
+from netdecide.harness import run_single_trial, trial_seeds
 from netdecide.network import (build_streams, draw_noise_profile, link_grid, link_index,
                                network_from_json, pairwise_close, squared_distances)
 from test_labeling import THRESHOLD, block_points, switch_sources
@@ -365,3 +368,24 @@ def test_cliques_agreed_apart_count_two_desired_models():
                           check_invariants=True)
     assert record.all_agreed[-100:].all()
     assert (record.n_desired_models[-100:] == 2).all()
+
+
+def test_trial_that_stops_early_peaks_as_one_capped_at_its_stop():
+    # the record curves hold the rounds run, not max_iters rows
+    config = ExperimentConfig.for_mode("decide")
+
+    def traced(cfg):
+        tracemalloc.start()
+        try:
+            record, _ = run_single_trial(cfg, trial_seeds(0, 1)[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return record, peak
+
+    run_single_trial(config, trial_seeds(0, 1)[0])
+    record, peak = traced(config)
+    assert record.n_iters < config.max_iters // 4
+    capped, capped_peak = traced(config.replace(max_iters=record.n_iters))
+    assert capped == record
+    assert peak <= 1.1 * capped_peak, (peak, capped_peak)

@@ -1,6 +1,8 @@
 """Monte Carlo harness: aggregation, argument checks and diverged trials."""
 
+import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,6 +47,49 @@ def test_nan_stats_matches_nanpercentile_on_one_dimensional_curves(rng):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert np.allclose(mean, np.nanmean(stack, axis=0))
+
+
+def test_nan_stats_at_block_edges_matches_nanpercentile(rng):
+    # 3 x 401 columns fill several blocks and a ragged last one
+    lengths = [401, 17, 256, 390, 1, 300, 401, 86]
+    stack = _pad_stack([rng.lognormal(size=(k, 3)) for k in lengths])
+    stack[3, 100:110, 2] = np.nan
+    assert stack[0].size > 4 * netdecide.harness._COLUMNS_PER_BLOCK
+    mean, p10, p90, counts = _nan_stats(stack)
+    want10, want90 = nanpercentile_reference(stack)
+    assert np.array_equal(p10, want10, equal_nan=True)
+    assert np.array_equal(p90, want90, equal_nan=True)
+    assert np.array_equal(counts, (~np.isnan(stack)).sum(axis=0))
+    # each mean adds its column's values in trial order
+    total = stack[0].copy()
+    for trial in stack[1:]:
+        total += np.where(np.isnan(trial), 0.0, trial)
+    assert np.array_equal(mean, total / counts)
+
+
+def test_nan_stats_memory_beyond_its_outputs_does_not_grow_with_rounds(rng):
+    def held(rounds):
+        stack = _pad_stack([rng.lognormal(size=(k, 3))
+                            for k in (rounds, rounds // 2, rounds - 7)])
+        tracemalloc.start()
+        try:
+            out = _nan_stats(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - sum(values.nbytes for values in out)
+
+    # each np.percentile call leaves a small tuple on CPython's free list
+    # until the list holds 2000; fill it first, and keep the collector,
+    # which empties it, off
+    gc.disable()
+    try:
+        for _ in range(2100):
+            np.percentile(np.zeros((3, 2)), [10, 90], axis=0)
+        held(300)
+        assert held(4000) <= held(1400)
+    finally:
+        gc.enable()
 
 
 def test_nan_stats_all_nan_columns_are_nan_without_warning():

@@ -1,5 +1,7 @@
 """Motion law, topology rebuilds, and a full seeded swarm run."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -135,6 +137,25 @@ def test_step_motion_matches_all_pairs_law(seed, n, extent, coincident, link,
     want = all_pairs_motion(positions, velocities, targets, adjacency, config)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+def test_step_motion_at_n320_holds_one_dense_float_matrix():
+    # a crowd about 30 wide, which sums a few hundred pushes; the only N x N
+    # float array left is the alignment product's operand
+    n = 320
+    rng = np.random.default_rng(3)
+    positions = rng.uniform(-15, 15, (n, 2))
+    args = (positions, rng.uniform(-1, 1, (n, 2)), rng.uniform(-50, 50, (n, 2)),
+            rebuild_topology(positions, PARAMS.radius, PARAMS.max_degree), PARAMS)
+    assert (squared_distances(positions) < PARAMS.repulse_radius ** 2).sum() > 2 * n
+    step_motion(*args)
+    tracemalloc.start()
+    try:
+        step_motion(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8, peak
 
 
 def test_rebuild_topology_matches_brute_force(rng):

@@ -14,7 +14,7 @@ from netdecide.mobility import rebuild_topology
 from netdecide.network import (DataStream, Links, TopologyError,
                                _exp, _first_refusal, _link_labels, _log,
                                _prune_degrees, build_streams,
-                               close_component_count,
+                               close_component_count, close_matrix,
                                component_count, corner_models,
                                draw_noise_profile, generate_models,
                                generate_topology, link_index, network_from_json,
@@ -85,6 +85,24 @@ def test_squared_distances_is_exactly_symmetric(seed, n, dim, layout):
         x = wide[::2, ::3]
     d2 = squared_distances(x)
     assert np.array_equal(d2, d2.T)
+
+
+@pytest.mark.parametrize("pairs_per_step", [7, 100, 2 ** 13])
+@pytest.mark.parametrize("n, dim", [(1, 2), (37, 2), (101, 3), (330, 2)])
+def test_close_matrix_at_block_edges_equals_the_dense_test(n, dim, pairs_per_step,
+                                                           monkeypatch):
+    # row blocks of pairs_per_step // n rows, the last one ragged; points on
+    # a lattice of spacing 1/8 sit exactly at each radius
+    monkeypatch.setattr(netdecide.network, "_PAIRS_PER_STEP", pairs_per_step)
+    points = np.round(np.random.default_rng(n).random((n, dim)) * 8) / 8
+    d2 = squared_distances(points)
+    ties = 0
+    for radius in (0.25, 0.375, 1.0):
+        ties += (d2 == radius * radius).sum()
+        for strict, test in ((False, np.less_equal), (True, np.less)):
+            assert np.array_equal(close_matrix(points, radius * radius, strict),
+                                  test(d2, radius * radius))
+    assert ties > 0 or n == 1
 
 
 def test_pairwise_close_matches_brute_force(rng):
@@ -447,9 +465,9 @@ def walk_reaches(nbrs, a, b):
 
 
 def connected_radius_graph(rng, n_agents, radius, snapped):
-    """``(adjacency, d2)`` of a connected radius graph on the unit square,
-    the share ``snapped`` of its points on a lattice of spacing 1/12, where
-    distances tie."""
+    """``(adjacency, positions, d2)`` of a connected radius graph on the
+    unit square, the share ``snapped`` of its points on a lattice of
+    spacing 1/12, where distances tie."""
     while True:
         positions = rng.random((n_agents, 2))
         snap = rng.random(n_agents) < snapped
@@ -458,7 +476,7 @@ def connected_radius_graph(rng, n_agents, radius, snapped):
         adjacency = d2 <= radius * radius
         np.fill_diagonal(adjacency, True)
         if component_count(adjacency) == 1:
-            return adjacency, d2
+            return adjacency, positions, d2
 
 
 @pytest.mark.parametrize("n_agents, radius", [(20, 0.4), (80, 0.22), (150, 0.18),
@@ -477,12 +495,12 @@ def test_prune_matches_the_walk_on_radius_graphs(n_agents, radius, monkeypatch):
     refused = set()
     for max_degree in (2, 3, 4, 7):
         for snapped in (0.0, 0.0, 0.0, 0.5, 0.5, 0.5):
-            adjacency, d2 = connected_radius_graph(rng, n_agents, radius, snapped)
+            adjacency, positions, d2 = connected_radius_graph(rng, n_agents, radius, snapped)
             for keep_connected in (False, True):
                 want, got = adjacency.copy(), adjacency.copy()
                 fits = walk_prune(want, d2, max_degree, keep_connected)
                 refusals.append(0)
-                assert _prune_degrees(got, d2, max_degree, keep_connected) is fits
+                assert _prune_degrees(got, positions, max_degree, keep_connected) is fits
                 assert np.array_equal(got, want)
                 if not keep_connected:
                     # the walk refuses a cut exactly when the forced cuts
@@ -506,13 +524,26 @@ def test_prune_of_a_dense_world_stays_within_one_distance_matrix(seed):
     assert walk_prune(want, d2, 7, keep_connected=True)
     tracemalloc.start()
     try:
-        fits = _prune_degrees(adjacency, d2, 7, keep_connected=True)
+        fits = _prune_degrees(adjacency, positions, 7, keep_connected=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert fits is True
     assert np.array_equal(adjacency, want)
     assert peak < d2.nbytes
+
+
+def test_world_build_at_n1280_stays_below_one_distance_matrix():
+    # one 1280 x 1280 float64 matrix takes 13.1 MB; the build holds the
+    # bool radius test and one row block of distances at a time
+    generate_topology(1280, 7, 0.055, seed=0)
+    tracemalloc.start()
+    try:
+        generate_topology(1280, 7, 0.055, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1280 * 1280 * 8, peak
 
 
 def test_generate_topology_gives_up_when_radius_too_small():
