@@ -1,35 +1,41 @@
 """Network-wide decision making on top of diffusion adaptation.
 
 Every mode runs one synchronous round loop, :func:`run_rounds`: scheduled
-reassignment, adaptation, cluster beliefs, aggregation, the closeness of
-the previous desired estimates and the agreement degrees, the
-desired-estimate stage, the estimate update, metrics, motion (mobile
-swarms) and early stop. The desired-estimate stage is the loop's only
-seam, and one of two policies fills it. Each policy also keeps its own
-desired-deviation curve and record fields.
+reassignment, adaptation, cluster beliefs, aggregation, the desired-estimate
+stage, the estimate update, the observed-model deviations, motion (mobile
+swarms) and early stop. The desired-estimate stage is the loop's only seam,
+and one of two policies fills it. Each policy keeps what a round records of
+its desired estimates: whether every link joins close estimates (all
+agreed), the desired-model count, the last agreement degrees p_k and the
+desired-deviation curve.
 
-- :class:`MajoritySwitching` (decision-making and mobile swarms): agents
-  label their neighbors' desired models locally and switch their own
-  desired estimate when they disagree with the local majority, with a
-  random tie-breaker that defuses evenly split standoffs. All
-  non-unanimous agents are labeled and decided in one array batch.
+- :class:`MajoritySwitching` (decision-making and mobile swarms) reads these
+  facts, so it keeps them every round and decides the early stop: agreement
+  from the closeness at the links, p only on a round some link disagrees,
+  the count after its switches, and a deviation row only on agreed rounds,
+  the only rows its record keeps. Agents label their neighbors' desired
+  models locally and switch their own desired estimate when they disagree
+  with the local majority. In a two-class view, however it splits, a
+  majority member copies a neighbor drawn uniformly: a voter step, on which
+  agreement rests (about 82% of switches are such draws; without them no
+  N=80 trial of twenty agrees). All non-unanimous agents are labeled and
+  decided in one array batch.
 - ``netdecide.follow.AnchorRelay`` (follow-the-target): a relayed copy of
-  the target agent's output replaces local labeling.
+  the target agent's output replaces local labeling. No round of the relay
+  reads the facts, so it settles them a bounded block of rounds at a time.
 
 Each policy hands the loop uniform weights over every agent's linked
-neighbors and the anchors (the previous desired estimates, or the relayed
-target output), and the loop blends neighbor aggregates with previous
-estimates through two complementary weight matrices built by
-:func:`update_desired_matrices`: the weights split into a "fresh" route
-for neighbors whose adaptation output is already near the agent's anchor,
-and a "hold" route that keeps diffusing previous desired estimates
-otherwise. The two are all the loop keeps of the split; their sum is the
-linked weights.
+neighbors and the anchors (the desired estimates, or the relayed target
+output). :func:`update_desired_matrices` marks the links whose neighbor's
+adaptation output is near the agent's anchor, and the estimate update sends
+a marked link's weight down the "fresh" route, onto the neighbor's
+aggregate, and any other down the "hold" route, onto its previous desired
+estimate.
 
 Every stage takes the round's neighborhood, a ``netdecide.network.Links``,
 fixed for a static network's run and rebuilt every round for a mobile
-swarm; only the invariant checks build dense N x N references. Each round
-counts its desired models once, by ``netdecide.network.close_component_count``
+swarm; only the invariant checks build dense N x N references. A round's
+desired models are counted by ``netdecide.network.close_component_count``
 given the round's links and whether every p_k = 1. The combination weights
 depend on their support alone, and are rebuilt only when it changes.
 
@@ -61,24 +67,19 @@ class InvariantViolation(AssertionError):
     """A per-round structural invariant failed."""
 
 
-def update_desired_matrices(weights, psi, anchors, threshold, links):
-    """Split weights ``(fresh, hold)`` for one round.
-
-    The column-stochastic ``weights``, uniform over each agent's linked
-    neighbors (:func:`combination_weights`), are split by neighbor: a
-    weight rides the fresh route when the neighbor's adaptation output is
-    within ``threshold`` (squared norm) of the agent's anchor, and the hold
-    route otherwise.
-    """
-    near = squared_distances(psi, anchors, links.rows, links.cols) <= threshold
-    fresh = np.where(near, weights, 0.0)
-    return fresh, weights - fresh
+def update_desired_matrices(psi, anchors, threshold, links):
+    """The links whose neighbor rides the fresh route this round: those
+    (l, k) where the neighbor's adaptation output ``psi[l]`` is within
+    ``threshold`` (squared norm) of the agent's anchor ``anchors[k]``.
+    Every other link holds."""
+    return squared_distances(psi, anchors, links.rows, links.cols) <= threshold
 
 
-def update_estimate(phi, w_prev, fresh, hold, links):
-    """Desired-estimate update: fresh-route aggregates plus hold-route
-    previous estimates, columns normalized by construction."""
-    return links.sums((fresh, phi), (hold, w_prev))
+def update_estimate(phi, w_prev, weights, near, links):
+    """Desired-estimate update: each link's weight (column-stochastic,
+    uniform over each agent's linked neighbors) on the neighbor's aggregate
+    where ``near`` marks it, on its previous estimate otherwise."""
+    return links.route_sums(weights, near, phi, w_prev)
 
 
 def apply_switching(w_prev, threshold, p, rng, equilibrium_break, links):
@@ -92,11 +93,13 @@ def apply_switching(w_prev, threshold, p, rng, equilibrium_break, links):
     of the view. An agent outside its local majority class (the largest,
     ties going to its own class, then to the smallest leading member)
     adopts the majority's smallest member. With ``equilibrium_break`` a
-    majority member of a two-class view copies a neighbor of its view drawn
-    uniformly, which defuses evenly split standoffs; ``rng`` makes every
-    such draw of the round in one call, in ascending agent order. All
-    decisions read the pre-switch estimates; the copies are applied
-    together, which is the intra-round re-send barrier.
+    majority member of any two-class view, a 4-vs-2 split as much as an
+    even one, copies a neighbor of its view drawn uniformly: a voter step.
+    Most switches are such draws, and without them the dynamics freeze
+    short of agreement. ``rng`` makes every such draw of the round in one
+    call, in ascending agent order. All decisions read the pre-switch
+    estimates; the copies are applied together, which is the intra-round
+    re-send barrier.
     """
     pending = np.flatnonzero(p < 1.0)
     if pending.size == 0:
@@ -125,11 +128,13 @@ _CURVE_ROWS = 64
 
 
 def grown(curve, t, cap):
-    """``curve`` when it has a row ``t``, else a copy with ``_CURVE_ROWS``
-    more zero rows, never more than ``cap`` rows in all."""
+    """``curve`` when it has a row ``t``, else a copy with zero rows up to
+    the next multiple of ``_CURVE_ROWS`` past ``t``, never more than
+    ``cap`` rows in all."""
     if t < len(curve):
         return curve
-    out = np.zeros((min(len(curve) + _CURVE_ROWS, cap), *curve.shape[1:]), dtype=curve.dtype)
+    out = np.zeros((min((t // _CURVE_ROWS + 1) * _CURVE_ROWS, cap), *curve.shape[1:]),
+                   dtype=curve.dtype)
     out[:len(curve)] = curve
     return out
 
@@ -138,16 +143,17 @@ def grown(curve, t, cap):
 _SUM_TOL = 1e-12
 
 
-def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
-                 adjacency, w_prev, threshold, n_desired, phi, psi):
+def verify_round(*, links, combination, support, smoothed, weights, adjacency,
+                 w_prev, desired, threshold, agreed, n_desired, phi, psi):
     """Structural checks applied after each round when instrumentation is on.
 
     Every per-pair argument holds the round's values at the pairs of
     ``links``. The round's results are held to dense N x N references:
     ``support`` and the weights' support to the believed neighborhoods of
-    ``smoothed`` within the ``adjacency``, ``close`` (the closeness of the
-    desired estimates ``w_prev`` at the links) to the dense relation
-    within it, and ``n_desired`` to that relation's component count.
+    ``smoothed`` within the ``adjacency``, ``agreed`` to whether the dense
+    closeness of the previous desired estimates ``w_prev`` holds at every
+    link, and ``n_desired`` to the component count of the dense closeness
+    of the ``desired`` estimates the stage handed on.
     """
     def column_sums(values):
         return links.sums((values, np.ones((links.n, 1))))[:, 0]
@@ -165,18 +171,15 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
     dense = close_matrix(w_prev, threshold)
     if not np.array_equal(dense, dense.T) or not dense.diagonal().all():
         raise InvariantViolation("desired-model closeness must be symmetric with unit diagonal")
-    if not np.array_equal(close, (dense & adjacency)[at]):
-        raise InvariantViolation("link closeness differs from the dense relation")
-    if n_desired != component_count(dense):
+    if agreed != bool(dense[adjacency].all()):
+        raise InvariantViolation("agreement flag differs from the dense relation")
+    if n_desired != component_count(close_matrix(desired, threshold)):
         raise InvariantViolation("desired-model count differs from the dense relation's")
     if smoothed.min() < 0.0 or smoothed.max() > 1.0:
         raise InvariantViolation("smoothed indicators left [0, 1]")
-    if ((fresh > 0) & (hold > 0)).any():
-        raise InvariantViolation("fresh and hold supports overlap")
-    total = fresh + hold
-    if np.abs(column_sums(total) - 1.0).max() > _SUM_TOL:
-        raise InvariantViolation("split weights are not column-stochastic")
-    if ((total > 0) & ~adjacency[at]).any():
+    if np.abs(column_sums(weights) - 1.0).max() > _SUM_TOL:
+        raise InvariantViolation("desired weights are not column-stochastic")
+    if ((weights > 0) & ~adjacency[at]).any():
         raise InvariantViolation("desired weights outside the adjacency")
     # aggregates stay in the convex hull of the estimates they combine
     rows, cols = links.pairs(support)
@@ -191,43 +194,81 @@ def verify_round(*, links, combination, support, smoothed, fresh, hold, close,
 class MajoritySwitching:
     """Desired-estimate stage of decision-making and mobile swarms.
 
-    Non-unanimous agents copy their local majority's estimate (see
-    :func:`apply_switching`), counting each switch by case. The desired
-    deviation is tracked against every model and, once the run is over,
-    kept for the model the final agreement stretch sits closest to.
+    Non-unanimous agents copy their local majority's estimate or, in a
+    two-class view, draw a neighbor's: the voter step agreement rests on
+    (see :func:`apply_switching`). Each switch is counted by case. Every
+    round keeps its facts (see the module notes). The desired deviation is
+    tracked against every model on agreed rounds and, once the run is over,
+    kept for the model the final agreement stretch starts closest to. A
+    decision-making run stops once agreement has held ``t_hold`` rounds
+    with every estimate near one model.
     """
 
-    def __init__(self, config, n_agents, n_models, rng):
+    def __init__(self, config, n_agents, models, rng):
         self.beta = config.beta
         self.equilibrium_break = config.equilibrium_break
         self.rng = rng
+        self.models = models
         self.adopt_counts = np.zeros(n_agents, dtype=int)
         self.random_counts = np.zeros(n_agents, dtype=int)
         self.max_iters = config.max_iters
-        self.deviations = np.zeros((0, n_models))
+        self.agreed = np.zeros(0, dtype=bool)
+        self.n_desired = np.zeros(0, dtype=int)
+        self.deviations = np.zeros((0, len(models)))
+        # the last round's agreement degrees; None when every p_k = 1
+        self.p = None
+        # a settled network cannot unsettle: with every p_k = 1 no switch ever
+        # fires again and the estimate update only contracts toward the common
+        # model, so once agreement has held t_hold rounds and every estimate
+        # sits within the grouping threshold of one model the remaining rounds
+        # are inert and may be skipped. A swarm's links move, so it runs on.
+        self.may_stop = config.early_stop and config.mode == "decide"
+        self.t_hold = config.t_hold
+        self.last_reassign = max(config.reassign_at, default=0)
+        self.streak = 0
 
-    def desired(self, t, w_prev, psi, close, p, links):
-        w_prev, adopted, drawn = apply_switching(
-            w_prev, self.beta, p, self.rng, self.equilibrium_break, links)
-        if adopted.size or drawn.size:
-            self.adopt_counts[adopted] += 1
-            self.random_counts[drawn] += 1
-            close = pairwise_close(w_prev, self.beta, links)
+    def desired(self, t, w_prev, psi, links):
+        close = pairwise_close(w_prev, self.beta, links)
+        # every link close is every p_k = 1
+        agreed = links.every(close)
+        self.p = None
+        if not agreed:
+            self.p = agreement_vector(close, links)
+            w_prev, adopted, drawn = apply_switching(
+                w_prev, self.beta, self.p, self.rng, self.equilibrium_break, links)
+            if adopted.size or drawn.size:
+                self.adopt_counts[adopted] += 1
+                self.random_counts[drawn] += 1
+                close = pairwise_close(w_prev, self.beta, links)
+        self.agreed, self.n_desired = (grown(curve, t, self.max_iters)
+                                       for curve in (self.agreed, self.n_desired))
+        self.agreed[t] = agreed
+        self.streak = self.streak + 1 if agreed else 0
+        # an agreed round switches no one, so its links hold close estimates
+        self.n_desired[t] = close_component_count(w_prev, self.beta, links, agreed)
         # linked where the desired estimates are close, anchored at them
-        return w_prev, close, combination_weights(close, links), w_prev
+        return w_prev, combination_weights(close, links), w_prev
 
-    def track(self, t, w, models, assignment):
-        self.deviations = grown(self.deviations, t, self.max_iters)
-        self.deviations[t] = squared_distances(w, models).sum(axis=0) / len(w)
+    def track(self, t, w, assignment):
+        """Record round ``t``'s updated estimates ``w``; True when the
+        rounds left are inert."""
+        if self.agreed[t]:
+            self.deviations = grown(self.deviations, t, self.max_iters)
+            self.deviations[t] = squared_distances(w, self.models).sum(axis=0) / len(w)
+        return bool(self.may_stop and self.streak >= self.t_hold and t + 1 >= self.last_reassign
+                    and common_model(w, self.models, self.beta) is not None)
 
-    def record_fields(self, n_ran, agreed):
-        deviations = self.deviations[:n_ran]
+    def record_fields(self, n_ran):
+        agreed = self.agreed[:n_ran]
         msd_desired = np.full(n_ran, np.nan)
         block = final_agreement_block(agreed)
         if block is not None:
-            target_model = int(np.argmin(deviations[block]))
-            msd_desired[block:] = deviations[block:, target_model]
-        return dict(msd_desired=msd_desired, source_coverage=None, target_agent=None,
+            target_model = int(np.argmin(self.deviations[block]))
+            msd_desired[block:] = self.deviations[block:n_ran, target_model]
+        n = len(self.adopt_counts)
+        return dict(all_agreed=agreed, n_desired_models=self.n_desired[:n_ran],
+                    final_agreement=np.ones(n) if self.p is None else self.p.copy(),
+                    msd_desired=msd_desired, source_coverage=None, target_agent=None,
                     switch_adopt=self.adopt_counts, switch_random=self.random_counts)
 
 
@@ -253,7 +294,10 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
     n_models, dim = models.shape
     n_iters = config.max_iters
     assignment = assignment.copy()
+    # the assignment's constants, refreshed at each reassignment: each
+    # agent's model row and each model's follower count
     observed = models[assignment]
+    followers = np.bincount(assignment, minlength=n_models)
     bound = 1e3 * max(np.linalg.norm(models, axis=1).max(), 1.0)
     reassign_at = set(config.reassign_at)
 
@@ -262,30 +306,16 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
     smoothed = links.loops.astype(float)
     w_prev = None
     support = combination = None
-
     msd_observed = np.zeros((0, n_models))
-    agreed = np.zeros(0, dtype=bool)
-    n_desired = np.zeros(0, dtype=int)
-    p = np.zeros(n)
-
-    # a settled network cannot unsettle: with every p_k = 1 no switch ever
-    # fires again and the estimate update only contracts toward the common
-    # model, so once agreement has held t_hold rounds and every estimate
-    # sits within the grouping threshold of one model the remaining rounds
-    # are inert and may be skipped
-    may_stop = config.early_stop and config.mode == "decide"
-    last_reassign = max(reassign_at, default=0)
-    streak = 0
     n_ran = n_iters
 
     for i in range(1, n_iters + 1):
         t = i - 1
-        if t == len(agreed):
-            msd_observed, agreed, n_desired = (grown(curve, t, n_iters)
-                                               for curve in (msd_observed, agreed, n_desired))
+        msd_observed = grown(msd_observed, t, n_iters)
         if i in reassign_at:
             assignment = random_assignment(n, n_models, streams.reassign)
             observed = models[assignment]
+            followers = np.bincount(assignment, minlength=n_models)
 
         d, u = streams.data.round(i, observed)
         psi = adapt(psi, u, d, config.step_size)
@@ -302,35 +332,25 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         support = believed
         phi = aggregate(combination, psi, links)
 
-        close = pairwise_close(w_prev, config.beta, links)
-        p = agreement_vector(close, links)
-        agreed[t] = bool((p == 1.0).all())
-        streak = streak + 1 if agreed[t] else 0
+        desired, weights, anchors = policy.desired(t, w_prev, psi, links)
+        near = update_desired_matrices(psi, anchors, config.beta, links)
+        w = update_estimate(phi, desired, weights, near, links)
 
-        w_prev, close, weights, anchors = policy.desired(t, w_prev, psi, close, p, links)
-        fresh, hold = update_desired_matrices(weights, psi, anchors, config.beta, links)
-        # a swarm's weights are N x N; past the split only its two parts are read
-        del weights
-        # an agreed round switches no one, so its links hold close estimates
-        n_desired[t] = close_component_count(w_prev, config.beta, links, agreed[t])
-        w = update_estimate(phi, w_prev, fresh, hold, links)
-
-        msd_observed[t] = observed_msd(phi, models, assignment)
-        policy.track(t, w, models, assignment)
+        msd_observed[t] = observed_msd(phi, observed, assignment, followers)
+        inert = policy.track(t, w, assignment)
 
         if check_invariants:
             verify_round(links=links, combination=combination, support=support,
-                         smoothed=smoothed, fresh=fresh, hold=hold, close=close,
-                         adjacency=links.adjacency(), w_prev=w_prev, threshold=config.beta,
-                         n_desired=n_desired[t], phi=phi, psi=psi)
+                         smoothed=smoothed, weights=weights, adjacency=links.adjacency(),
+                         w_prev=w_prev, desired=desired, threshold=config.beta,
+                         agreed=policy.agreed[t], n_desired=policy.n_desired[t],
+                         phi=phi, psi=psi)
 
         if motion is not None:
             motion.step(i, w)
             links = motion.links
         w_prev = w
-
-        if (may_stop and streak >= config.t_hold and i >= last_reassign
-                and common_model(w, models, config.beta) is not None):
+        if inert:
             n_ran = i
             break
 
@@ -338,12 +358,9 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         mode=config.mode,
         n_iters=n_ran,
         msd_observed=msd_observed[:n_ran],
-        all_agreed=agreed[:n_ran],
-        n_desired_models=n_desired[:n_ran],
         models=models.copy(),
         assignment=assignment,
         final_w=w_prev.copy(),
-        final_agreement=p.copy(),
         success=False,
         final_model=None,
         threshold=config.beta,
@@ -352,7 +369,7 @@ def run_rounds(config, links, models, assignment, streams, policy, *,
         final_positions=None if motion is None else motion.positions.copy(),
         max_speed_observed=None if motion is None else motion.max_observed_speed,
         wall_time=time.perf_counter() - started,
-        **policy.record_fields(n_ran, agreed[:n_ran]),
+        **policy.record_fields(n_ran),
     )
     record.success, record.final_model = evaluate_success(record)
     return record
@@ -362,6 +379,6 @@ def run_decision(config, links, models, assignment, streams, *,
                  check_invariants=False, motion=None):
     """Run decision-making on the network of ``links`` (and a mobile
     swarm's ``motion``) and return its :class:`RunRecord`; see :func:`run_rounds`."""
-    policy = MajoritySwitching(config, len(assignment), len(models), streams.decision)
+    policy = MajoritySwitching(config, len(assignment), models, streams.decision)
     return run_rounds(config, links, models, assignment, streams, policy,
                       check_invariants=check_invariants, motion=motion)

@@ -15,17 +15,19 @@ import numpy as np
 from .network import squared_distances
 
 
-def msd_observed(phi, models, assignment):
+def msd_observed(phi, observed, assignment, followers):
     """Per-model mean squared deviation of the aggregates.
 
     Parameters
     ----------
     phi : ndarray, shape (N, M)
         Current aggregates.
-    models : ndarray, shape (C, M)
-        Ground-truth model vectors.
+    observed : ndarray, shape (N, M)
+        Each agent's own model vector, ``models[assignment]``.
     assignment : ndarray, shape (N,)
         Model index observed by each agent.
+    followers : ndarray, shape (C,)
+        Each model's follower count, ``np.bincount(assignment, minlength=C)``.
 
     Returns
     -------
@@ -33,14 +35,12 @@ def msd_observed(phi, models, assignment):
         Mean over each model's followers; nan where a model currently has
         no followers.
     """
-    models = np.atleast_2d(models)
-    n_models = models.shape[0]
     # each agent's distance to its own model only, with the bits the
     # (N, C) matrix holds there
-    own = squared_distances(phi, models, np.arange(len(assignment)), assignment)
-    counts = np.bincount(assignment, minlength=n_models)
-    sums = np.bincount(assignment, weights=own, minlength=n_models)
-    return np.divide(sums, counts, out=np.full(n_models, np.nan), where=counts > 0)
+    own = squared_distances(phi, observed, np.s_[:], np.s_[:])
+    sums = np.bincount(assignment, weights=own, minlength=followers.size)
+    return np.divide(sums, followers, out=np.full(followers.size, np.nan),
+                     where=followers > 0)
 
 
 def final_agreement_block(all_agreed):

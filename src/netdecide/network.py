@@ -140,6 +140,35 @@ class Links:
             return out
         return reduce(add, [w.T @ x for w, x in terms])
 
+    def route_sums(self, weights, near, fresh, held):
+        """Row k sums ``weights[l, k]`` times ``fresh[l]`` over the links
+        (l, k) that ``near`` marks and times ``held[l]`` over the rest.
+
+        A static network multiplies each link's weight by the value its
+        route picks, gathered from the columns of ``fresh`` stacked on
+        ``held``, and adds one ``np.bincount`` per coordinate as in
+        :meth:`sums`: the bits of the split sums ``sums((w_near, fresh),
+        (w_far, held))``, whose other term is a signed zero that a sum from
+        +0.0 drops. A swarm splits the weights in two and takes their BLAS
+        products.
+        """
+        if self.mask is None:
+            # link i reads row rows[i] of fresh, or of held, n rows further
+            picked = self.rows + self.n * ~near
+            stacked = np.concatenate((fresh, held))
+            out = np.empty((self.n, fresh.shape[1]))
+            for c in range(out.shape[1]):
+                out[:, c] = np.bincount(self.cols, weights=weights * stacked[:, c][picked],
+                                        minlength=self.n)
+            return out
+        by_near = np.where(near, weights, 0.0)
+        return self.sums((by_near, fresh), (weights - by_near, held))
+
+    def every(self, marked):
+        """True when ``marked``, a per-pair bool array with the pairs
+        outside the adjacency cleared (:meth:`restrict`), holds every link."""
+        return bool(marked.all() if self.mask is None else np.array_equal(marked, self.mask))
+
     def pairs(self, marked):
         """``(rows, cols)`` of the pairs ``marked`` holds, in row-major order."""
         return tuple(np.broadcast_to(ends, marked.shape)[marked]
@@ -177,7 +206,8 @@ def squared_distances(x, y=None, rows=None, cols=None):
     For ``x`` of shape (..., N, M) and ``y`` of shape (..., K, M), the
     (..., N, K) matrices; given index arrays ``rows`` and ``cols``
     (broadcast together), the distances ||x_rows - y_cols||^2 of their
-    shape. Both take direct differences one coordinate at a time, square
+    shape, and given two equal slices, those of the rows they pair, with
+    no gather. All take direct differences one coordinate at a time, square
     them and add them in coordinate order, so a pair's distance has the
     same bits wherever it is computed, and is exactly symmetric.
     """

@@ -11,24 +11,25 @@ from hypothesis import strategies as st
 
 from conftest import build_world, tiny_config
 from netdecide.config import ExperimentConfig
-from netdecide.decision import (InvariantViolation, apply_switching,
+from netdecide.decision import (InvariantViolation, MajoritySwitching, apply_switching,
                                 run_decision, update_desired_matrices,
                                 update_estimate, verify_round)
 from netdecide.diffusion import (aggregate, believed_neighborhoods,
                                  combination_weights)
+from netdecide.labeling import agreement_vector
 from netdecide.harness import run_single_trial, trial_seeds
 from netdecide.network import (build_streams, draw_noise_profile, link_grid, link_index,
                                network_from_json, pairwise_close, squared_distances)
 from test_labeling import THRESHOLD, block_points, switch_sources
-from test_links import dense_view, estimates, everyone
+from test_links import dense_view, estimates, everyone, old_split
 
 
 def desired_split(w_prev, psi, adjacency, threshold):
-    """The decide split on the swarm layout of ``adjacency``: linked where
-    previous desired estimates are close."""
+    """The decide split on the swarm layout of ``adjacency``, linked where
+    previous desired estimates are close, as the old ``(fresh, hold)``."""
     grid = link_grid(adjacency)
     weights = combination_weights(pairwise_close(w_prev, threshold, grid), grid)
-    return update_desired_matrices(weights, psi, w_prev, threshold, grid)
+    return old_split(weights, update_desired_matrices(psi, w_prev, threshold, grid))
 
 
 def test_desired_matrices_all_fresh_when_everyone_agrees():
@@ -66,15 +67,20 @@ def test_desired_matrices_split_properties(rng):
         assert not ((fresh > 0) & (hold > 0)).any()
         assert np.allclose((fresh + hold).sum(axis=0), 1.0, atol=1e-12)
         assert ((fresh + hold > 0) == linked).all()
+        # the update weighs the routes as the split sums do
+        phi, weights = rng.normal(size=(n, 2)), combination_weights(linked, grid)
+        near = update_desired_matrices(psi, w_prev, 0.5, grid)
+        assert np.array_equal(update_estimate(phi, w_prev, weights, near, grid),
+                              fresh.T @ phi + hold.T @ w_prev)
 
 
 def test_update_estimate_pure_fresh_returns_aggregates():
     phi = np.array([[1.0, 2.0], [3.0, 4.0]])
     w_prev = np.array([[9.0, 9.0], [8.0, 8.0]])
     eye = np.eye(2)
-    zero = np.zeros((2, 2))
-    assert np.array_equal(update_estimate(phi, w_prev, eye, zero, everyone(2)), phi)
-    assert np.array_equal(update_estimate(phi, w_prev, zero, eye, everyone(2)), w_prev)
+    every, none = np.ones((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool)
+    assert np.array_equal(update_estimate(phi, w_prev, eye, every, everyone(2)), phi)
+    assert np.array_equal(update_estimate(phi, w_prev, eye, none, everyone(2)), w_prev)
 
 
 def test_update_estimate_mixed_routes_hand_value():
@@ -82,12 +88,17 @@ def test_update_estimate_mixed_routes_hand_value():
     # and half held from agent 2's previous estimate [0, 0]
     phi = np.array([[9.0, 9.0], [1.0, 1.0], [9.0, 9.0]])
     w_prev = np.array([[9.0, 9.0], [9.0, 9.0], [0.0, 0.0]])
-    fresh = np.zeros((3, 3))
-    hold = np.zeros((3, 3))
-    fresh[1, 0] = 0.5
-    hold[2, 0] = 0.5
-    out = update_estimate(phi, w_prev, fresh, hold, everyone(3))
-    assert np.allclose(out[0], [0.5, 0.5])
+    weights = np.zeros((3, 3))
+    weights[1, 0] = weights[2, 0] = 0.5
+    near = np.zeros((3, 3), dtype=bool)
+    near[1, 0] = True
+    for layout in (link_grid, link_index):
+        links = layout(np.ones((3, 3), dtype=bool))
+        at = (links.rows, links.cols)
+        out = update_estimate(phi, w_prev, weights[at], near[at], links)
+        assert np.allclose(out[0], [0.5, 0.5])
+        fresh, hold = old_split(weights, near)
+        assert np.allclose(out, fresh.T @ phi + hold.T @ w_prev)
 
 
 def test_switch_keeps_estimate_when_view_is_unanimous():
@@ -103,7 +114,7 @@ def test_switch_majority_member_stays_with_three_classes():
     assert switch_sources([[0, 1, 2], [3, 4], [5]], 6, [0]) == ([0, 1, 2, 3, 4, 5], [], [])
 
 
-def test_switch_even_split_draw_matches_member_frequencies():
+def test_switch_two_class_draw_matches_member_frequencies():
     # majority members in a 4-vs-2 split: uniform draws over all six
     # members, so the majority block is hit with probability 2/3; the four
     # members share one generator and draw in ascending order
@@ -122,7 +133,7 @@ def test_switch_even_split_draw_matches_member_frequencies():
     assert (hits > 0).all()
 
 
-def test_switch_even_split_respects_equilibrium_flag():
+def test_switch_two_class_draw_respects_equilibrium_flag():
     blocks = [[0, 1], [2, 3]]
     assert switch_sources(blocks, 4, [0], equilibrium_break=False) == ([0, 1, 2, 3], [], [])
     sources, adopted, drawn = switch_sources(blocks, 4, [0], equilibrium_break=True)
@@ -239,6 +250,42 @@ def test_apply_switching_matches_per_agent_path(seed, n, link, groups, spread, g
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), link=st.floats(0.0, 1.0),
+       settled=st.booleans())
+def test_switch_stage_reads_agreement_from_the_links(seed, n, link, settled):
+    # the stage takes the round's agreement from the closeness at the links
+    # and builds the agreement degrees only when some link disagrees; those
+    # degrees are agreement_vector's, bit for bit, on both layouts. Grid
+    # estimates meet the threshold exactly, and settled rounds copy one
+    # estimate onto many agents
+    g = np.random.default_rng(seed)
+    upper = np.triu(g.random((n, n)) < link, 1)
+    adjacency = upper | upper.T | np.eye(n, dtype=bool)
+    w_prev = estimates(g, n)
+    if settled:
+        w_prev[g.random(n) < 0.8] = w_prev[0]
+    cfg = tiny_config(n_agents=n, n_models=1, beta=0.25)
+    for links in (link_grid(adjacency), link_index(adjacency)):
+        close = pairwise_close(w_prev, 0.25, links)
+        want = agreement_vector(close, links)
+        stage = MajoritySwitching(cfg, n, np.zeros((1, 2)), np.random.default_rng(seed))
+        received = []
+
+        def switch(w_prev, threshold, p, *args):
+            received.append(p)
+            return apply_switching(w_prev, threshold, p, *args)
+
+        with mock.patch("netdecide.decision.apply_switching", switch):
+            stage.desired(0, w_prev, w_prev, links)
+        agreed = bool((want == 1).all())
+        assert stage.agreed[0] == agreed
+        assert len(received) == (not agreed)
+        assert all(p.tobytes() == want.tobytes() for p in received)
+        stage.track(0, w_prev, None)
+        assert stage.record_fields(1)["final_agreement"].tobytes() == want.tobytes()
+
+
 def healthy_round(n=4, seed=0, layout=link_index):
     """One consistent round on the complete graph, in the per-pair forms
     :func:`verify_round` takes, on the static links (link l*n + k joins l
@@ -252,12 +299,10 @@ def healthy_round(n=4, seed=0, layout=link_index):
     support = believed_neighborhoods(smoothed, links)
     combination = combination_weights(support, links)
     phi = aggregate(combination, psi, links)
-    close = pairwise_close(w_prev, 0.5, links)
-    fresh, hold = update_desired_matrices(combination_weights(close, links), psi, w_prev, 0.5,
-                                          links)
+    weights = combination_weights(pairwise_close(w_prev, 0.5, links), links)
     return dict(links=links, combination=combination, support=support,
-                smoothed=smoothed, fresh=fresh, hold=hold, close=close,
-                adjacency=adjacency, w_prev=w_prev, threshold=0.5, n_desired=1,
+                smoothed=smoothed, weights=weights, adjacency=adjacency, w_prev=w_prev,
+                desired=w_prev.copy(), threshold=0.5, agreed=True, n_desired=1,
                 phi=phi, psi=psi)
 
 
@@ -267,8 +312,9 @@ def test_verify_round_accepts_consistent_state():
 
 
 def test_verify_round_reads_a_swarm_within_its_adjacency():
-    # a pair outside the swarm's adjacency is no link: its closeness is
-    # False and it carries no weight, wherever its estimates lie
+    # a pair outside the swarm's adjacency is no link: it carries no
+    # weight, and the agreement flag reads the links alone, wherever the
+    # estimates of the pair lie
     round_state = healthy_round(layout=link_grid)
     round_state["adjacency"][0, 1] = round_state["adjacency"][1, 0] = False
     with pytest.raises(InvariantViolation):
@@ -276,28 +322,34 @@ def test_verify_round_reads_a_swarm_within_its_adjacency():
     links = link_grid(round_state["adjacency"])
     support = believed_neighborhoods(round_state["smoothed"], links)
     combination = combination_weights(support, links)
-    close = pairwise_close(round_state["w_prev"], 0.5, links)
-    fresh, hold = update_desired_matrices(combination_weights(close, links), round_state["psi"],
-                                          round_state["w_prev"], 0.5, links)
-    round_state.update(links=links, support=support, combination=combination, close=close,
-                       fresh=fresh, hold=hold,
-                       phi=aggregate(combination, round_state["psi"], links))
+    weights = combination_weights(pairwise_close(round_state["w_prev"], 0.5, links), links)
+    round_state.update(links=links, support=support, combination=combination,
+                       weights=weights, phi=aggregate(combination, round_state["psi"], links))
+    verify_round(**round_state)
+    # the unlinked pair sits apart, each end close to the agents between
+    w_prev = round_state["w_prev"]
+    w_prev[:2, 0] = -0.6, 0.6
+    round_state.update(desired=w_prev.copy(),
+                       weights=combination_weights(pairwise_close(w_prev, 0.5, links), links))
     verify_round(**round_state)
 
 
 @pytest.mark.parametrize("corrupt", [
     lambda r: r["combination"].__setitem__(0, 2.0),
     lambda r: r["support"].__setitem__(1, False),
-    lambda r: r["close"].__setitem__(1, False),
+    lambda r: r.__setitem__("agreed", False),
     lambda r: r["adjacency"].__setitem__((0, 1), False),
     lambda r: r["smoothed"].__setitem__(0, 1.5),
-    lambda r: r["hold"].__setitem__(0, 0.1),
-    lambda r: r["fresh"].__setitem__(0, 0.7),
+    lambda r: r["weights"].__setitem__(0, 0.1),
+    # the count reads other estimates than the dense relation of the
+    # desired estimates the stage handed on
+    lambda r: r["desired"].__setitem__((0, 0), 5.0),
     lambda r: r["phi"].__setitem__((0, 0), 99.0),
     # just outside the hull, in one coordinate
     lambda r: r["phi"].__setitem__((0, 1), r["psi"][:, 1].max() + 1e-8),
     lambda r: r.__setitem__("n_desired", 2),
-    # the links read closeness of other estimates than the dense relation
+    # the agreement flag reads closeness of other estimates than the dense
+    # relation of the previous desired estimates
     lambda r: r["w_prev"].__setitem__((0, 0), 5.0),
 ])
 def test_verify_round_rejects_corruption(corrupt):

@@ -65,6 +65,13 @@ def dense_sums(weights, x):
     return out
 
 
+def old_split(weights, near):
+    """``(fresh, hold)``: the weights split by route, the form the
+    ``(weights, near)`` of the estimate update replaces, kept as its oracle."""
+    fresh = np.where(near, weights, 0.0)
+    return fresh, weights - fresh
+
+
 def dense_update(fresh, hold, phi, w_prev):
     """The estimate update as :func:`dense_sums` adds it: one term
     fresh * phi_l + hold * w_prev_l per pair."""
@@ -154,15 +161,15 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     assert same_bits(close, (squared_distances(w_prev) <= beta) & adjacency)
     assert same_bits(pairwise_close(w_prev, beta, links), close[at])
     assert same_bits(agreement_vector(close[at], links), agreement_vector(close, grid))
-    fresh, hold = update_desired_matrices(combination_weights(close, grid), psi, w_prev, beta,
-                                          grid)
-    got = update_desired_matrices(combination_weights(close[at], links), psi, w_prev, beta,
-                                  links)
-    assert same_bits(got[0], fresh[at]) and same_bits(got[1], hold[at])
+    weights = combination_weights(close, grid)
+    near = update_desired_matrices(psi, w_prev, beta, grid)
+    got = update_desired_matrices(psi, w_prev, beta, links)
+    assert same_bits(got, near[at])
+    fresh, hold = old_split(weights, near)
     assert not fresh[~adjacency].any() and not hold[~adjacency].any()
-    assert same_bits(update_estimate(phi, w_prev, *got, links),
+    assert same_bits(update_estimate(phi, w_prev, weights[at], got, links),
                      dense_update(fresh, hold, phi, w_prev))
-    assert np.allclose(update_estimate(phi, w_prev, fresh, hold, grid),
+    assert np.allclose(update_estimate(phi, w_prev, weights, near, grid),
                        dense_update(fresh, hold, phi, w_prev))
 
     # the follow split: links between informed agents, and every self-link
@@ -174,9 +181,39 @@ def test_link_round_equals_dense_round(seed, n, density, dim):
     got = follow_matrices(informed, links)
     assert same_bits(want, combination_weights(linked, grid))
     assert same_bits(got, want[at])
-    want = update_desired_matrices(want, psi, anchors, beta, grid)
-    got = update_desired_matrices(got, psi, anchors, beta, links)
-    assert all(same_bits(a, b[at]) for a, b in zip(got, want))
+    assert same_bits(update_desired_matrices(psi, anchors, beta, links),
+                     update_desired_matrices(psi, anchors, beta, grid)[at])
+
+
+def signed_zeros(g, values):
+    """``values`` with about a third of its entries set to +0.0 or -0.0."""
+    zeros = np.where(g.random(values.shape) < 0.5, 0.0, -0.0)
+    return np.where(g.random(values.shape) < 0.3, zeros, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 1.0),
+       st.integers(1, 4))
+def test_fused_update_has_the_bits_of_the_split_sums(seed, n, density, dim):
+    # a static network weighs each link's routed value in one product; the
+    # split sums add a second, signed zero term to it. Zero weights and
+    # signed zero estimates make products of either sign, which the sum from
+    # +0.0 must not tell apart. A swarm keeps the split's two BLAS products
+    g = np.random.default_rng(seed)
+    upper = np.triu(g.random((n, n)) < density, 1)
+    adjacency = upper | upper.T | np.eye(n, dtype=bool)
+    links, grid = link_index(adjacency), link_grid(adjacency)
+    at = (links.rows, links.cols)
+    support = adjacency & (g.random((n, n)) < 0.7)
+    np.fill_diagonal(support, True)
+    weights = combination_weights(support, grid)
+    near = g.random((n, n)) < 0.5
+    phi, w_prev = (signed_zeros(g, estimates(g, n, dim)) for _ in range(2))
+    fresh, hold = old_split(weights, near)
+    assert same_bits(update_estimate(phi, w_prev, weights[at], near[at], links),
+                     links.sums((fresh[at], phi), (hold[at], w_prev)))
+    assert same_bits(update_estimate(phi, w_prev, weights, near, grid),
+                     fresh.T @ phi + hold.T @ w_prev)
 
 
 def loop_sums(links, terms):

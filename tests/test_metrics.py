@@ -4,11 +4,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdecide.metrics import (captured_source, common_model,
                                evaluate_success, final_agreement_block,
                                msd_observed)
+from netdecide.network import squared_distances
 from netdecide.records import RunRecord
+
+
+def observed_deviation(phi, models, assignment):
+    """:func:`msd_observed` given the models and the assignment, from which
+    the round loop makes its constants at each reassignment."""
+    models, assignment = np.atleast_2d(models), np.asarray(assignment)
+    return msd_observed(phi, models[assignment], assignment,
+                        np.bincount(assignment, minlength=len(models)))
 
 
 def make_record(mode="decide", n_iters=60, agreed_tail=55, final_w=None,
@@ -44,25 +55,44 @@ def test_msd_observed_zero_on_exact_aggregates():
     models = np.array([[0.2, 0.2], [-0.5, 0.5]])
     assignment = np.array([0, 1, 1])
     phi = models[assignment]
-    assert np.allclose(msd_observed(phi, models, assignment), [0.0, 0.0])
+    assert np.allclose(observed_deviation(phi, models, assignment), [0.0, 0.0])
 
 
 def test_msd_observed_hand_values():
-    one = msd_observed(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]),
-                       np.array([0]))
+    one = observed_deviation(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]),
+                             np.array([0]))
     assert one[0] == pytest.approx(1.0)
     # two followers deviating by 0.01 and 0.03 average to 0.02
     models = np.array([[0.0, 0.0]])
     phi = np.array([[0.1, 0.0], [np.sqrt(0.03), 0.0]])
-    got = msd_observed(phi, models, np.array([0, 0]))
+    got = observed_deviation(phi, models, np.array([0, 0]))
     assert got[0] == pytest.approx(0.02)
 
 
 def test_msd_observed_empty_cluster_is_nan():
-    got = msd_observed(np.zeros((2, 2)), np.array([[0.0, 0.0], [5.0, 5.0]]),
-                       np.array([0, 0]))
+    got = observed_deviation(np.zeros((2, 2)), np.array([[0.0, 0.0], [5.0, 5.0]]),
+                             np.array([0, 0]))
     assert got[0] == 0.0
     assert np.isnan(got[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 5), st.integers(1, 9))
+def test_msd_observed_has_the_bits_of_the_model_matrix(seed, n, n_models, dim):
+    # each agent's term is its entry of the (N, C) matrix, and each model's
+    # sum adds its followers' terms in agent order from +0.0; some models
+    # may go unfollowed
+    g = np.random.default_rng(seed)
+    phi = g.normal(size=(n, dim))
+    models = g.normal(size=(n_models, dim))
+    assignment = g.integers(0, n_models, size=n)
+    own = squared_distances(phi, models)[np.arange(n), assignment].tolist()
+    want = []
+    for j in range(n_models):
+        followers = [d for d, a in zip(own, assignment.tolist()) if a == j]
+        want.append(sum(followers, 0.0) / len(followers) if followers else np.nan)
+    got = observed_deviation(phi, models, assignment)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_final_agreement_block_cases():
